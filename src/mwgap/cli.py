@@ -113,7 +113,7 @@ def cmd_round(args) -> int:
 
 
 def cmd_lpsearch(args) -> int:
-    st = search(args.n, args.tol, args.max_iter)
+    st = search(args.n)
     obj = instance_to_obj(st.weights)
     obj["lpc_exact"] = rat_to_str(st.lpc_exact)
     obj["iterations"] = st.iterations
@@ -199,10 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, required=True)
     c.set_defaults(func=cmd_round)
 
-    c = sub.add_parser("lpsearch", help="cutting-plane search for extremal weights")
+    c = sub.add_parser("lpsearch", help="potential-LP search for extremal weights")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--tol", type=float, default=1e-9)
-    c.add_argument("--max-iter", type=int, default=500)
     c.add_argument("--out")
     c.set_defaults(func=cmd_lpsearch)
 

@@ -27,10 +27,6 @@ def terminal(i: int, k: int, n: int) -> Point:
     return tuple(n if j == i else 0 for j in range(k))
 
 
-def is_grid_point(x: Point, k: int, n: int) -> bool:
-    return len(x) == k and all(v >= 0 for v in x) and sum(x) == n
-
-
 def enumerate_points(k: int, n: int) -> list[Point]:
     """All compositions of n into k nonnegative parts, lexicographic order."""
     if k < 2:
@@ -178,12 +174,6 @@ def cost(P: Cut, w: WeightFunction) -> Fraction:
         if P.labels[x] != P.labels[y]:
             total += v
     return total
-
-
-def argmax_cut(k: int, n: int) -> Cut:
-    """Label each point by its largest coordinate, ties to the lowest index."""
-    labels = {x: max(range(k), key=lambda i: (x[i], -i)) for x in enumerate_points(k, n)}
-    return Cut(k, n, labels, KWAY)
 
 
 def random_kway_cut(k: int, n: int, rng: random.Random) -> Cut:

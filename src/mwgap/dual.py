@@ -83,7 +83,6 @@ def enumerate_faces(n: int) -> list[DualNodeT]:
 @dataclass
 class DualGraph:
     n: int
-    nodes: list[DualNodeT]
     # adjacency: node -> sorted list of (neighbor, weight, primal edge)
     adj: dict[DualNodeT, list[tuple[DualNodeT, Fraction, Edge]]]
     faces: list[DualNodeT]
@@ -129,8 +128,7 @@ def build_dual(n: int, w: WeightFunction) -> DualGraph:
         adj[v].append((u, wt, e))
     for lst in adj.values():
         lst.sort(key=lambda t: (t[0], t[2]))
-    nodes = faces + list(OUTER)
-    return DualGraph(n, nodes, adj, faces)
+    return DualGraph(n, adj, faces)
 
 
 def dijkstra(
@@ -169,18 +167,6 @@ def dual_distance(g: DualGraph, s: DualNodeT, t: DualNodeT) -> Fraction:
     forbidden = frozenset(o for o in OUTER if o not in (s, t))
     dist, _ = dijkstra(g, s, forbidden)
     return dist[t]
-
-
-def witness_path(pred: dict, source: DualNodeT, t: DualNodeT) -> list[Edge]:
-    """Primal edges along the shortest path recorded in pred."""
-    path = []
-    u = t
-    while u != source:
-        p, e = pred[u]
-        path.append(e)
-        u = p
-    path.reverse()
-    return path
 
 
 def potential_at(i: int, x: tuple[Fraction, Fraction, Fraction], n: int) -> Fraction:

@@ -1,63 +1,115 @@
-"""Cutting-plane search for minimum-lpc weights certified against
-non-opposite cuts.
+"""Minimum-lpc weights certified against non-opposite cuts, by one compact LP.
 
-The master LP minimizes the canonical LP value subject to accumulated
-path-system constraints (each demanding a witness ball or 3-corner path
-system to cost at least one); the separation oracle is the dual-graph
-certifier, which returns the currently cheapest path system.  The inner
-LP runs in floating point; every final claim is re-established by an
-exact rational recheck after rescaling, so numeric drift cannot corrupt
-a certificate.
+A weight function w on E_{3,n} makes every ball and 3-corner dual path
+system cost at least one exactly when there are potentials pi_i (one per
+outer node O_i, on every dual node) with
+
+  * pi_i(O_i) = 0 and pi_i(v) - pi_i(u) <= w(e) on every dual arc u -> v
+    that does not leave an outer node O_j, j != i (Lipschitz rows; arcs
+    into O_i only bound pi_i from below and are left out),
+  * sum_i pi_i(F) >= 1 for every face F (ball rows),
+  * pi_0(O_1) + pi_0(O_2) + pi_1(O_2) >= 1 (corner row).
+
+Any such pi_i is a lower bound on the shortest-path distances from O_i
+that `certify` computes, and those distances are feasible potentials, so
+minimizing sum(w)/n over (w, pi) gives the least lpc among certified
+weights.  The LP runs once, in floating point; every final claim is
+re-established by an exact rational recheck after rescaling, so numeric
+drift cannot corrupt a certificate.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from .core import Edge, WeightFunction, enumerate_edges
-from .dual import NONOPPOSITE, Certificate, build_dual, certify, dijkstra, witness_path
+from .dual import NONOPPOSITE, OUTER, Certificate, build_dual, certify
+
+# `lpsearch.dijkstra` is the exact kernel behind the recheck; it stays
+# importable from this module, where bench/selftest.py checks that the
+# tracer rebinds it.
+from .dual import dijkstra  # noqa: F401
 
 
 @dataclass
 class SearchState:
     n: int
-    tol: float
-    iterations: int
+    iterations: int  # LP solves
     certified: bool
     weights: WeightFunction  # final weights, exactly rescaled to lower bound 1
     lpc_exact: Fraction  # exact lpc of the rescaled weights
-    objective: float  # last master LP objective (unscaled)
-    constraints: list[dict[Edge, int]] = field(default_factory=list)
+    objective: float  # LP objective (unscaled)
     log: list[str] = field(default_factory=list)
     certificate: Optional[Certificate] = None
 
 
-def solve_lp(constraints: list[dict[Edge, int]], n: int, edges: list[Edge]) -> np.ndarray:
-    """Minimize sum(w)/n subject to w >= 0 and each constraint's weighted
-    edge sum being at least one.  Deterministic for fixed inputs."""
+def solve_lp(
+    constraints: list[dict[Hashable, float]], rhs: list[float], n: int, edges: list[Edge]
+) -> np.ndarray:
+    """Minimize sum(w)/n subject to w >= 0 and each sparse row's weighted
+    sum being at least its right-hand side.
+
+    A row maps variables to coefficients: an edge of `edges` stands for
+    its weight w(e), any other key for a free variable.  Returns the
+    optimal weights in edge order.  Deterministic for fixed inputs.
+    """
     m = len(edges)
     if not constraints:
         return np.zeros(m)
-    eindex = {e: i for i, e in enumerate(edges)}
-    A = np.zeros((len(constraints), m))
-    for r, con in enumerate(constraints):
-        for e, mult in con.items():
-            A[r, eindex[e]] = -mult
+    col = {e: i for i, e in enumerate(edges)}
+    indptr, indices, data = [0], [], []
+    for row in constraints:
+        for var, coef in row.items():
+            indices.append(col.setdefault(var, len(col)))
+            data.append(-coef)
+        indptr.append(len(indices))
+    A = csr_array((data, indices, indptr), shape=(len(constraints), len(col)))
     res = linprog(
-        c=np.full(m, 1.0 / n),
+        c=np.concatenate([np.full(m, 1.0 / n), np.zeros(len(col) - m)]),
         A_ub=A,
-        b_ub=np.full(len(constraints), -1.0),
-        bounds=[(0, None)] * m,
+        b_ub=-np.asarray(rhs, dtype=float),
+        bounds=[(0, None)] * m + [(None, None)] * (len(col) - m),
         method="highs",
     )
     if not res.success:
-        raise RuntimeError(f"master LP failed: {res.message}")
-    return np.maximum(res.x, 0.0)
+        raise RuntimeError(f"potential LP failed: {res.message}")
+    return np.maximum(res.x[:m], 0.0)
+
+
+def potential_lp(n: int) -> tuple[list[dict[Hashable, float]], list[float]]:
+    """Rows and right-hand sides of the compact potential LP on E_{3,n}.
+
+    Potential pi_i(v) is the variable (i, v); pi_i(O_i) = 0 is left out.
+    """
+    g = build_dual(n, WeightFunction(3, n, {}))
+    rows: list[dict[Hashable, float]] = []
+    rhs: list[float] = []
+    for i in range(3):
+        source = OUTER[i]
+        for u, arcs in g.adj.items():
+            if u[0] == "O" and u != source:
+                continue  # paths meet the other outer nodes only at their ends
+            for v, _, e in arcs:
+                if v == source:
+                    continue  # a path from O_i never re-enters it
+                row = {e: 1.0, (i, v): -1.0}
+                if u != source:
+                    row[(i, u)] = 1.0
+                rows.append(row)
+                rhs.append(0.0)
+    for f in g.faces:
+        rows.append({(i, f): 1.0 for i in range(3)})
+        rhs.append(1.0)
+    rows.append({(0, OUTER[1]): 1.0, (0, OUTER[2]): 1.0, (1, OUTER[2]): 1.0})
+    rhs.append(1.0)
+    return rows, rhs
 
 
 def _to_weight_function(n: int, edges: list[Edge], x: np.ndarray) -> WeightFunction:
@@ -65,65 +117,20 @@ def _to_weight_function(n: int, edges: list[Edge], x: np.ndarray) -> WeightFunct
     return WeightFunction(3, n, weights)
 
 
-def _add_multiset(con: dict[Edge, int], path: list[Edge]) -> None:
-    for e in path:
-        con[e] = con.get(e, 0) + 1
+def search(n: int) -> SearchState:
+    """Least-lpc weights whose non-opposite cuts provably cost at least one.
 
-
-def search(n: int, tol: float = 1e-9, max_iter: int = 500) -> SearchState:
-    """Row generation until both certified bounds reach 1 - tol.
-
-    A violated ball bound contributes the three shortest paths from the
-    cheapest face to the outer nodes as one multiset constraint; a
-    violated corner bound contributes the three pairwise outer paths.
+    Solves the compact potential LP once, converts its weights to exact
+    rationals, and rescales them by their exact `certify` bound; the
+    result is certified only if the rescaled weights pass `certify` at 1.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     edges = enumerate_edges(3, n)
-    constraints: list[dict[Edge, int]] = []
-    log: list[str] = []
-    x = np.zeros(len(edges))
-    objective = 0.0
-    certified_numeric = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        x = solve_lp(constraints, n, edges)
-        objective = float(x.sum() / n)
-        w = _to_weight_function(n, edges, x)
-        g = build_dual(n, w)
-        dd = [
-            dijkstra(g, ("O", i), frozenset(("O", j) for j in range(3) if j != i))
-            for i in range(3)
-        ]
-        dists = [d for d, _ in dd]
-        preds = [p for _, p in dd]
-
-        ball_face = min(g.faces, key=lambda f: (dists[0][f] + dists[1][f] + dists[2][f], f))
-        ball = dists[0][ball_face] + dists[1][ball_face] + dists[2][ball_face]
-        corner = (
-            dists[0][("O", 1)] + dists[0][("O", 2)] + dists[1][("O", 2)]
-        )
-        log.append(f"iter {it}: objective {objective:.9f} ball {float(ball):.9f} corner {float(corner):.9f}")
-        added = 0
-        for f in g.faces:
-            if dists[0][f] + dists[1][f] + dists[2][f] < 1 - tol:
-                con: dict[Edge, int] = {}
-                for i in range(3):
-                    _add_multiset(con, witness_path(preds[i], ("O", i), f))
-                constraints.append(con)
-                added += 1
-        if corner < 1 - tol:
-            con = {}
-            _add_multiset(con, witness_path(preds[0], ("O", 0), ("O", 1)))
-            _add_multiset(con, witness_path(preds[0], ("O", 0), ("O", 2)))
-            _add_multiset(con, witness_path(preds[1], ("O", 1), ("O", 2)))
-            constraints.append(con)
-            added += 1
-        if added == 0:
-            certified_numeric = True
-            break
+    rows, rhs = potential_lp(n)
+    x = solve_lp(rows, rhs, n, edges)
+    objective = float(x.sum() / n)
+    log = [f"potential LP: {len(rows)} rows, objective {objective:.12f}"]
 
     w = _to_weight_function(n, edges, x)
     cert = certify(n, w, NONOPPOSITE, Fraction(1))
@@ -141,13 +148,11 @@ def search(n: int, tol: float = 1e-9, max_iter: int = 500) -> SearchState:
     log.append(f"exact recheck: bound {bound} lpc_exact {lpc_exact} ({float(lpc_exact):.9f})")
     return SearchState(
         n=n,
-        tol=tol,
-        iterations=it,
-        certified=certified and certified_numeric,
+        iterations=1,
+        certified=certified,
         weights=scaled,
         lpc_exact=lpc_exact,
         objective=objective,
-        constraints=constraints,
         log=log,
         certificate=final_cert,
     )

@@ -15,18 +15,28 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isqrt, sqrt
 from typing import Optional, Union
 
 import numpy as np
 
 from .core import Point, enumerate_edges, enumerate_points
 
-# Cells in the discretized parameter intervals.  Kept at 2^20 so that the
-# vectorized orientation tests below stay within exact int64 range.
+# Cells in the discretized parameter intervals; MAX_N shrinks as this grows.
 PARAM_CELLS = 1 << 20
 
+# The vectorized orientation tests scale the triangle by S = 3 * PARAM_CELLS * n.
+# Each is twice the signed area of a triangle inside it, so its magnitude is at
+# most S^2 (and comes within a factor 1 - 1/(3 * PARAM_CELLS) of it), which int64
+# holds exactly up to n = 965.
+MAX_N = isqrt(np.iinfo(np.int64).max) // (3 * PARAM_CELLS)
+
 EXTRA = 3  # label of the unassigned middle cluster of a corner cut
+
+
+def _check_n(n: int) -> None:
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"need 2 <= n <= {MAX_N} (the int64 bound of the labelling), got {n}")
 
 
 class DegenerateEvaluationError(RuntimeError):
@@ -221,8 +231,9 @@ def _batch_labels(params: dict, points: list[Point], n: int) -> tuple[np.ndarray
 
     Returns (labels, degenerate): labels has shape (count, len(points)) with
     values in {0, 1, 2, EXTRA}; rows flagged degenerate carry no meaning
-    and must be redrawn.  All arithmetic is exact in int64.
+    and must be redrawn.  All arithmetic is exact in int64 for n <= MAX_N.
     """
+    _check_n(n)
     M = PARAM_CELLS
     count = params["is_corner"].shape[0]
     labels = np.full((count, len(points)), EXTRA, np.int8)
@@ -325,8 +336,7 @@ def estimate_density(
     L1-geodesic grid path and separation probability is subadditive along
     it, so adjacent pairs attain the maximum density on the grid.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_n(n)
     if samples < 1000:
         raise ValueError(f"need samples >= 1000, got {samples}")
     p_corner = Fraction(p_corner)

@@ -74,11 +74,6 @@ def instance_digest(w: WeightFunction) -> str:
     return digest(instance_to_obj(w))
 
 
-def dump_instance(w: WeightFunction, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(instance_to_obj(w)))
-
-
 def load_instance(path: str) -> WeightFunction:
     with open(path) as fh:
         return obj_to_instance(json.load(fh))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mwgap import cli, rounding
 from mwgap.core import enumerate_points, support
 from mwgap.rounding import (
     BallCut,
@@ -13,6 +14,7 @@ from mwgap.rounding import (
     DIAGONALS,
     DegenerateEvaluationError,
     EXTRA,
+    MAX_N,
     PARAM_CELLS,
     _batch_labels,
     _draw_params,
@@ -165,3 +167,44 @@ def test_estimate_density_rejects_bad_parameters():
 
 def test_param_cells_is_power_of_two():
     assert PARAM_CELLS & (PARAM_CELLS - 1) == 0
+
+
+def test_max_n_is_the_int64_bound():
+    # the largest orientation is (3 M n)^2 (1 - 1/(3M)): it fits at n = MAX_N, not one above
+    peak = lambda n: (3 * PARAM_CELLS * n) ** 2 * (1 - F(1, 3 * PARAM_CELLS))
+    assert MAX_N == 965
+    assert peak(MAX_N) < 2**63 <= peak(MAX_N + 1)
+
+
+def test_batch_labels_exact_at_max_n():
+    # the largest orientation pairs a corner grid point with the chord end of
+    # the center at diag 1, t = 1/M; all centers here sit at t = 1/M or 1 - 1/M
+    n = MAX_N
+    pts = sorted({(n, 0, 0), (0, n, 0), (0, 0, n), (n - 1, 1, 0), (1, 0, n - 1), (0, n - 1, 1), (1, n - 1, 0)})
+    M = PARAM_CELLS
+    combos = [(d, j, c) for d in (0, 1) for j in (1, M - 1) for c in range(8)]
+    params = {
+        "is_corner": np.zeros(len(combos), bool),
+        "jr": np.zeros(len(combos), np.int64),
+        "diag": np.array([d for d, _, _ in combos]),
+        "jt": np.array([j for _, j, _ in combos]),
+        "choice": np.array([[(c >> b) & 1 for b in range(3)] for _, _, c in combos]),
+    }
+    labels, degenerate = _batch_labels(params, pts, n)
+    assert not degenerate.any()
+    for i in range(len(combos)):
+        cut = _params_to_cut(params, i)
+        for j, p in enumerate(pts):
+            assert labels[i, j] == evaluate(cut, tuple(Fraction(a, n) for a in p))
+
+
+def test_estimate_density_rejects_n_past_int64_bound(monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("allocated before rejecting n")
+
+    monkeypatch.setattr(rounding, "enumerate_points", no_allocation)
+    with pytest.raises(ValueError, match="int64"):
+        estimate_density(MAX_N + 1, 1000, Fraction(1, 5), 1)
+    with pytest.raises(ValueError, match="int64"):
+        _batch_labels(_draw_params(np.random.default_rng(0), 1, Fraction(1, 5)), [], MAX_N + 1)
+    assert cli.main(["round", "--n", str(MAX_N + 1), "--samples", "1000", "--seed", "1"]) == 2
