@@ -33,7 +33,7 @@ from .dual import (
     uncut_edges,
 )
 from .lpsearch import search
-from .projection import check_cost_lemmas, check_projection_bounds, injection_bad_points, restrict_injection
+from .projection import check_cost_lemmas, check_projection_bounds, restrict_triple
 from .rounding import estimate_density
 from .weights import (
     build_fk,
@@ -253,13 +253,14 @@ def criterion_8(seed: int = 8, trials: int = 1000, K: int = 12, k: int = 3, n: i
     for t in range(trials):
         P = random_kway_cut(K, n, rng)
         f = rng.sample(range(K), k)
-        Q = restrict_injection(P, f, k)
+        res = restrict_triple(P, *f)
+        Q = res.fixed
         ok &= _check(
             details,
             all(Q.labels[x] == k or Q.labels[x] in support(x) for x in points),
             f"trial {t}: restriction not non-opposite",
         )
-        for p in injection_bad_points(P, f, k):
+        for p in res.bad_points:
             bad_counts[p] += 1
     bound = k / (K - k)
     sigma = sqrt(bound * (1 - bound) / trials)

@@ -9,6 +9,7 @@ floating point is never used here.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -25,6 +26,18 @@ def support(x: Point) -> frozenset[int]:
 def terminal(i: int, k: int, n: int) -> Point:
     """The grid point sitting at simplex vertex e^i."""
     return tuple(n if j == i else 0 for j in range(k))
+
+
+def embed(x: Point, f: Sequence[int], k: int) -> Point:
+    """The k-grid point with x[j] at coordinate f[j] and zeros elsewhere.
+
+    With f increasing, embedding preserves lexicographic order, so it maps
+    canonical edges to canonical edges.
+    """
+    big = [0] * k
+    for j, i in enumerate(f):
+        big[i] = x[j]
+    return tuple(big)
 
 
 def enumerate_points(k: int, n: int) -> list[Point]:

@@ -21,7 +21,7 @@ drift cannot corrupt a certificate.
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -46,7 +46,6 @@ class SearchState:
     weights: WeightFunction  # final weights, exactly rescaled to lower bound 1
     lpc_exact: Fraction  # exact lpc of the rescaled weights
     objective: float  # LP objective (unscaled)
-    log: list[str] = field(default_factory=list)
     certificate: Optional[Certificate] = None
 
 
@@ -130,7 +129,6 @@ def search(n: int) -> SearchState:
     rows, rhs = potential_lp(n)
     x = solve_lp(rows, rhs, n, edges)
     objective = float(x.sum() / n)
-    log = [f"potential LP: {len(rows)} rows, objective {objective:.12f}"]
 
     w = _to_weight_function(n, edges, x)
     cert = certify(n, w, NONOPPOSITE, Fraction(1))
@@ -145,7 +143,6 @@ def search(n: int) -> SearchState:
         final_cert = cert
         lpc_exact = Fraction(0)
         certified = False
-    log.append(f"exact recheck: bound {bound} lpc_exact {lpc_exact} ({float(lpc_exact):.9f})")
     return SearchState(
         n=n,
         iterations=1,
@@ -153,6 +150,5 @@ def search(n: int) -> SearchState:
         weights=scaled,
         lpc_exact=lpc_exact,
         objective=objective,
-        log=log,
         certificate=final_cert,
     )

@@ -1,10 +1,13 @@
-"""Cut restriction to faces, injection restriction, and line-label statistics.
+"""Cut restriction to faces, and line-label statistics.
 
 The operators here connect k-way cuts of the big simplex grid to
-non-opposite cuts of the triangle: restriction to a 3-element face (with
-the "bad point" fix-up), restriction along an injection of index sets,
-the per-pair label sets D_{i,j} and their mean, and exact-enumeration
-verification of the probability and cost bounds built on them.
+non-opposite cuts of the triangle.  Every lookup of a small-grid point in
+the big grid goes through `core.embed`: `restrict_triple` is the one
+restriction loop (raw labels, the "bad point" fix-up, and the fixed cut),
+and restriction along an injection is its fixed cut.  `d_profile` embeds
+the lines between terminal pairs to get the label sets D_{i,j} and their
+mean, and the checks below verify the probability and cost bounds built
+on them by exact enumeration.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .core import (
     Point,
     WeightFunction,
     cost,
+    embed,
     enumerate_points,
-    support,
 )
 
 
@@ -37,67 +40,40 @@ class RestrictionResult:
 def restrict_triple(P: Cut, i1: int, i2: int, i3: int) -> RestrictionResult:
     """Cut induced by P on the face spanned by terminals i1, i2, i3.
 
-    A face point maps through the face embedding; labels outside the
-    triple become the extra cluster.  Side points whose induced label is
-    the opposite corner are "bad" and forced to the extra cluster.
+    Triangle point x is looked up at embed(x, (i1, i2, i3), k), in any
+    order of the indices; labels outside the triple become the extra
+    cluster.  Points whose induced label is a corner outside supp(x) are
+    "bad" and forced to the extra cluster.
     """
     triple = (i1, i2, i3)
     if len(set(triple)) != 3 or not all(0 <= i < P.k for i in triple):
         raise ValueError(f"indices must be distinct and in range, got {triple}")
     raw: dict[Point, int] = {}
+    fixed_labels: dict[Point, int] = {}
     bad = []
     for x in enumerate_points(3, P.n):
-        big = [0] * P.k
-        for j, i in enumerate(triple):
-            big[i] = x[j]
-        lab = P.labels[tuple(big)]
+        lab = P.labels[embed(x, triple, P.k)]
         r = triple.index(lab) if lab in triple else 3
         raw[x] = r
-        if r < 3 and r not in support(x):
+        if r < 3 and x[r] == 0:
             bad.append(x)
-    fixed_labels = {x: (3 if x in set(bad) else r) for x, r in raw.items()}
+            r = 3
+        fixed_labels[x] = r
     fixed = Cut(3, P.n, fixed_labels, NONOPPOSITE)
     return RestrictionResult(raw=raw, fixed=fixed, bad_points=frozenset(bad))
 
 
 def restrict_injection(P: Cut, f: Sequence[int], k: int) -> Cut:
-    """Non-opposite cut of the small grid induced by P along injection f.
+    """Non-opposite cut of the triangle grid induced by P along injection f.
 
-    f maps the k small indices into P's K indices; a point whose image
-    label falls outside its embedded support gets the extra cluster, so
-    the result is always non-opposite.
+    f maps the k = 3 small indices into P's indices; this is the fixed cut
+    of `restrict_triple(P, *f)`.
     """
-    if len(f) != k or len(set(f)) != k:
-        raise ValueError(f"f must be an injection of {k} indices, got {f}")
-    if not all(0 <= i < P.k for i in f):
-        raise ValueError(f"injection image out of range: {f}")
     if k != 3:
         raise ValueError("the triangle grid is the only supported target")
-    inv = {fi: j for j, fi in enumerate(f)}
-    labels: dict[Point, int] = {}
-    for x in enumerate_points(k, P.n):
-        big = [0] * P.k
-        for j in range(k):
-            big[f[j]] = x[j]
-        lab = P.labels[tuple(big)]
-        image_supp = {f[j] for j in support(x)}
-        labels[x] = inv[lab] if lab in image_supp else k
-    return Cut(k, P.n, labels, NONOPPOSITE)
-
-
-def injection_bad_points(P: Cut, f: Sequence[int], k: int) -> set[Point]:
-    """Points x with P(x o f) landing in f([k] \\ supp(x))."""
-    bad = set()
-    fset = set(f)
-    for x in enumerate_points(k, P.n):
-        big = [0] * P.k
-        for j in range(k):
-            big[f[j]] = x[j]
-        lab = P.labels[tuple(big)]
-        image_supp = {f[j] for j in support(x)}
-        if lab in fset and lab not in image_supp:
-            bad.add(x)
-    return bad
+    if len(f) != k:
+        raise ValueError(f"f must be an injection of {k} indices, got {f}")
+    return restrict_triple(P, *f).fixed
 
 
 @dataclass
@@ -112,12 +88,7 @@ def d_profile(P: Cut) -> DProfile:
         raise ValueError("d_profile expects a k-way cut")
     per_pair = {}
     for i, j in combinations(range(P.k), 2):
-        labs = set()
-        for t in range(P.n + 1):
-            x = [0] * P.k
-            x[i], x[j] = t, P.n - t
-            labs.add(P.labels[tuple(x)])
-        per_pair[(i, j)] = frozenset(labs)
+        per_pair[(i, j)] = frozenset(P.labels[embed((t, P.n - t), (i, j), P.k)] for t in range(P.n + 1))
     total = sum(len(s) for s in per_pair.values())
     return DProfile(per_pair=per_pair, mean=Fraction(total, comb(P.k, 2)))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import comb, isqrt, sqrt
 from typing import Optional, Union
 
 import numpy as np
@@ -33,10 +33,20 @@ MAX_N = isqrt(np.iinfo(np.int64).max) // (3 * PARAM_CELLS)
 
 EXTRA = 3  # label of the unassigned middle cluster of a corner cut
 
+# Cap on one batch's int8 label matrix (draws x grid points); `_batch_labels`
+# holds three matrices of that shape at once.
+LABEL_BYTES = 1 << 25
+
 
 def _check_n(n: int) -> None:
     if not 2 <= n <= MAX_N:
         raise ValueError(f"need 2 <= n <= {MAX_N} (the int64 bound of the labelling), got {n}")
+
+
+def _batch_size(n: int) -> int:
+    """Draws per labelling batch on the n-grid: 200,000 for n <= 16, fewer
+    above so that the label matrix stays within LABEL_BYTES."""
+    return min(200_000, LABEL_BYTES // comb(n + 2, 2))
 
 
 class DegenerateEvaluationError(RuntimeError):
@@ -201,19 +211,6 @@ def _draw_params(rng: np.random.Generator, count: int, p_corner: Fraction) -> di
     }
 
 
-def _params_to_cut(params: dict, i: int) -> SampledCut:
-    """Reference cut object for row i of a parameter batch (test hook)."""
-    M = PARAM_CELLS
-    if params["is_corner"][i]:
-        return CornerCut(r=Fraction(2 * M + int(params["jr"][i]), 3 * M))
-    diag = int(params["diag"][i])
-    t = Fraction(int(params["jt"][i]), M)
-    A, B = DIAGONALS[diag]
-    r = tuple((1 - t) * A[j] + t * B[j] for j in range(3))
-    choice = tuple(bool(v) for v in params["choice"][i])
-    return BallCut(r=r, side_choice=choice, diag=diag, t=t)
-
-
 def _ball_r_numerators(params: dict, mask: np.ndarray) -> np.ndarray:
     """Center coordinates of the masked ball cuts as numerators over 3M."""
     M = PARAM_CELLS
@@ -328,13 +325,13 @@ def estimate_density(
     samples: int,
     p_corner: Fraction = Fraction(1, 5),
     seed: int = 0,
-    batch: int = 200_000,
 ) -> DensityEstimate:
     """Monte-Carlo estimate of the maximum separation density on the grid.
 
     Only adjacent grid pairs are scored: any grid pair is joined by an
     L1-geodesic grid path and separation probability is subadditive along
-    it, so adjacent pairs attain the maximum density on the grid.
+    it, so adjacent pairs attain the maximum density on the grid.  Draws
+    are labelled `_batch_size(n)` at a time.
     """
     _check_n(n)
     if samples < 1000:
@@ -346,6 +343,7 @@ def estimate_density(
     pindex = {p: i for i, p in enumerate(points)}
     edges = enumerate_edges(3, n)
     rng = np.random.default_rng(seed)
+    batch = _batch_size(n)
 
     sep = np.zeros(len(edges), np.int64)
     corner_count = 0

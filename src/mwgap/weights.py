@@ -3,26 +3,23 @@
 Five families:
   build_w3      — the triangle gap with corner triangles and middle hexagon
   build_fk      — the classic n = 2 lower-bound instance with lpc = 7/8
-  build_w_hat   — the face-averaged embedding of build_w3 into k dimensions
-  build_w_prime — uniform weight on the boundary lines between terminals
+  build_w_hat   — build_w3 averaged over its embeddings into the C(k,3)
+                  faces of the k-simplex (the 3-skeleton; E_{k,n} is never
+                  enumerated)
+  build_w_prime — uniform weight on the lines between terminals, embedded
+                  directly
   build_w_tilde — the convex combination of the last two that pushes every
                   k-way cut cost to at least one
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
-from .core import (
-    Edge,
-    Point,
-    WeightFunction,
-    canonical_edge,
-    combine,
-    enumerate_edges,
-    support,
-)
+from .core import Edge, Point, WeightFunction, combine, embed, enumerate_edges
 
 
 def _require_divisible(n: int) -> None:
@@ -82,61 +79,22 @@ def build_fk() -> WeightFunction:
     return WeightFunction(3, 2, weights)
 
 
-def _embedded_w3_value(x: Point, y: Point, face: tuple[int, ...], w3: WeightFunction) -> Fraction:
-    px = tuple(x[i] for i in face)
-    py = tuple(y[i] for i in face)
-    return w3.get(px, py)
-
-
 def build_w_hat(k: int, n: int) -> WeightFunction:
     """Average of build_w3 embedded into every 3-element face of [k].
 
-    Computed by the face-count shortcut: an edge with support union S,
-    |S| = s <= 3, receives the embedded triangle weight on each of the
-    C(k-s, 3-s) faces containing S, and the embedded value is the same on
-    all of them since build_w3 is permutation-invariant.
+    Each face is sorted, so embedding keeps every w3 edge canonical; an
+    edge on s < 3 coordinates collects one share from each face holding it.
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
     _require_divisible(n)
-    w3 = build_w3(n)
-    nfaces = comb(k, 3)
-    weights: dict[Edge, Fraction] = {}
-    for x, y in enumerate_edges(k, n):
-        S = sorted(support(x) | support(y))
-        s = len(S)
-        if s > 3:
-            continue
-        pad = [i for i in range(k) if i not in S]
-        face = tuple(sorted(S + pad[: 3 - s]))
-        val = _embedded_w3_value(x, y, face, w3)
-        if val != 0:
-            weights[(x, y)] = Fraction(comb(k - s, 3 - s), nfaces) * val
-    return WeightFunction(k, n, weights)
-
-
-def build_w_hat_literal(k: int, n: int) -> WeightFunction:
-    """Reference implementation of build_w_hat summing over all C(k,3) faces.
-
-    Quadratically slower; kept as the oracle for the face-count shortcut.
-    """
-    if k < 3:
-        raise ValueError(f"need k >= 3, got {k}")
-    _require_divisible(n)
-    w3 = build_w3(n)
-    from itertools import combinations
-
-    nfaces = comb(k, 3)
-    weights: dict[Edge, Fraction] = {}
-    for x, y in enumerate_edges(k, n):
-        acc = Fraction(0)
-        SU = support(x) | support(y)
-        for face in combinations(range(k), 3):
-            if SU <= set(face):
-                acc += _embedded_w3_value(x, y, face, w3)
-        if acc != 0:
-            weights[(x, y)] = acc / nfaces
-    return WeightFunction(k, n, weights)
+    w3 = build_w3(n).weights
+    share = Fraction(1, comb(k, 3))
+    weights: dict[Edge, Fraction] = defaultdict(Fraction)
+    for face in combinations(range(k), 3):
+        for (x, y), val in w3.items():
+            weights[(embed(x, face, k), embed(y, face, k))] += share * val
+    return WeightFunction(k, n, dict(weights))
 
 
 def build_w_prime(k: int, n: int) -> WeightFunction:
@@ -147,9 +105,9 @@ def build_w_prime(k: int, n: int) -> WeightFunction:
         raise ValueError(f"need n >= 2, got {n}")
     val = Fraction(1, comb(k, 2))
     weights: dict[Edge, Fraction] = {}
-    for x, y in enumerate_edges(k, n):
-        if len(support(x) | support(y)) == 2:
-            weights[(x, y)] = val
+    for pair in combinations(range(k), 2):
+        for t in range(n):
+            weights[(embed((t, n - t), pair, k), embed((t + 1, n - t - 1), pair, k))] = val
     return WeightFunction(k, n, weights)
 
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwgap.core import (
     Cut,
@@ -18,7 +20,6 @@ from mwgap.projection import (
     check_cost_lemmas,
     check_projection_bounds,
     d_profile,
-    injection_bad_points,
     restrict_injection,
     restrict_triple,
 )
@@ -107,7 +108,7 @@ def test_injection_bad_points_definition():
     rng = random.Random(9)
     P = random_kway_cut(10, 3, rng)
     f = [2, 5, 8]
-    bad = injection_bad_points(P, f, 3)
+    bad = restrict_triple(P, *f).bad_points
     for x in enumerate_points(3, 3):
         big = tuple(
             sum(x[j] for j in range(3) if f[j] == i) for i in range(10)
@@ -115,6 +116,32 @@ def test_injection_bad_points_definition():
         lab = P.labels[big]
         outside = lab in set(f) - {f[j] for j in support(x)}
         assert (x in bad) == outside
+
+
+@st.composite
+def _cut_and_injection(draw):
+    k = draw(st.integers(3, 10))
+    labels = {}
+    for x in enumerate_points(k, 3):
+        labels[x] = x.index(3) if max(x) == 3 else draw(st.integers(0, k - 1))
+    f = draw(st.permutations(range(k)))[:3]
+    return Cut(k, 3, labels, KWAY), f
+
+
+@settings(deadline=None)
+@given(_cut_and_injection())
+def test_restriction_is_nonopposite_with_defined_bad_points(case):
+    P, f = case
+    res = restrict_triple(P, *f)
+    assert restrict_injection(P, f, 3).labels == res.fixed.labels
+    for x in enumerate_points(3, 3):
+        big = tuple(x[f.index(i)] if i in f else 0 for i in range(P.k))
+        lab = P.labels[big]
+        bad = lab in set(f) - {f[j] for j in support(x)}
+        assert (x in res.bad_points) == bad
+        assert res.raw[x] == (f.index(lab) if lab in f else 3)
+        assert res.fixed.labels[x] == (3 if bad else res.raw[x])
+        assert res.fixed.labels[x] in support(x) | {3}
 
 
 def test_cost_lemmas_on_random_cuts():

@@ -14,11 +14,12 @@ from mwgap.rounding import (
     DIAGONALS,
     DegenerateEvaluationError,
     EXTRA,
+    LABEL_BYTES,
     MAX_N,
     PARAM_CELLS,
     _batch_labels,
+    _batch_size,
     _draw_params,
-    _params_to_cut,
     estimate_density,
     evaluate,
     sample_cut,
@@ -28,6 +29,19 @@ from mwgap.rounding import (
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def _params_to_cut(params, i):
+    """Reference cut object for row i of a parameter batch."""
+    M = PARAM_CELLS
+    if params["is_corner"][i]:
+        return CornerCut(r=Fraction(2 * M + int(params["jr"][i]), 3 * M))
+    diag = int(params["diag"][i])
+    t = Fraction(int(params["jt"][i]), M)
+    A, B = DIAGONALS[diag]
+    r = tuple((1 - t) * A[j] + t * B[j] for j in range(3))
+    choice = tuple(bool(v) for v in params["choice"][i])
+    return BallCut(r=r, side_choice=choice, diag=diag, t=t)
 
 
 def _ball_at(diag, t, side_choice=(False, False, False)):
@@ -208,3 +222,14 @@ def test_estimate_density_rejects_n_past_int64_bound(monkeypatch):
     with pytest.raises(ValueError, match="int64"):
         _batch_labels(_draw_params(np.random.default_rng(0), 1, Fraction(1, 5)), [], MAX_N + 1)
     assert cli.main(["round", "--n", str(MAX_N + 1), "--samples", "1000", "--seed", "1"]) == 2
+
+
+def test_batch_size_caps_label_bytes():
+    # criterion 9 and the 200k-draw jobs at n <= 16 keep one 200,000-draw batch
+    for n in (6, 12, 16):
+        assert _batch_size(n) == 200_000
+    assert _batch_size(17) < 200_000
+    # at MAX_N the int8 label matrix of one batch stays within the budget
+    points = (MAX_N + 1) * (MAX_N + 2) // 2
+    assert _batch_size(MAX_N) >= 1
+    assert _batch_size(MAX_N) * points <= LABEL_BYTES

@@ -6,18 +6,46 @@ from math import comb
 
 import pytest
 
-from mwgap.core import enumerate_edges, lpc
+from mwgap.core import enumerate_edges, lpc, support
 from mwgap.weights import (
     build_fk,
     build_w3,
     build_w_hat,
-    build_w_hat_literal,
     build_w_prime,
     build_w_tilde,
     edge_direction,
     lpc_w3_closed,
     lpc_w_tilde_closed,
 )
+
+
+def build_w_hat_literal(k, n):
+    """Oracle for build_w_hat: every edge of E_{k,n}, with the w3 weight of
+    its projection averaged over the C(k,3) faces whose span holds it."""
+    w3 = build_w3(n)
+    weights = {}
+    for x, y in enumerate_edges(k, n):
+        spanned = support(x) | support(y)
+        acc = sum(
+            (
+                w3.get(tuple(x[i] for i in face), tuple(y[i] for i in face))
+                for face in itertools.combinations(range(k), 3)
+                if spanned <= set(face)
+            ),
+            Fraction(0),
+        )
+        if acc != 0:
+            weights[(x, y)] = acc / comb(k, 3)
+    return weights
+
+
+def build_w_prime_literal(k, n):
+    """Oracle for build_w_prime: the edges of E_{k,n} spanning exactly two coordinates."""
+    return {
+        (x, y): Fraction(1, comb(k, 2))
+        for x, y in enumerate_edges(k, n)
+        if len(support(x) | support(y)) == 2
+    }
 
 
 def test_w3_requires_divisible_n():
@@ -78,10 +106,19 @@ def test_fk_total():
 
 
 def test_w_hat_shortcut_matches_literal_average():
-    for k, n in ((3, 3), (4, 3), (5, 3), (4, 6)):
+    for k, n in ((3, 3), (4, 3), (5, 3), (4, 6), (8, 3)):
         fast = build_w_hat(k, n)
         slow = build_w_hat_literal(k, n)
-        assert fast.weights == slow.weights
+        assert fast.weights == slow
+
+
+def test_w_prime_and_w_tilde_match_literal():
+    for k, n in ((3, 3), (4, 6), (6, 3), (8, 3)):
+        assert build_w_prime(k, n).weights == build_w_prime_literal(k, n)
+        hat, prime = build_w_hat_literal(k, n), build_w_prime_literal(k, n)
+        a, b = Fraction(k - 2, k - 1), Fraction(1, k - 1)
+        literal = {e: a * hat.get(e, 0) + b * prime.get(e, 0) for e in set(hat) | set(prime)}
+        assert build_w_tilde(k, n).weights == literal
 
 
 def test_w_hat_at_k3_is_w3():
