@@ -243,26 +243,26 @@ def criterion_7(seed: int = 7, trials: int = 1000) -> CriterionResult:
     return CriterionResult(7, "cost lemmas, exact", ok, details)
 
 
-def criterion_8(seed: int = 8, trials: int = 1000, K: int = 12, k: int = 3, n: int = 3) -> CriterionResult:
+def criterion_8(seed: int = 8, trials: int = 1000, K: int = 12, n: int = 3) -> CriterionResult:
     """Injection restriction stays non-opposite; bad frequency within bound."""
     details: list[str] = []
     ok = True
     rng = random.Random(seed)
-    points = enumerate_points(k, n)
+    points = enumerate_points(3, n)
     bad_counts = {p: 0 for p in points}
     for t in range(trials):
         P = random_kway_cut(K, n, rng)
-        f = rng.sample(range(K), k)
+        f = rng.sample(range(K), 3)
         res = restrict_triple(P, *f)
         Q = res.fixed
         ok &= _check(
             details,
-            all(Q.labels[x] == k or Q.labels[x] in support(x) for x in points),
+            all(Q.labels[x] == 3 or Q.labels[x] in support(x) for x in points),
             f"trial {t}: restriction not non-opposite",
         )
         for p in res.bad_points:
             bad_counts[p] += 1
-    bound = k / (K - k)
+    bound = 3 / (K - 3)
     sigma = sqrt(bound * (1 - bound) / trials)
     for p, c in bad_counts.items():
         freq = c / trials

@@ -13,18 +13,19 @@ weight, so:
   * a 2-corner (3-way) cut contains two edge-disjoint paths among them,
 
 and exact shortest-path distances give machine-checkable lower bounds on
-cut costs.  A potential function per outer node reproduces the analytic
-two-case argument, and a brute-force enumerator provides an independent
-oracle at tiny n.
+cut costs.  `potential_rows` states that bound as one linear system,
+which `lpsearch` solves and `check_potentials` evaluates on the paper's
+potentials; a brute-force enumerator provides an oracle at tiny n.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections.abc import Hashable, Iterator
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
-from typing import Iterable, Optional
+from math import ceil, lcm
+from typing import Optional
 
 from .core import (
     KWAY,
@@ -87,14 +88,6 @@ class DualGraph:
     adj: dict[DualNodeT, list[tuple[DualNodeT, Fraction, Edge]]]
     faces: list[DualNodeT]
 
-    def edges(self) -> Iterable[tuple[DualNodeT, DualNodeT, Fraction, Edge]]:
-        seen = set()
-        for u, lst in self.adj.items():
-            for v, w, e in lst:
-                if e not in seen:
-                    seen.add(e)
-                    yield u, v, w, e
-
 
 def build_dual(n: int, w: WeightFunction) -> DualGraph:
     """Dual of the augmented triangle grid with w's weights on the dual edges."""
@@ -132,14 +125,13 @@ def build_dual(n: int, w: WeightFunction) -> DualGraph:
 
 
 def dijkstra(
-    g: DualGraph, source: DualNodeT, forbidden: frozenset[DualNodeT] = frozenset()
+    g: DualGraph, source: DualNodeT
 ) -> tuple[dict[DualNodeT, Fraction], dict[DualNodeT, tuple[DualNodeT, Edge]]]:
     """Exact shortest-path distances and predecessors from source.
 
-    Nodes in `forbidden` may terminate a path but are never traversed; the
-    paths forming a cut meet outer nodes only at their endpoints, so bound
-    computations forbid the outer nodes that are not the endpoint of
-    interest.  Ties are broken by node order so witness paths are
+    Outer nodes other than the source may end a path but are never
+    traversed: the paths forming a cut meet outer nodes only at their
+    endpoints.  Ties are broken by node order, so the predecessors are
     reproducible.
     """
     dist: dict[DualNodeT, Fraction] = {source: Fraction(0)}
@@ -151,7 +143,7 @@ def dijkstra(
         if u in done:
             continue
         done.add(u)
-        if u in forbidden and u != source:
+        if u[0] == "O" and u != source:
             continue
         for v, wt, e in g.adj[u]:
             nd = d + wt
@@ -164,9 +156,44 @@ def dijkstra(
 
 
 def dual_distance(g: DualGraph, s: DualNodeT, t: DualNodeT) -> Fraction:
-    forbidden = frozenset(o for o in OUTER if o not in (s, t))
-    dist, _ = dijkstra(g, s, forbidden)
-    return dist[t]
+    return dijkstra(g, s)[0][t]
+
+
+def potential_rows(g: DualGraph) -> Iterator[tuple[dict[Hashable, int], int]]:
+    """The potential system on g, one row at a time.
+
+    Each `(row, rhs)` means sum(coef * var for var, coef in row.items())
+    >= rhs, with integer coefficients.  A variable is a primal edge e,
+    standing for its weight w(e), or a pair (i, v), standing for the
+    potential pi_i(v) of outer node O_i at dual node v; pi_i(O_i) = 0 is
+    left out.  The rows are
+
+      * pi_i(v) - pi_i(u) <= w(e) on every dual arc u -> v that neither
+        leaves an outer node O_j, j != i, nor enters O_i (Lipschitz rows:
+        paths meet the other outer nodes only at their ends, and a path
+        from O_i never re-enters it),
+      * sum_i pi_i(F) >= 1 for every face F (ball rows),
+      * pi_0(O_1) + pi_0(O_2) + pi_1(O_2) >= 1 (corner row).
+
+    Weights w admit such potentials exactly when every ball and 3-corner
+    dual path system costs at least one: shortest-path distances from O_i
+    are feasible potentials, and any feasible pi_i is a lower bound on
+    them.  Rows are yielded in a fixed order.
+    """
+    for i, source in enumerate(OUTER):
+        for u, arcs in g.adj.items():
+            if u[0] == "O" and u != source:
+                continue
+            for v, _, e in arcs:
+                if v == source:
+                    continue
+                row = {e: 1, (i, v): -1}
+                if u != source:
+                    row[(i, u)] = 1
+                yield row, 0
+    for f in g.faces:
+        yield {(i, f): 1 for i in range(3)}, 1
+    yield {(0, OUTER[1]): 1, (0, OUTER[2]): 1, (1, OUTER[2]): 1}, 1
 
 
 def potential_at(i: int, x: tuple[Fraction, Fraction, Fraction], n: int) -> Fraction:
@@ -243,10 +270,7 @@ def certify(n: int, w: WeightFunction, family: str, target: Fraction) -> Certifi
         raise ValueError(f"unknown family {family!r}")
     target = Fraction(target)
     g = build_dual(n, w)
-    dists = [
-        dijkstra(g, ("O", i), frozenset(o for o in OUTER if o != ("O", i)))[0]
-        for i in range(3)
-    ]
+    dists = [dijkstra(g, o)[0] for o in OUTER]
     pairwise = {(i, j): dists[i][("O", j)] for i in range(3) for j in range(i + 1, 3)}
     ball, witness = None, None
     for f in g.faces:
@@ -273,39 +297,29 @@ def certify(n: int, w: WeightFunction, family: str, target: Fraction) -> Certifi
 @dataclass
 class PotentialReport:
     ok: bool
-    violation: Optional[tuple] = None  # (check name, payload, exact values)
+    violation: Optional[tuple] = None  # (row, exact row value, rhs)
 
 
 def check_potentials(n: int, w: WeightFunction) -> PotentialReport:
-    """Verify the three analytic facts behind the potential argument.
+    """Evaluate `potential_rows` exactly on w and the paper's potentials.
 
-    Lipschitz: |Phi_i(F1) - Phi_i(F2)| <= shared edge weight (O_i included);
-    corner-cut margin: Phi_i(F) + w(e) >= (2n/3) rho for faces F touching
-    O_j, j != i; ball-cut margin: sum_i Phi_i(F) >= 1 for every face.
+    Phi_i is `potential(i, ., n)` on faces and the corner margin
+    (2n/3) rho = 1/3 at O_j, j != i, so the Lipschitz rows next to O_j
+    are the corner-cut margins and the corner row reads 3 * 1/3 >= 1.
+    Rows are summed in integers over a common denominator; the first
+    violated row is reported.
     """
     g = build_dual(n, w)
-    rho = Fraction(1, 2 * n)
-    margin = Fraction(2 * n, 3) * rho
-    for i in range(3):
-        for u, v, wt, e in g.edges():
-            outer = [x for x in (u, v) if x[0] == "O"]
-            if outer:
-                (o,) = outer
-                f = v if u == o else u
-                if o == ("O", i):
-                    if abs(potential(i, f, n)) > wt:
-                        return PotentialReport(False, ("lipschitz", (i, f, o), (potential(i, f, n), wt)))
-                else:
-                    if potential(i, f, n) + wt < margin:
-                        return PotentialReport(False, ("corner_margin", (i, f, o), (potential(i, f, n), wt, margin)))
-            else:
-                d = abs(potential(i, u, n) - potential(i, v, n))
-                if d > wt:
-                    return PotentialReport(False, ("lipschitz", (i, u, v), (d, wt)))
-    for f in g.faces:
-        s = sum(potential(i, f, n) for i in range(3))
-        if s < 1:
-            return PotentialReport(False, ("ball_sum", f, (s,)))
+    value: dict[Hashable, Fraction] = dict(w.weights)
+    for i, source in enumerate(OUTER):
+        value.update({(i, f): potential(i, f, n) for f in g.faces})
+        value.update({(i, o): Fraction(1, 3) for o in OUTER if o != source})
+    denom = lcm(*(q.denominator for q in value.values()))
+    scaled = {var: q.numerator * (denom // q.denominator) for var, q in value.items()}
+    for row, rhs in potential_rows(g):
+        lhs = sum(coef * scaled.get(var, 0) for var, coef in row.items())
+        if lhs < rhs * denom:
+            return PotentialReport(False, (row, Fraction(lhs, denom), rhs))
     return PotentialReport(True)
 
 

@@ -13,18 +13,21 @@ from mwgap.core import (
     random_nonopposite_cut,
 )
 from mwgap.dual import (
+    OUTER,
     THREEWAY,
     brute_force_min_cut,
     build_dual,
     certify,
     check_potentials,
     classify_cut,
+    dijkstra,
     dual_distance,
     enumerate_faces,
     face_centroid,
     face_vertices,
     normalize_cut,
     potential,
+    potential_rows,
     uncut_edges,
 )
 from mwgap.weights import build_fk, build_w3
@@ -108,6 +111,32 @@ def test_potentials_pass_for_w3():
         assert check_potentials(n, build_w3(n)).ok
 
 
+def _arc_walk_check_potentials(n, w):
+    """Oracle: the analytic potential facts as a case split over dual edges.
+
+    Lipschitz between faces and next to O_i, corner-cut margin
+    Phi_i(F) + w(e) >= (2n/3) rho next to O_j, j != i, and ball sum >= 1.
+    """
+    g = build_dual(n, w)
+    rho = Fraction(1, 2 * n)
+    margin = Fraction(2 * n, 3) * rho
+    edges = {e: (u, v, wt) for u, arcs in g.adj.items() for v, wt, e in arcs}
+    for i in range(3):
+        for u, v, wt in edges.values():
+            outer = [x for x in (u, v) if x[0] == "O"]
+            if outer:
+                (o,) = outer
+                f = v if u == o else u
+                if o == ("O", i):
+                    if abs(potential(i, f, n)) > wt:
+                        return False
+                elif potential(i, f, n) + wt < margin:
+                    return False
+            elif abs(potential(i, u, n) - potential(i, v, n)) > wt:
+                return False
+    return all(sum(potential(i, f, n) for i in range(3)) >= 1 for f in g.faces)
+
+
 def test_potentials_fail_when_weights_shrink():
     # halving the hexagon weights breaks the Lipschitz property
     n = 6
@@ -116,6 +145,71 @@ def test_potentials_fail_when_weights_shrink():
     for e, v in weights.items():
         weights[e] = v / 2
     assert not check_potentials(n, WeightFunction(3, n, weights)).ok
+    # without a boundary edge at the e^2 corner, the corner-cut margin fails
+    weights = dict(w.weights)
+    del weights[((0, 0, 6), (1, 0, 5))]
+    rep = check_potentials(n, WeightFunction(3, n, weights))
+    assert not rep.ok
+    row, value, rhs = rep.violation
+    assert value < rhs
+    assert any(
+        coef == -1 and var[1][0] == "O" and var[1] != OUTER[var[0]]
+        for var, coef in row.items()
+        if isinstance(var[0], int)
+    )
+
+
+def test_potentials_agree_with_arc_walk_oracle():
+    # every weighted edge of w3 is tight: lowering one must fail, raising
+    # any set of edges (zero-weight ones included) must pass
+    rng = random.Random(5)
+    outcomes = set()
+    for n in (3, 6, 9):
+        w = build_w3(n)
+        support = sorted(w.weights)
+        edges = enumerate_edges(3, n)
+        for _ in range(3):
+            lowered = dict(w.weights)
+            e = rng.choice(support)
+            lowered[e] *= Fraction(rng.randrange(0, 100), 100)
+            raised = dict(w.weights)
+            for e in rng.sample(edges, rng.randrange(1, len(edges))):
+                raised[e] = raised.get(e, 0) + Fraction(rng.randrange(1, 10), 4 * n)
+            for weights, expected in ((lowered, False), (raised, True)):
+                v = WeightFunction(3, n, {e: x for e, x in weights.items() if x})
+                ok = check_potentials(n, v).ok
+                assert ok == _arc_walk_check_potentials(n, v) == expected
+                outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
+def _rows_hold(g, value):
+    return all(
+        sum(coef * value.get(var, 0) for var, coef in row.items()) >= rhs
+        for row, rhs in potential_rows(g)
+    )
+
+
+def test_certify_passes_exactly_when_distances_satisfy_rows():
+    n = 3
+    rng = random.Random(6)
+    w3 = build_w3(n)
+    cases = [w3]
+    for e in sorted(w3.weights):
+        cases.append(WeightFunction(3, n, {f: v for f, v in w3.weights.items() if f != e}))
+    while len(cases) < 60:
+        weights = {e: Fraction(rng.randrange(0, 13), 12) for e in enumerate_edges(3, n)}
+        cases.append(WeightFunction(3, n, {e: v for e, v in weights.items() if v}))
+    outcomes = set()
+    for w in cases:
+        g = build_dual(n, w)
+        value = dict(w.weights)
+        for i, o in enumerate(OUTER):
+            value.update({(i, v): d for v, d in dijkstra(g, o)[0].items()})
+        passed = certify(n, w, NONOPPOSITE, Fraction(1)).passed
+        assert passed == _rows_hold(g, value)
+        outcomes.add(passed)
+    assert outcomes == {True, False}
 
 
 def test_potential_values_in_regions():
@@ -139,10 +233,8 @@ def test_distances_dominate_potentials():
     n = 9
     w = build_w3(n)
     g = build_dual(n, w)
-    from mwgap.dual import OUTER, dijkstra
-
     for i in range(3):
-        dist, _ = dijkstra(g, ("O", i), frozenset(o for o in OUTER if o != ("O", i)))
+        dist, _ = dijkstra(g, ("O", i))
         for f in g.faces:
             assert dist[f] >= potential(i, f, n)
 

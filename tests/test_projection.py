@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mwgap.core import (
@@ -128,7 +128,6 @@ def _cut_and_injection(draw):
     return Cut(k, 3, labels, KWAY), f
 
 
-@settings(deadline=None)
 @given(_cut_and_injection())
 def test_restriction_is_nonopposite_with_defined_bad_points(case):
     P, f = case
