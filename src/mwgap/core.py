@@ -12,6 +12,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 Point = tuple[int, ...]
@@ -41,7 +42,15 @@ def embed(x: Point, f: Sequence[int], k: int) -> Point:
 
 
 def enumerate_points(k: int, n: int) -> list[Point]:
-    """All compositions of n into k nonnegative parts, lexicographic order."""
+    """All compositions of n into k nonnegative parts, lexicographic order.
+
+    Returns a fresh list of the cached point tuple, so callers may mutate it.
+    """
+    return list(_points(k, n))
+
+
+@lru_cache(maxsize=64)
+def _points(k: int, n: int) -> tuple[Point, ...]:
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if n < 1:
@@ -55,7 +64,7 @@ def enumerate_points(k: int, n: int) -> list[Point]:
             for rest in rec(remaining - v, slots - 1):
                 yield (v,) + rest
 
-    return list(rec(n, k))
+    return tuple(rec(n, k))
 
 
 def canonical_edge(x: Point, y: Point) -> Edge:

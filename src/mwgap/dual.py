@@ -24,7 +24,7 @@ import heapq
 from collections.abc import Hashable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 from typing import Optional
 
 from .core import (
@@ -196,31 +196,32 @@ def potential_rows(g: DualGraph) -> Iterator[tuple[dict[Hashable, int], int]]:
     yield {(0, OUTER[1]): 1, (0, OUTER[2]): 1, (1, OUTER[2]): 1}, 1
 
 
-def potential_at(i: int, x: tuple[Fraction, Fraction, Fraction], n: int) -> Fraction:
-    """Potential of outer node O_i evaluated at a point x of the open triangle.
-
-    x must avoid the corner-triangle boundary lines x_j = 2/3; face
-    centroids always do, since their numerators over 3n are 1 or 2 mod 3.
-    """
-    rho = Fraction(1, 2 * n)
-    two_thirds = Fraction(2, 3)
-    region = [j for j in range(3) if x[j] > two_thirds]
-    if not region:  # middle hexagon
-        return ceil(2 * n * x[i]) * rho
-    (m,) = region
-    if m == i:
-        return Fraction(4 * n, 3) * rho
-    (o,) = (j for j in range(3) if j not in (i, m))
-    return (Fraction(n, 3) + n * (x[i] - x[o])) * rho
-
-
 def potential(i: int, node: DualNodeT, n: int) -> Fraction:
-    """Potential of O_i at a dual node (a face or O_i itself)."""
+    """Potential of O_i at a dual node (a face or O_i itself).
+
+    At a face with centroid x = num / (3n), and rho = 1/(2n), it is
+
+      * ceil(2n x_i) rho = ceil(2 num_i / 3) / (2n) in the middle hexagon,
+        where no num_j > 2n (no x_j > 2/3);
+      * (4n/3) rho = 2/3 in the corner triangle of e^i;
+      * (n/3 + n (x_i - x_o)) rho = (n + num_i - num_o) / (6n) in the
+        corner triangle of another e^m, o being the third index.
+
+    Centroid numerators are 1 or 2 mod 3, so no face meets a line x_j = 2/3.
+    """
     if node == ("O", i):
         return Fraction(0)
     if node[0] == "O":
         raise ValueError(f"potential of O_{i} is undefined at {node}")
-    return potential_at(i, face_centroid(node, n), n)
+    num = face_centroid_numerators(node)
+    region = [j for j in range(3) if num[j] > 2 * n]
+    if not region:  # middle hexagon
+        return Fraction(-(-2 * num[i] // 3), 2 * n)
+    (m,) = region
+    if m == i:
+        return Fraction(2, 3)
+    (o,) = (j for j in range(3) if j not in (i, m))
+    return Fraction(n + num[i] - num[o], 6 * n)
 
 
 THREEWAY = "threeway"
@@ -467,6 +468,10 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if w.k != 3:
+        raise ValueError(f"brute force is specific to k = 3, got k = {w.k}")
+    if w.n != n:
+        raise ValueError(f"weight function is on n = {w.n}, expected {n}")
     points = enumerate_points(3, n)
     if len(points) > BRUTE_MAX_POINTS:
         raise ValueError(f"{len(points)} points exceed the exhaustive bound {BRUTE_MAX_POINTS}")

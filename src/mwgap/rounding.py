@@ -4,10 +4,13 @@ three chords through a random point of two fixed diagonals), plus a
 Monte-Carlo estimator of the maximum separation density on the grid.
 
 All geometry is exact: cut parameters are rationals drawn from a fixed
-2^20-cell discretization of the parameter intervals, and point location
-uses integer orientation tests.  A cut whose chords collide with a grid
-point is detected exactly and redrawn, mirroring the almost-sure
-non-degeneracy of continuous sampling.
+2^20-cell discretization of the parameter intervals.  Every chord lies on
+a coordinate line x_a = r_a through the centre r, so a point's label
+follows from the signs of x_i - r_i alone (the rule is stated once, in
+`BallCut`); on the n-grid that is p_i > floor(n r_i).  A cut whose chords
+meet a grid point is detected exactly and redrawn, mirroring the
+almost-sure non-degeneracy of continuous sampling.  The grid size is
+bounded only by memory: one draw's label row must fit LABEL_BYTES.
 """
 
 from __future__ import annotations
@@ -22,25 +25,26 @@ import numpy as np
 
 from .core import Point, enumerate_edges, enumerate_points
 
-# Cells in the discretized parameter intervals; MAX_N shrinks as this grows.
+# Cells in the discretized parameter intervals.
 PARAM_CELLS = 1 << 20
-
-# The vectorized orientation tests scale the triangle by S = 3 * PARAM_CELLS * n.
-# Each is twice the signed area of a triangle inside it, so its magnitude is at
-# most S^2 (and comes within a factor 1 - 1/(3 * PARAM_CELLS) of it), which int64
-# holds exactly up to n = 965.
-MAX_N = isqrt(np.iinfo(np.int64).max) // (3 * PARAM_CELLS)
 
 EXTRA = 3  # label of the unassigned middle cluster of a corner cut
 
-# Cap on one batch's int8 label matrix (draws x grid points); `_batch_labels`
-# holds three matrices of that shape at once.
+# Cap on one batch's int8 label matrix (draws x grid points), the one
+# matrix `_batch_labels` holds.
 LABEL_BYTES = 1 << 25
+
+# Largest n whose label row, comb(n + 2, 2) bytes, fits LABEL_BYTES: 8190.
+# The labelling's integers stay below 3 * PARAM_CELLS * n, far inside int64.
+MAX_N = (isqrt(8 * LABEL_BYTES + 1) - 3) // 2
 
 
 def _check_n(n: int) -> None:
     if not 2 <= n <= MAX_N:
-        raise ValueError(f"need 2 <= n <= {MAX_N} (the int64 bound of the labelling), got {n}")
+        raise ValueError(
+            f"need 2 <= n <= {MAX_N} (one label row of comb(n + 2, 2) bytes "
+            f"must fit LABEL_BYTES = {LABEL_BYTES}), got {n}"
+        )
 
 
 def _batch_size(n: int) -> int:
@@ -50,8 +54,8 @@ def _batch_size(n: int) -> int:
 
 
 class DegenerateEvaluationError(RuntimeError):
-    """Zero or multiple corners qualified: the point lies on a chord (or
-    the geometry is broken)."""
+    """The point lies on a chord of a ball cut, or exceeds a corner cut's
+    threshold in two coordinates."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,22 @@ class CornerCut:
 
 @dataclass(frozen=True)
 class BallCut:
-    """Three chords through the interior point r, one ending on each side
-    of the triangle, split the triangle into three corner regions.
+    """Three chords from the interior point r, one ending on each side of
+    the triangle, split the triangle into three corner regions.
+
+    The lines x_a = r_a (a = 0, 1, 2) make six half-lines from r.  They cut
+    the triangle into three corner sectors, where only x_c > r_c (holding
+    e^c), alternating with three side sectors, where only x_s < r_s
+    (touching side s, on which x_s = 0).  The chord to side s is the
+    half-line of x_a = r_a, a = chord_lines()[s], that runs from r to side
+    s.  It parts side sector s from the corner sector of the third index,
+    so side sector s joins corner a.  Hence x is labelled
+
+      * c, if x_c > r_c is its only coordinate above r;
+      * chord_lines()[s], if two coordinates are above r and x_s < r_s;
+
+    and x lies on a chord, with no label, if x = r or if exactly one
+    coordinate l has x_l < r_l and x_b = r_b for b = chord_lines()[l].
 
     side_choice[s] picks which of the two candidate chords (pieces of the
     lines x_a = r_a, a != s) ends on side s.  diag / t record the sampled
@@ -86,18 +104,6 @@ class BallCut:
             cands = [i for i in range(3) if i != s]
             out.append(cands[1] if self.side_choice[s] else cands[0])
         return tuple(out)
-
-    def chord_endpoints(self) -> list[tuple[Fraction, Fraction, Fraction]]:
-        """Endpoint q_s of the chosen chord on side s (the other endpoint
-        of every chord is r)."""
-        qs = []
-        for s, a in enumerate(self.chord_lines()):
-            q = [Fraction(0)] * 3
-            (o,) = (i for i in range(3) if i not in (s, a))
-            q[a] = self.r[a]
-            q[o] = 1 - self.r[a]
-            qs.append(tuple(q))
-        return qs
 
 
 SampledCut = Union[CornerCut, BallCut]
@@ -129,70 +135,29 @@ def sample_cut(rng: random.Random, p_corner: Fraction = Fraction(1, 5)) -> Sampl
     return BallCut(r=r, side_choice=choice, diag=diag, t=t)
 
 
-def _orient(a, b, c) -> Fraction:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
-def _on_segment(a, b, c) -> bool:
-    """Whether collinear point c lies within the bounding box of [a, b]."""
-    return min(a[0], b[0]) <= c[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-
-
-def segments_intersect(p1, p2, p3, p4) -> bool:
-    """Whether [p1, p2] and [p3, p4] share at least one point (exact)."""
-    o1, o2 = _orient(p1, p2, p3), _orient(p1, p2, p4)
-    o3, o4 = _orient(p3, p4, p1), _orient(p3, p4, p2)
-    s1, s2, s3, s4 = _sign(o1), _sign(o2), _sign(o3), _sign(o4)
-    if s1 * s2 < 0 and s3 * s4 < 0:
-        return True
-    if s1 == 0 and _on_segment(p1, p2, p3):
-        return True
-    if s2 == 0 and _on_segment(p1, p2, p4):
-        return True
-    if s3 == 0 and _on_segment(p3, p4, p1):
-        return True
-    if s4 == 0 and _on_segment(p3, p4, p2):
-        return True
-    return False
-
-
-_CORNERS_2D = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
-
-
-def _proj(x) -> tuple[Fraction, Fraction]:
-    return (Fraction(x[0]), Fraction(x[1]))
-
-
 def evaluate(cut: SampledCut, x) -> int:
-    """Label of a simplex point x (exact rationals) under a sampled cut.
+    """Label of a simplex point x (exact rationals) under a sampled cut, by
+    the rule in the `BallCut` docstring (for a corner cut, r_i = r).
 
-    For ball cuts the label is the unique corner i such that the segment
-    from x to e^i crosses none of the three chords; zero or multiple
-    qualifying corners raise DegenerateEvaluationError.
+    A point on a chord, or above a corner threshold in two coordinates,
+    raises DegenerateEvaluationError.
     """
     x = tuple(Fraction(v) for v in x)
     if len(x) != 3 or sum(x) != 1 or any(v < 0 for v in x):
         raise ValueError(f"{x} is not a point of the triangle")
     if isinstance(cut, CornerCut):
-        quals = [i for i in range(3) if x[i] > cut.r]
-        if len(quals) > 1:
+        above = [i for i in range(3) if x[i] > cut.r]
+        if len(above) > 1:
             raise DegenerateEvaluationError(f"multiple coordinates exceed r = {cut.r}")
-        return quals[0] if quals else EXTRA
-    r2 = _proj(cut.r)
-    chords = [(r2, _proj(q)) for q in cut.chord_endpoints()]
-    x2 = _proj(x)
-    quals = [
-        c
-        for c in range(3)
-        if not any(segments_intersect(x2, _CORNERS_2D[c], a, b) for a, b in chords)
-    ]
-    if len(quals) != 1:
-        raise DegenerateEvaluationError(f"{len(quals)} corners qualify at {x}")
-    return quals[0]
+        return above[0] if above else EXTRA
+    r, lines = cut.r, cut.chord_lines()
+    above = [i for i in range(3) if x[i] > r[i]]
+    below = [i for i in range(3) if x[i] < r[i]]
+    if len(above) == 2:
+        return lines[below[0]]
+    if not above or (len(below) == 1 and x[lines[below[0]]] == r[lines[below[0]]]):
+        raise DegenerateEvaluationError(f"{x} lies on a chord")
+    return above[0]
 
 
 # ---------------------------------------------------------------------------
@@ -227,74 +192,39 @@ def _batch_labels(params: dict, points: list[Point], n: int) -> tuple[np.ndarray
     """Labels of every grid point under every parametrized cut.
 
     Returns (labels, degenerate): labels has shape (count, len(points)) with
-    values in {0, 1, 2, EXTRA}; rows flagged degenerate carry no meaning
-    and must be redrawn.  All arithmetic is exact in int64 for n <= MAX_N.
+    values in {0, 1, 2, EXTRA}, each point's column contiguous; rows flagged
+    degenerate carry no meaning and must be redrawn.
+
+    This is the `BallCut` rule on the grid: x_i > r_i iff p_i > floor(n r_i),
+    and one table per draw maps the three comparisons to a label.  A ball
+    cut is degenerate iff a grid point lies on a chord.  The chord on
+    x_a = r_a to side s ends at the side point with x_s = 0, a grid point
+    whenever the line holds any, so that happens iff some n r_a, a a chord
+    line, is an integer.
     """
     _check_n(n)
     M = PARAM_CELLS
-    count = params["is_corner"].shape[0]
-    labels = np.full((count, len(points)), EXTRA, np.int8)
-    degenerate = np.zeros(count, bool)
-
     corner = params["is_corner"]
-    if corner.any():
-        jr = params["jr"][corner].astype(np.int64)
-        thresh = n * (2 * M + jr)  # x_i > r  <=>  3M * px_i > n (2M + j)
-        for p_idx, p in enumerate(points):
-            for i in range(3):
-                labels[np.flatnonzero(corner)[3 * M * p[i] > thresh], p_idx] = i
-
-    ball = ~corner
-    if ball.any():
-        idx = np.flatnonzero(ball)
-        rn = _ball_r_numerators(params, ball)
-        choice = params["choice"][ball]
-        # chord endpoints q_s, numerators over 3M
-        qn = np.zeros((3, 3, idx.size), np.int64)  # [side][coord]
-        for s in range(3):
-            cands = [i for i in range(3) if i != s]
-            a = np.where(choice[:, s] == 0, cands[0], cands[1])
-            for ai in cands:
-                sel = a == ai
-                (o,) = (i for i in range(3) if i not in (s, ai))
-                qn[s][ai][sel] = rn[ai][sel]
-                qn[s][o][sel] = 3 * M - rn[ai][sel]
-        # 2D coordinates scaled by the common denominator 3*M*n
-        Rx, Ry = rn[0] * n, rn[1] * n
-        Qx = [qn[s][0] * n for s in range(3)]
-        Qy = [qn[s][1] * n for s in range(3)]
-        Cx = [Qx[s] - Rx for s in range(3)]
-        Cy = [Qy[s] - Ry for s in range(3)]
-        scale = 3 * M  # grid coordinate p_i/n -> 3*M*p_i over 3*M*n
-        ex = [scale * n, 0, 0]
-        ey = [0, scale * n, 0]
-        # orientation of each fixed corner against each chord
-        s_corner_chord = [
-            [
-                np.sign(Cx[s] * (ey[c] - Ry) - Cy[s] * (ex[c] - Rx))
-                for s in range(3)
-            ]
-            for c in range(3)
-        ]
-        ball_labels = np.full((idx.size, len(points)), -1, np.int8)
-        qual_count = np.zeros((idx.size, len(points)), np.int8)
-        for p_idx, p in enumerate(points):
-            gx, gy = scale * p[0], scale * p[1]
-            s_g_chord = [np.sign(Cx[s] * (gy - Ry) - Cy[s] * (gx - Rx)) for s in range(3)]
-            for c in range(3):
-                A, B = ex[c] - gx, ey[c] - gy
-                s_r = np.sign(A * (Ry - gy) - B * (Rx - gx))
-                crossed = np.zeros(idx.size, bool)
-                for s in range(3):
-                    s_q = np.sign(A * (Qy[s] - gy) - B * (Qx[s] - gx))
-                    crossed |= (s_r * s_q <= 0) & (s_g_chord[s] * s_corner_chord[c][s] <= 0)
-                qual = ~crossed
-                qual_count[:, p_idx] += qual
-                ball_labels[qual, p_idx] = c
-        bad = (qual_count != 1).any(axis=1)
-        degenerate[idx] = bad
-        labels[idx] = ball_labels
-    return labels, degenerate
+    count = corner.size
+    # n r_i as numerators over 3M (r_i = r for a corner cut)
+    nr = np.empty((3, count), np.int64)
+    nr[:] = n * (2 * M + params["jr"].astype(np.int64))
+    nr[:, ~corner] = n * _ball_r_numerators(params, ~corner)
+    floor_nr, rem = np.divmod(nr, 3 * M)
+    lines = [np.where(params["choice"][:, s] == 0, *(a for a in range(3) if a != s)) for s in range(3)]
+    rows = np.arange(count)
+    degenerate = ~corner & np.logical_or.reduce([rem[lines[s], rows] == 0 for s in range(3)])
+    # table[row, code] with bit i of code set iff x_i > r_i; two bits set
+    # (codes 6, 5, 3 have side 0, 1, 2 below) occur only for ball cuts
+    table = np.empty((count, 8), np.int8)
+    table[:] = (EXTRA, 0, 1, -1, 2, -1, -1, -1)
+    table[:, 6], table[:, 5], table[:, 3] = lines
+    table, base = table.ravel(), 8 * rows
+    labels = np.empty((len(points), count), np.int8)
+    for j, p in enumerate(points):
+        code = (floor_nr[0] < p[0]) | ((floor_nr[1] < p[1]) << 1) | ((floor_nr[2] < p[2]) << 2)
+        labels[j] = table[base + code]
+    return labels.T, degenerate
 
 
 @dataclass

@@ -38,14 +38,22 @@ def instance_to_obj(w: WeightFunction) -> dict[str, Any]:
 
 
 def obj_to_instance(obj: dict[str, Any]) -> WeightFunction:
+    """Instance from its JSON object; every edge must join two points of
+    Delta_{k,n} that are one unit transfer apart."""
+    k, n = obj["k"], obj["n"]
     weights = {}
     for rec in obj["weights"]:
         u: Point = tuple(rec["u"])
         v: Point = tuple(rec["v"])
+        for x in (u, v):
+            if len(x) != k or not all(isinstance(c, int) and c >= 0 for c in x) or sum(x) != n:
+                raise ValueError(f"{list(x)} is not a point of Delta_{{k={k},n={n}}}")
+        if sorted(a - b for a, b in zip(u, v) if a != b) != [-1, 1]:
+            raise ValueError(f"{list(u)} and {list(v)} are not one unit transfer apart")
         val = str_to_rat(rec["w"])
         if val != 0:
             weights[canonical_edge(u, v)] = val
-    return WeightFunction(obj["k"], obj["n"], weights)
+    return WeightFunction(k, n, weights)
 
 
 def cut_to_obj(P: Cut) -> dict[str, Any]:

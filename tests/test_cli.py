@@ -93,6 +93,40 @@ def test_lpsearch_subcommand(tmp_path, capsys):
     assert obj["iterations"] >= 1
 
 
+def _edited_fk(tmp_path, capsys, edit):
+    inst = tmp_path / "fk.json"
+    run(capsys, "build", "--weights", "fk", "--out", str(inst))
+    obj = json.loads(inst.read_text())
+    edit(obj)
+    inst.write_text(json.dumps(obj))
+    return str(inst)
+
+
+def test_instance_off_its_grid_exits_2(tmp_path, capsys):
+    # fk lives on n = 2; with n = 3 its points no longer sum to n
+    inst = _edited_fk(tmp_path, capsys, lambda obj: obj.update(n=3))
+    assert main(["lpc", inst]) == 2
+    assert "is not a point of" in capsys.readouterr().err
+
+
+def test_instance_edge_with_a_foreign_endpoint_exits_2(tmp_path, capsys):
+    def edit(obj):
+        obj["weights"][0]["v"] = [0, 0, 5]
+
+    inst = _edited_fk(tmp_path, capsys, edit)
+    assert main(["lpc", inst]) == 2
+    assert "[0, 0, 5] is not a point of" in capsys.readouterr().err
+    assert run(capsys, "certify", inst, "--family", "nonopposite", "--target", "1/1")[0] == 2
+
+
+def test_brute_on_k4_instance_exits_2(tmp_path, capsys):
+    inst = tmp_path / "k4.json"
+    inst.write_text(json.dumps({"k": 4, "n": 3, "weights": [{"u": [0, 0, 0, 3], "v": [0, 0, 1, 2], "w": "1/1"}]}))
+    code = main(["brute", str(inst), "--family", "nonopposite"])
+    assert code == 2
+    assert "k = 3" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "build", "--weights", "nope")[0] == 2
     assert run(capsys, "lpc", str(tmp_path / "missing.json"))[0] == 2

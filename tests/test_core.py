@@ -38,6 +38,14 @@ def test_points_sum_to_n_and_are_sorted():
     assert len(set(pts)) == len(pts)
 
 
+def test_points_are_a_fresh_list_each_call():
+    pts = enumerate_points(3, 4)
+    pts.pop()
+    pts[0] = (9, 9, 9)
+    assert enumerate_points(3, 4) == sorted(enumerate_points(3, 4))
+    assert len(enumerate_points(3, 4)) == comb(6, 2)
+
+
 def test_edge_count_triangle():
     # 3 * n * (n + 1) / 2 unit-transfer edges on the triangle grid
     for n in (1, 2, 3, 6, 9):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mwgap.core import (
     NONOPPOSITE,
@@ -308,6 +310,23 @@ def test_brute_force_never_below_certificate():
         for family in (NONOPPOSITE, THREEWAY):
             bf, _ = brute_force_min_cut(3, w, family)
             assert bf >= certify(3, w, family, Fraction(0)).overall
+
+
+@given(st.sampled_from((2, 3)), st.sampled_from((NONOPPOSITE, THREEWAY)), st.data())
+def test_certify_never_exceeds_brute_force(n, family, data):
+    edges = enumerate_edges(3, n)
+    values = data.draw(
+        st.lists(st.fractions(0, 2, max_denominator=4), min_size=len(edges), max_size=len(edges))
+    )
+    w = WeightFunction(3, n, {e: v for e, v in zip(edges, values) if v})
+    assert certify(n, w, family, Fraction(0)).overall <= brute_force_min_cut(n, w, family)[0]
+
+
+def test_brute_force_rejects_non_triangle_input():
+    with pytest.raises(ValueError, match="k = 3"):
+        brute_force_min_cut(3, WeightFunction(4, 3, {}), NONOPPOSITE)
+    with pytest.raises(ValueError, match="n = 2, expected 3"):
+        brute_force_min_cut(3, build_fk(), NONOPPOSITE)
 
 
 def test_brute_force_size_guard():

@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mwgap import cli, rounding
 from mwgap.core import enumerate_points, support
@@ -23,7 +26,6 @@ from mwgap.rounding import (
     estimate_density,
     evaluate,
     sample_cut,
-    segments_intersect,
 )
 
 
@@ -42,6 +44,92 @@ def _params_to_cut(params, i):
     r = tuple((1 - t) * A[j] + t * B[j] for j in range(3))
     choice = tuple(bool(v) for v in params["choice"][i])
     return BallCut(r=r, side_choice=choice, diag=diag, t=t)
+
+
+# ---------------------------------------------------------------------------
+# Literal oracle: the label of x is the unique corner whose segment to x
+# crosses no chord, found with exact orientation tests in the plane of the
+# first two coordinates.
+# ---------------------------------------------------------------------------
+
+
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _on_segment(a, b, c):
+    """Whether collinear point c lies within the bounding box of [a, b]."""
+    return min(a[0], b[0]) <= c[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+
+
+def segments_intersect(p1, p2, p3, p4):
+    """Whether [p1, p2] and [p3, p4] share at least one point (exact)."""
+    o1, o2 = _orient(p1, p2, p3), _orient(p1, p2, p4)
+    o3, o4 = _orient(p3, p4, p1), _orient(p3, p4, p2)
+    s1, s2, s3, s4 = _sign(o1), _sign(o2), _sign(o3), _sign(o4)
+    if s1 * s2 < 0 and s3 * s4 < 0:
+        return True
+    if s1 == 0 and _on_segment(p1, p2, p3):
+        return True
+    if s2 == 0 and _on_segment(p1, p2, p4):
+        return True
+    if s3 == 0 and _on_segment(p3, p4, p1):
+        return True
+    if s4 == 0 and _on_segment(p3, p4, p2):
+        return True
+    return False
+
+
+_CORNERS_2D = ((F(1), F(0)), (F(0), F(1)), (F(0), F(0)))
+
+
+def _proj(x):
+    return (F(x[0]), F(x[1]))
+
+
+def chord_endpoints(cut):
+    """Endpoint q_s of the chosen chord on side s (the other endpoint of
+    every chord is r)."""
+    qs = []
+    for s, a in enumerate(cut.chord_lines()):
+        q = [F(0)] * 3
+        (o,) = (i for i in range(3) if i not in (s, a))
+        q[a] = cut.r[a]
+        q[o] = 1 - cut.r[a]
+        qs.append(tuple(q))
+    return qs
+
+
+def oracle_label(cut, x):
+    """Label of x by the literal definitions; raises like `evaluate`."""
+    x = tuple(F(v) for v in x)
+    if isinstance(cut, CornerCut):
+        quals = [i for i in range(3) if x[i] > cut.r]
+        if len(quals) > 1:
+            raise DegenerateEvaluationError(f"multiple coordinates exceed r = {cut.r}")
+        return quals[0] if quals else EXTRA
+    chords = [(_proj(cut.r), _proj(q)) for q in chord_endpoints(cut)]
+    x2 = _proj(x)
+    quals = [
+        c
+        for c in range(3)
+        if not any(segments_intersect(x2, _CORNERS_2D[c], a, b) for a, b in chords)
+    ]
+    if len(quals) != 1:
+        raise DegenerateEvaluationError(f"{len(quals)} corners qualify at {x}")
+    return quals[0]
+
+
+def _outcome(label, cut, x):
+    """label(cut, x), or the exception class it raised."""
+    try:
+        return label(cut, x)
+    except DegenerateEvaluationError:
+        return DegenerateEvaluationError
 
 
 def _ball_at(diag, t, side_choice=(False, False, False)):
@@ -183,16 +271,17 @@ def test_param_cells_is_power_of_two():
     assert PARAM_CELLS & (PARAM_CELLS - 1) == 0
 
 
-def test_max_n_is_the_int64_bound():
-    # the largest orientation is (3 M n)^2 (1 - 1/(3M)): it fits at n = MAX_N, not one above
-    peak = lambda n: (3 * PARAM_CELLS * n) ** 2 * (1 - F(1, 3 * PARAM_CELLS))
-    assert MAX_N == 965
-    assert peak(MAX_N) < 2**63 <= peak(MAX_N + 1)
+def test_max_n_is_the_label_memory_bound():
+    # one draw's label row, comb(n + 2, 2) int8 labels, fits at MAX_N and not one above
+    assert MAX_N == 8190
+    assert comb(MAX_N + 2, 2) <= LABEL_BYTES < comb(MAX_N + 3, 2)
+    # the labelling's largest integer stays below 3 M n, which int64 holds
+    assert 3 * PARAM_CELLS * MAX_N < 2**63
 
 
 def test_batch_labels_exact_at_max_n():
-    # the largest orientation pairs a corner grid point with the chord end of
-    # the center at diag 1, t = 1/M; all centers here sit at t = 1/M or 1 - 1/M
+    # the largest n, with centres at the ends of both diagonals (t = 1/M or
+    # 1 - 1/M), against corner and near-corner grid points
     n = MAX_N
     pts = sorted({(n, 0, 0), (0, n, 0), (0, 0, n), (n - 1, 1, 0), (1, 0, n - 1), (0, n - 1, 1), (1, n - 1, 0)})
     M = PARAM_CELLS
@@ -209,17 +298,18 @@ def test_batch_labels_exact_at_max_n():
     for i in range(len(combos)):
         cut = _params_to_cut(params, i)
         for j, p in enumerate(pts):
-            assert labels[i, j] == evaluate(cut, tuple(Fraction(a, n) for a in p))
+            x = tuple(Fraction(a, n) for a in p)
+            assert labels[i, j] == evaluate(cut, x) == oracle_label(cut, x)
 
 
-def test_estimate_density_rejects_n_past_int64_bound(monkeypatch):
+def test_estimate_density_rejects_n_past_memory_bound(monkeypatch):
     def no_allocation(*args):
         raise AssertionError("allocated before rejecting n")
 
     monkeypatch.setattr(rounding, "enumerate_points", no_allocation)
-    with pytest.raises(ValueError, match="int64"):
+    with pytest.raises(ValueError, match="LABEL_BYTES"):
         estimate_density(MAX_N + 1, 1000, Fraction(1, 5), 1)
-    with pytest.raises(ValueError, match="int64"):
+    with pytest.raises(ValueError, match="LABEL_BYTES"):
         _batch_labels(_draw_params(np.random.default_rng(0), 1, Fraction(1, 5)), [], MAX_N + 1)
     assert cli.main(["round", "--n", str(MAX_N + 1), "--samples", "1000", "--seed", "1"]) == 2
 
@@ -233,3 +323,94 @@ def test_batch_size_caps_label_bytes():
     points = (MAX_N + 1) * (MAX_N + 2) // 2
     assert _batch_size(MAX_N) >= 1
     assert _batch_size(MAX_N) * points <= LABEL_BYTES
+
+
+# ---------------------------------------------------------------------------
+# The coordinate rule against the literal oracle
+# ---------------------------------------------------------------------------
+
+# (a, s): the half-line of x_a = r_a from r towards side s
+_HALF_LINES = tuple((a, s) for a in range(3) for s in range(3) if s != a)
+
+_unit = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+def _on_half_line(r, a, s, u):
+    """The point a fraction u of the way from r along half-line (a, s) to side s."""
+    (o,) = (i for i in range(3) if i not in (a, s))
+    x = list(r)
+    x[s] -= u * r[s]
+    x[o] += u * r[s]
+    return tuple(x)
+
+
+@st.composite
+def _simplex_point(draw, lo=0):
+    v = draw(st.tuples(*[st.integers(lo, 12)] * 3).filter(any))
+    return tuple(F(a, sum(v)) for a in v)
+
+
+@st.composite
+def _cut_and_point(draw):
+    """A corner or ball cut and a point: random, or where the rule switches
+    (a corner threshold; the centre; one of the six half-lines)."""
+    x = draw(_simplex_point())
+    if draw(st.booleans()):
+        r = F(2, 3) + draw(_unit) / 3
+        if draw(st.booleans()):
+            i, u = draw(st.integers(0, 2)), draw(_unit)
+            rest = iter(((1 - r) * u, (1 - r) * (1 - u)))
+            x = tuple(r if j == i else next(rest) for j in range(3))
+        return CornerCut(r), x
+    choice = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    cut = BallCut(r=draw(_simplex_point(lo=1)), side_choice=choice)
+    where = draw(st.sampled_from(("random", "centre", "half-line")))
+    if where == "centre":
+        x = cut.r
+    elif where == "half-line":
+        x = _on_half_line(cut.r, *draw(st.sampled_from(_HALF_LINES)), draw(_unit))
+    return cut, x
+
+
+@given(_cut_and_point())
+def test_evaluate_matches_chord_crossing_oracle(case):
+    cut, x = case
+    assert _outcome(evaluate, cut, x) == _outcome(oracle_label, cut, x)
+
+
+def test_chords_are_the_degenerate_half_lines():
+    cut = BallCut(r=(F(1, 4), F(1, 3), F(5, 12)), side_choice=(True, False, True))
+    chords = {(a, s) for s, a in enumerate(cut.chord_lines())}
+    for a, s in _HALF_LINES:
+        for u in (F(1, 2), F(1)):
+            x = _on_half_line(cut.r, a, s, u)
+            got = _outcome(evaluate, cut, x)
+            assert (got is DegenerateEvaluationError) == ((a, s) in chords)
+            assert got == _outcome(oracle_label, cut, x)
+    assert _outcome(evaluate, cut, cut.r) is DegenerateEvaluationError
+
+
+def test_batch_labels_match_oracle_on_aligned_centres():
+    # centres and thresholds at t, jr / M = q/8, where chords and
+    # thresholds pass through grid points; every chord choice
+    M = PARAM_CELLS
+    rows = [(False, 0, d, M * q // 8, c) for d in (0, 1) for q in range(1, 8) for c in range(8)]
+    rows += [(True, M * q // 8, 0, 1, 0) for q in range(8)]
+    params = {
+        key: np.array([row[k] for row in rows])
+        for k, key in enumerate(("is_corner", "jr", "diag", "jt"))
+    }
+    params["choice"] = np.array([[(row[4] >> b) & 1 for b in range(3)] for row in rows])
+    seen_degenerate = 0
+    for n in (2, 3, 4, 6):
+        pts = enumerate_points(3, n)
+        labels, degenerate = _batch_labels(params, pts, n)
+        for i in range(len(rows)):
+            cut = _params_to_cut(params, i)
+            want = [_outcome(oracle_label, cut, tuple(F(a, n) for a in p)) for p in pts]
+            assert degenerate[i] == (DegenerateEvaluationError in want)
+            if not degenerate[i]:
+                assert list(labels[i]) == want
+        seen_degenerate += int(degenerate.sum())
+        assert not degenerate.all()
+    assert seen_degenerate > 0

@@ -59,3 +59,20 @@ def test_canonical_json_is_sorted_and_compact():
     s = canonical_json({"b": 1, "a": [1, 2]})
     assert s == '{"a":[1,2],"b":1}'
     assert digest({"b": 1, "a": [1, 2]}) == digest({"a": [1, 2], "b": 1})
+
+
+def test_instance_edges_must_join_adjacent_grid_points():
+    obj = instance_to_obj(build_fk())
+    assert obj_to_instance(obj) == build_fk()
+    bad_points = ([0, 0, 5], [1, 1], [-1, 1, 2], [0.5, 0.5, 1])
+    for v in bad_points:
+        rec = dict(obj["weights"][0], v=v)
+        with pytest.raises(ValueError, match="is not a point of"):
+            obj_to_instance(dict(obj, weights=[rec]))
+    # a point of the grid, but two unit transfers away
+    rec = {"u": [2, 0, 0], "v": [0, 2, 0], "w": "1/1"}
+    with pytest.raises(ValueError, match="one unit transfer"):
+        obj_to_instance(dict(obj, weights=[rec]))
+    # the same edge with n edited
+    with pytest.raises(ValueError, match="is not a point of"):
+        obj_to_instance(dict(obj, n=3))
