@@ -84,7 +84,10 @@ def cmd_project(args) -> int:
     }
     if args.instance:
         w = load_instance(args.instance)
-        rep = check_cost_lemmas(P, w.n)
+        if (w.k, w.n) != (P.k, P.n):
+            print(f"instance is on (k={w.k}, n={w.n}) but the cut on (k={P.k}, n={P.n})", file=sys.stderr)
+            return 2
+        rep = check_cost_lemmas(P, P.n)
         obj["cost_lemmas"] = {
             "cost_what": rat_to_str(rep.cost_hat),
             "cost_wprime": rat_to_str(rep.cost_prime),
@@ -187,8 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", required=True, choices=sorted(FAMILIES))
     c.set_defaults(func=cmd_brute)
 
-    c = sub.add_parser("project", help="D(P) profile and restriction bounds for a cut")
-    c.add_argument("instance", nargs="?")
+    c = sub.add_parser(
+        "project",
+        help="D(P) profile and restriction bounds for a cut; with an instance, also the cost lemmas",
+    )
+    c.add_argument(
+        "instance",
+        nargs="?",
+        help="an instance on the cut's grid (k, n); the cost lemmas are checked against "
+        "the built w_hat, w_prime and w_tilde of that grid, not against the instance's weights",
+    )
     c.add_argument("--cut", required=True)
     c.set_defaults(func=cmd_project)
 

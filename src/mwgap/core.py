@@ -1,19 +1,28 @@
 """Grid-simplex geometry, weight functions, cuts, and the two basic functionals.
 
 Points of the discretized simplex are stored as tuples of k nonnegative
-integer numerators summing to n (the real point is coords/n).  All
-arithmetic in this module is exact: weights and costs are `Fraction`s,
-floating point is never used here.
+integer numerators summing to n (the real point is coords/n).  Each grid
+has one point index, `point_index(k, n)`: a validated `Cut` keeps its
+labels as an array in that order, and `cost` sums a weight function's
+integer numerators over one common denominator on the edges whose
+endpoint labels differ.  All arithmetic in this module is exact: weights
+and costs are `Fraction`s at the API, integers inside, and floating point
+is never used here.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import compress
+from math import lcm
+from types import MappingProxyType
+from typing import Optional
+
+import numpy as np
 
 Point = tuple[int, ...]
 Edge = tuple[Point, Point]
@@ -26,7 +35,7 @@ def support(x: Point) -> frozenset[int]:
 
 def terminal(i: int, k: int, n: int) -> Point:
     """The grid point sitting at simplex vertex e^i."""
-    return tuple(n if j == i else 0 for j in range(k))
+    return (0,) * i + (n,) + (0,) * (k - i - 1)
 
 
 def embed(x: Point, f: Sequence[int], k: int) -> Point:
@@ -67,6 +76,13 @@ def _points(k: int, n: int) -> tuple[Point, ...]:
     return tuple(rec(n, k))
 
 
+@lru_cache(maxsize=64)
+def point_index(k: int, n: int) -> Mapping[Point, int]:
+    """Read-only map from each point of Delta_{k,n} to its position in
+    `enumerate_points(k, n)` order."""
+    return MappingProxyType({x: i for i, x in enumerate(_points(k, n))})
+
+
 def canonical_edge(x: Point, y: Point) -> Edge:
     """Order the endpoints lexicographically so edges have a unique key."""
     return (x, y) if x <= y else (y, x)
@@ -100,18 +116,42 @@ def enumerate_edges(k: int, n: int) -> list[Edge]:
 
 @dataclass
 class WeightFunction:
-    """Exact-rational edge weights on E_{k,n}; absent edges weigh zero."""
+    """Exact-rational edge weights on E_{k,n}; absent edges weigh zero.
+
+    The weights dict is copied at construction.  Treat `weights` as
+    read-only afterwards: `cost` caches an integer form of it on first use.
+    """
 
     k: int
     n: int
     weights: dict[Edge, Fraction] = field(default_factory=dict)
+    _integer: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.weights = dict(self.weights)
         for (x, y), w in self.weights.items():
             if w < 0:
                 raise ValueError(f"negative weight {w} on {(x, y)}")
             if canonical_edge(x, y) != (x, y):
                 raise ValueError(f"edge {(x, y)} is not canonically ordered")
+
+    def integer_form(self) -> tuple[int, np.ndarray, np.ndarray, tuple[int, ...]]:
+        """(D, u, v, nums): edge j joins points u[j] and v[j] of
+        `point_index(k, n)` and weighs nums[j] / D, D the lcm of the
+        denominators.  Built on the first call, so constructing a weight
+        function never enumerates Delta_{k,n}; only a cost against a cut does.
+        """
+        if self._integer is None:
+            index = point_index(self.k, self.n)
+            D = lcm(*(q.denominator for q in self.weights.values()))
+            m = len(self.weights)
+            u = np.fromiter((index[x] for x, _ in self.weights), np.intp, m)
+            v = np.fromiter((index[y] for _, y in self.weights), np.intp, m)
+            u.setflags(write=False)
+            v.setflags(write=False)
+            nums = tuple(q.numerator * (D // q.denominator) for q in self.weights.values())
+            self._integer = (D, u, v, nums)
+        return self._integer
 
     def get(self, x: Point, y: Point) -> Fraction:
         return self.weights.get(canonical_edge(x, y), Fraction(0))
@@ -153,13 +193,16 @@ class Cut:
     """A labeling of all grid points into clusters, terminals pinned.
 
     Labels are 0-based: cluster i for i in range(k), and the extra cluster
-    of a non-opposite cut is label k.
+    of a non-opposite cut is label k.  `validate` copies the labels dict
+    and stores them as `label_array`, in `point_index(k, n)` order; treat
+    `labels` as read-only after construction.
     """
 
     k: int
     n: int
     labels: dict[Point, int]
     family: str = KWAY
+    label_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in (KWAY, NONOPPOSITE):
@@ -169,33 +212,44 @@ class Cut:
         self.validate()
 
     def validate(self) -> None:
-        points = enumerate_points(self.k, self.n)
-        if set(self.labels) != set(points):
+        index = point_index(self.k, self.n)
+        labels = dict(self.labels)
+        positions = list(map(index.get, labels))
+        if len(labels) != len(index) or None in positions:
             raise ValueError("labels must cover exactly the grid points")
         hi = self.k + 1 if self.family == NONOPPOSITE else self.k
-        for x, c in self.labels.items():
-            if not 0 <= c < hi:
-                raise ValueError(f"label {c} out of range at {x}")
-            if self.family == NONOPPOSITE and c < self.k and c not in support(x):
-                raise ValueError(f"opposite assignment: {x} -> {c}")
+        values = np.array(list(labels.values()))
+        if values.dtype.kind not in "biu" or values.min() < 0 or values.max() >= hi:
+            x, c = next((x, c) for x, c in labels.items() if not (isinstance(c, (int, np.integer)) and 0 <= c < hi))
+            raise ValueError(f"label {c!r} out of range at {x}")
+        if self.family == NONOPPOSITE:
+            for x, c in labels.items():
+                if c < self.k and x[c] == 0:
+                    raise ValueError(f"opposite assignment: {x} -> {c}")
         for i in range(self.k):
             t = terminal(i, self.k, self.n)
-            if self.labels[t] != i:
-                raise ValueError(f"terminal {i} labeled {self.labels[t]}")
+            if labels[t] != i:
+                raise ValueError(f"terminal {i} labeled {labels[t]}")
+        self.labels = labels
+        self.label_array = np.empty(len(index), np.min_scalar_type(hi - 1))
+        self.label_array[positions] = values
+        self.label_array.setflags(write=False)
 
     def __call__(self, x: Point) -> int:
         return self.labels[x]
 
 
 def cost(P: Cut, w: WeightFunction) -> Fraction:
-    """Total weight of edges whose endpoints receive different labels."""
+    """Total weight of edges whose endpoints receive different labels.
+
+    An exact integer sum of w's numerators over its common denominator
+    (`WeightFunction.integer_form`); the result is the only `Fraction`.
+    """
     if (P.k, P.n) != (w.k, w.n):
         raise ValueError("cut and weights live on different grids")
-    total = Fraction(0)
-    for (x, y), v in w.weights.items():
-        if P.labels[x] != P.labels[y]:
-            total += v
-    return total
+    D, u, v, nums = w.integer_form()
+    lab = P.label_array
+    return Fraction(sum(compress(nums, (lab[u] != lab[v]).tolist())), D)
 
 
 def random_kway_cut(k: int, n: int, rng: random.Random) -> Cut:

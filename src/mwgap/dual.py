@@ -39,6 +39,7 @@ from .core import (
     enumerate_edges,
     enumerate_points,
     neighbors,
+    point_index,
     support,
     terminal,
 )
@@ -475,7 +476,7 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
     points = enumerate_points(3, n)
     if len(points) > BRUTE_MAX_POINTS:
         raise ValueError(f"{len(points)} points exceed the exhaustive bound {BRUTE_MAX_POINTS}")
-    index = {p: i for i, p in enumerate(points)}
+    index = point_index(3, n)
     # edges to already-assigned (lower-index) points, per point
     back_edges: list[list[tuple[int, Fraction]]] = [[] for _ in points]
     for (x, y), val in w.weights.items():

@@ -2,9 +2,12 @@
 
 The operators here connect k-way cuts of the big simplex grid to
 non-opposite cuts of the triangle.  Every lookup of a small-grid point in
-the big grid goes through `core.embed`: `restrict_triple` is the one
-restriction loop (raw labels, the "bad point" fix-up, and the fixed cut),
-and restriction along an injection is its fixed cut.  `d_profile` embeds
+the big grid goes through `core.embed` and `core.point_index`:
+`_face_labels` is the one restriction kernel, which reads P's labels on a
+list of faces and marks the bad points.  `restrict_triple` builds the raw
+labels and the fixed cut from one face's row, restriction along an
+injection is its fixed cut, and `check_projection_bounds` runs the kernel
+on all sorted faces at once.  `d_profile` embeds
 the lines between terminal pairs to get the label sets D_{i,j} and their
 mean, and the checks below verify the probability and cost bounds built
 on them by exact enumeration.
@@ -14,9 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .core import (
     KWAY,
@@ -27,7 +33,41 @@ from .core import (
     cost,
     embed,
     enumerate_points,
+    point_index,
 )
+
+
+def _face_index(k: int, n: int, faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(gather, opposite) for a list of ordered faces of [k].
+
+    For face f and x_j the j-th point of the triangle grid, gather[f, j]
+    is the position of embed(x_j, faces[f], k) in `point_index(k, n)`, and
+    opposite[f, j, r] is faces[f][r] where x_j[r] = 0 (a corner opposite
+    x_j), else -1.
+    """
+    index = point_index(k, n)
+    tri = enumerate_points(3, n)
+    gather = np.array([[index[embed(x, f, k)] for x in tri] for f in faces], dtype=np.intp)
+    opposite = np.where(np.array(tri) == 0, np.array(faces)[:, None, :], -1)
+    gather.setflags(write=False)
+    opposite.setflags(write=False)
+    return gather, opposite
+
+
+@lru_cache(maxsize=16)
+def _sorted_face_index(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_face_index` of the C(k, 3) sorted faces, in `combinations` order."""
+    return _face_index(k, n, list(combinations(range(k), 3)))
+
+
+def _face_labels(P: Cut, gather: np.ndarray, opposite: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The restriction kernel: P's labels on faces, and the bad-point mask.
+
+    Row f, column j: the label of embed(x_j, faces[f], k), and whether that
+    label is a corner of the face opposite x_j (`_face_index`).
+    """
+    labels = P.label_array[gather]
+    return labels, (labels[:, :, None] == opposite).any(axis=2)
 
 
 @dataclass
@@ -48,14 +88,14 @@ def restrict_triple(P: Cut, i1: int, i2: int, i3: int) -> RestrictionResult:
     triple = (i1, i2, i3)
     if len(set(triple)) != 3 or not all(0 <= i < P.k for i in triple):
         raise ValueError(f"indices must be distinct and in range, got {triple}")
+    labels, bad_mask = _face_labels(P, *_face_index(P.k, P.n, [triple]))
     raw: dict[Point, int] = {}
     fixed_labels: dict[Point, int] = {}
     bad = []
-    for x in enumerate_points(3, P.n):
-        lab = P.labels[embed(x, triple, P.k)]
+    for x, lab, is_bad in zip(enumerate_points(3, P.n), labels[0].tolist(), bad_mask[0].tolist()):
         r = triple.index(lab) if lab in triple else 3
         raw[x] = r
-        if r < 3 and x[r] == 0:
+        if is_bad:
             bad.append(x)
             r = 3
         fixed_labels[x] = r
@@ -105,12 +145,8 @@ def check_projection_bounds(P: Cut) -> ProjectionReport:
     """Exact fraction of faces with non-opposite restriction vs both bounds."""
     if P.k < 3:
         raise ValueError("need k >= 3")
-    good = 0
-    triples = list(combinations(range(P.k), 3))
-    for t in triples:
-        if not restrict_triple(P, *t).bad_points:
-            good += 1
-    frac = Fraction(good, len(triples))
+    _, bad = _face_labels(P, *_sorted_face_index(P.k, P.n))
+    frac = Fraction(int(np.count_nonzero(~bad.any(axis=1))), len(bad))
     D = d_profile(P).mean
     refined = max(Fraction(0), 1 - Fraction(3) * (D - 2) / (P.k - 2))
     coarse = max(Fraction(0), 1 - Fraction(3 * (P.n - 1), P.k - 2))

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from mwgap.cli import main
-from mwgap.core import random_kway_cut
-from mwgap.serialize import dump_cut, load_instance
+from mwgap.core import cost, random_kway_cut
+from mwgap.serialize import dump_cut, load_instance, rat_to_str
 from mwgap.svg import emit_svg
 from mwgap.weights import build_fk, build_w3
 from mwgap.core import WeightFunction
@@ -67,6 +67,26 @@ def test_project_subcommand(tmp_path, capsys):
     obj = json.loads(out)
     assert code == (0 if obj["bounds_hold"] else 1)
     assert len(obj["per_pair"]) == 10  # C(5, 2) terminal pairs
+
+
+def test_project_rejects_an_instance_on_another_grid(tmp_path, capsys):
+    inst, cutfile = tmp_path / "w3.json", tmp_path / "cut.json"
+    run(capsys, "build", "--weights", "w3", "--n", "3", "--out", str(inst))
+    dump_cut(random_kway_cut(5, 3, random.Random(1)), str(cutfile))
+    assert main(["project", str(inst), "--cut", str(cutfile)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "instance is on (k=3, n=3)" in err
+
+
+def test_project_cost_lemmas_on_the_cut_grid(tmp_path, capsys):
+    inst, cutfile = tmp_path / "wtilde.json", tmp_path / "cut.json"
+    run(capsys, "build", "--weights", "wtilde", "--k", "5", "--n", "3", "--out", str(inst))
+    P = random_kway_cut(5, 3, random.Random(1))
+    dump_cut(P, str(cutfile))
+    code, out = run(capsys, "project", str(inst), "--cut", str(cutfile))
+    lemmas = json.loads(out)["cost_lemmas"]
+    assert code == 0 and lemmas["hold"] is True
+    assert lemmas["cost_wtilde"] == rat_to_str(cost(P, load_instance(str(inst))))
 
 
 def test_round_subcommand_deterministic(capsys):

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from mwgap import core
 from mwgap.core import (
     Cut,
     KWAY,
@@ -18,11 +19,23 @@ from mwgap.core import (
     enumerate_points,
     lpc,
     neighbors,
+    point_index,
     random_kway_cut,
     random_nonopposite_cut,
     support,
     terminal,
 )
+from mwgap.lpsearch import search
+from mwgap.weights import build_fk, build_w3, build_w_hat, build_w_prime, build_w_tilde
+
+
+def oracle_cost(P, w):
+    """Reference cost: a Fraction sum over the weight dict, labels read from the dict."""
+    total = Fraction(0)
+    for (x, y), v in w.weights.items():
+        if P.labels[x] != P.labels[y]:
+            total += v
+    return total
 
 
 def test_point_count_is_stars_and_bars():
@@ -142,3 +155,84 @@ def test_random_cuts_differ_across_seeds():
     a = random_kway_cut(5, 3, random.Random(0))
     b = random_kway_cut(5, 3, random.Random(1))
     assert a.labels != b.labels
+
+
+def test_point_index_follows_point_order():
+    for k, n in ((3, 4), (5, 3)):
+        index = point_index(k, n)
+        assert list(index) == enumerate_points(k, n)
+        assert list(index.values()) == list(range(len(index)))
+        with pytest.raises(TypeError):
+            index[(0,) * k] = 0  # shared by every caller, so read-only
+
+
+def test_cut_label_array_is_in_point_index_order():
+    P = random_kway_cut(5, 3, random.Random(4))
+    assert P.label_array.tolist() == [P.labels[x] for x in point_index(5, 3)]
+    assert not P.label_array.flags.writeable
+
+
+def test_cut_rejects_foreign_and_non_integer_labels():
+    labels = {p: min(support(p)) for p in enumerate_points(3, 2)}
+    del labels[(1, 1, 0)]
+    with pytest.raises(ValueError, match="cover exactly"):
+        Cut(3, 2, {**labels, (1, 1, 1): 0}, KWAY)  # right length, one point off the grid
+    with pytest.raises(ValueError, match="cover exactly"):
+        Cut(3, 2, labels, KWAY)
+    with pytest.raises(ValueError, match="out of range"):
+        Cut(3, 2, {**labels, (1, 1, 0): 0.5}, KWAY)
+
+
+def _crafted_instances():
+    """Triangle instances whose numerators over the common denominator sum past 2**63."""
+    edges = enumerate_edges(3, 3)
+    big = WeightFunction(3, 3, {e: Fraction(2**62 + j) for j, e in enumerate(edges)})
+    primes = [p for p in range(10**6, 10**6 + 400) if all(p % d for d in range(2, 1001))]
+    coprime = WeightFunction(3, 3, {e: Fraction(p - 1, p) for e, p in zip(edges, primes)})
+    return [big, coprime]
+
+
+def test_cost_matches_fraction_oracle():
+    instances = [build_w3(3), build_w3(6), build_fk(), search(3).weights, *_crafted_instances()]
+    for k, n in ((5, 3), (8, 6), (12, 3)):
+        instances += [build_w_hat(k, n), build_w_prime(k, n), build_w_tilde(k, n)]
+    assert max(q.denominator for q in search(3).weights.weights.values()) > 2**50
+    past_int64 = 0
+    for w in instances:
+        rng = random.Random(f"{w.k}:{w.n}:{len(w.weights)}")
+        cuts = [random_kway_cut(w.k, w.n, rng) for _ in range(6)]
+        if w.k == 3:
+            cuts += [random_nonopposite_cut(w.n, rng) for _ in range(6)]
+        D, u, v, nums = w.integer_form()
+        for P in cuts:
+            assert cost(P, w) == oracle_cost(P, w)
+            cut_nums = sum(m for m, a, b in zip(nums, u, v) if P.label_array[a] != P.label_array[b])
+            past_int64 += cut_nums >= 2**63
+    assert past_int64 > 0
+
+
+def test_inputs_are_owned():
+    w3 = build_w3(3)
+    P = random_nonopposite_cut(3, random.Random(5))
+    labels, weights = dict(P.labels), dict(w3.weights)
+    Q = Cut(3, 3, labels, NONOPPOSITE)
+    w = WeightFunction(3, 3, weights)
+    expected = cost(P, w3)
+    edge = next(e for e in weights if P.labels[e[0]] != P.labels[e[1]])
+    weights[edge] += 1  # before the first cost: the lazy integer form must not see it
+    x = next(x for x in labels if max(x) < 3 and labels[x] != 3)
+    labels[x] = 3
+    assert Q.labels == P.labels and w.weights == w3.weights
+    assert cost(Q, w) == expected
+    weights[edge] += 1
+    labels.clear()
+    assert cost(Q, w) == expected
+
+
+def test_weight_function_never_enumerates_its_grid():
+    before = core._points.cache_info()
+    e = canonical_edge((60,) + (0,) * 39, (59, 1) + (0,) * 38)
+    w = WeightFunction(40, 60, {e: Fraction(1, 3)})  # Delta_{40,60} has about 10**27 points
+    assert lpc(w) == Fraction(1, 180)
+    assert w.scaled(Fraction(2)).total() == Fraction(2, 3)
+    assert core._points.cache_info() == before

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mwgap.core import (
     Cut,
     KWAY,
+    embed,
     enumerate_points,
     random_kway_cut,
     support,
@@ -23,6 +24,20 @@ from mwgap.projection import (
     restrict_injection,
     restrict_triple,
 )
+
+
+def oracle_fraction_nonopposite(P):
+    """Reference: the per-face loop over sorted triples, labels read from the dict."""
+    triples = list(itertools.combinations(range(P.k), 3))
+    good = 0
+    for t in triples:
+        bad = any(
+            P.labels[embed(x, t, P.k)] == t[r] and x[r] == 0
+            for x in enumerate_points(3, P.n)
+            for r in range(3)
+        )
+        good += not bad
+    return Fraction(good, len(triples))
 
 
 def _identity_cut(k, n):
@@ -158,3 +173,52 @@ def test_cost_lemma_tightness_direction():
     assert rep.ok
     assert rep.d_mean == 2
     assert rep.cost_hat >= 1
+
+
+@st.composite
+def _kway_cut_with_plants(draw):
+    """A k-way cut (k <= 10, n in {3, 6}) and whether a bad face was planted.
+
+    Random cuts have almost every face bad and the identity cut none, so
+    most draws start from the identity cut and relabel a few face points;
+    the last relabelling, if any, gives a side point of a sorted face the
+    opposite corner's label, so the cut has at least one bad face.
+    """
+    k = draw(st.integers(3, 10))
+    n = draw(st.sampled_from((3, 6)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 9)) == 0:
+        return random_kway_cut(k, n, rng), False
+    labels = dict(_identity_cut(k, n).labels)
+    flips = draw(st.integers(0, 6))
+    for _ in range(flips - 1):
+        x = rng.choice([x for x in enumerate_points(3, n) if max(x) < n])
+        labels[embed(x, sorted(rng.sample(range(k), 3)), k)] = rng.randrange(k)
+    if flips:
+        face = sorted(rng.sample(range(k), 3))
+        x = rng.choice([x for x in enumerate_points(3, n) if min(x) == 0 and max(x) < n])
+        labels[embed(x, face, k)] = face[x.index(0)]
+    return Cut(k, n, labels, KWAY), flips > 0
+
+
+@given(_kway_cut_with_plants())
+def test_projection_fraction_matches_per_face_oracle(case):
+    P, planted = case
+    rep = check_projection_bounds(P)
+    assert rep.fraction_nonopposite == oracle_fraction_nonopposite(P)
+    triples = list(itertools.combinations(range(P.k), 3))
+    good = sum(not restrict_triple(P, *t).bad_points for t in triples)
+    assert rep.fraction_nonopposite == Fraction(good, len(triples))
+    if planted:
+        assert rep.fraction_nonopposite < 1
+
+
+def test_projection_bounds_build_no_cut(monkeypatch):
+    P = random_kway_cut(8, 3, random.Random(2))
+    calls = []
+    original = Cut.validate
+    monkeypatch.setattr(Cut, "validate", lambda self: calls.append(self) or original(self))
+    check_projection_bounds(P)
+    assert calls == []
+    restrict_triple(P, 0, 1, 2)
+    assert len(calls) == 1

@@ -1,0 +1,42 @@
+"""The benchmark tracer (bench/tracing.py) still finds the layers it wraps.
+
+The tracer rebinds mwgap functions by name and reads their arguments, so
+a rename in `src/` would otherwise show only in the slow harness
+self-test.  This runs one tiny job of the kway and triangle workloads
+under the tracer; it reads bench/ and changes nothing there.
+"""
+
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import workloads
+
+    return tracing, workloads
+
+
+def test_tracer_records_every_wrapped_layer(bench_modules):
+    tracing, workloads = bench_modules
+    from mwgap import core, dual, projection
+
+    originals = (core.cost, projection.cost, dual.cost, core.Cut.validate, dual.dijkstra)
+    (_, kway_job), = workloads.kway_grid_jobs(5, 3, [0])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert core.cost is not originals[0] and projection.cost is core.cost
+        kway_job()
+        workloads.certify_job(3)
+    finally:
+        tracer.uninstall()
+    sums = tracer.take()
+    for name in ("core.cost.calls", "core.cost.weighted_edges", "core.Cut.validate.calls", "dual.dijkstra.calls"):
+        assert sums[name] > 0, name
+    assert (core.cost, projection.cost, dual.cost, core.Cut.validate, dual.dijkstra) == originals
