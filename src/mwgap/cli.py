@@ -20,7 +20,7 @@ from .rounding import estimate_density
 from .serialize import (
     canonical_json,
     cut_to_obj,
-    digest,
+    instance_digest,
     instance_to_obj,
     load_cut,
     load_instance,
@@ -49,7 +49,7 @@ def cmd_build(args) -> int:
 
 def cmd_lpc(args) -> int:
     w = load_instance(args.instance)
-    _emit({"digest": digest(instance_to_obj(w)), "lpc": rat_to_str(lpc(w))})
+    _emit({"digest": instance_digest(w), "lpc": rat_to_str(lpc(w))})
     return 0
 
 
@@ -59,7 +59,7 @@ def cmd_certify(args) -> int:
         print("certify requires k = 3", file=sys.stderr)
         return 2
     cert = certify(w.n, w, args.family, str_to_rat(args.target))
-    _emit(cert.to_obj())
+    _emit({**cert.to_obj(), "digest": instance_digest(w)})
     return 0 if cert.passed else 1
 
 

@@ -16,6 +16,8 @@ and exact shortest-path distances give machine-checkable lower bounds on
 cut costs.  `potential_rows` states that bound as one linear system,
 which `lpsearch` solves and `check_potentials` evaluates on the paper's
 potentials; a brute-force enumerator provides an oracle at tiny n.
+Inside, weights are the integer numerators of `WeightFunction.integer_form()`
+over its one denominator; only returned values are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -39,11 +41,9 @@ from .core import (
     enumerate_edges,
     enumerate_points,
     neighbors,
-    point_index,
     support,
     terminal,
 )
-from .serialize import instance_digest
 
 # Dual node encodings: ("O", i) for outer nodes, ("U"/"D", a, b, c) for
 # upward/downward faces with base coordinates a+b+c = n-1 / n-2.
@@ -85,17 +85,20 @@ def enumerate_faces(n: int) -> list[DualNodeT]:
 @dataclass
 class DualGraph:
     n: int
-    # adjacency: node -> sorted list of (neighbor, weight, primal edge)
-    adj: dict[DualNodeT, list[tuple[DualNodeT, Fraction, Edge]]]
+    # adjacency: node -> sorted list of (neighbor, weight numerator, primal edge)
+    adj: dict[DualNodeT, list[tuple[DualNodeT, int, Edge]]]
     faces: list[DualNodeT]
+    denominator: int  # arc weights are numerators over this
 
 
 def build_dual(n: int, w: WeightFunction) -> DualGraph:
-    """Dual of the augmented triangle grid with w's weights on the dual edges."""
+    """Dual of the augmented triangle grid; arcs carry w's integer_form() numerators."""
     if w.k != 3:
         raise ValueError(f"dual machinery is specific to k = 3, got k = {w.k}")
     if w.n != n:
         raise ValueError(f"weight function is on n = {w.n}, expected {n}")
+    D, _, _, nums = w.integer_form()
+    num = dict(zip(w.weights, nums))
     faces = enumerate_faces(n)
     incident: dict[Edge, list[DualNodeT]] = {}
     for f in faces:
@@ -110,7 +113,7 @@ def build_dual(n: int, w: WeightFunction) -> DualGraph:
     for x, y in enumerate_edges(3, n):
         e = (x, y)
         fs = incident[e]
-        wt = w.get(x, y)
+        wt = num.get(e, 0)
         if len(fs) == 2:
             u, v = fs
         else:
@@ -122,22 +125,23 @@ def build_dual(n: int, w: WeightFunction) -> DualGraph:
         adj[v].append((u, wt, e))
     for lst in adj.values():
         lst.sort(key=lambda t: (t[0], t[2]))
-    return DualGraph(n, adj, faces)
+    return DualGraph(n, adj, faces, D)
 
 
 def dijkstra(
     g: DualGraph, source: DualNodeT
-) -> tuple[dict[DualNodeT, Fraction], dict[DualNodeT, tuple[DualNodeT, Edge]]]:
-    """Exact shortest-path distances and predecessors from source.
+) -> tuple[dict[DualNodeT, int], dict[DualNodeT, tuple[DualNodeT, Edge]]]:
+    """Exact shortest-path distances, as numerators over g.denominator,
+    and predecessors from source.
 
     Outer nodes other than the source may end a path but are never
     traversed: the paths forming a cut meet outer nodes only at their
     endpoints.  Ties are broken by node order, so the predecessors are
     reproducible.
     """
-    dist: dict[DualNodeT, Fraction] = {source: Fraction(0)}
+    dist: dict[DualNodeT, int] = {source: 0}
     pred: dict[DualNodeT, tuple[DualNodeT, Edge]] = {}
-    heap: list[tuple[Fraction, DualNodeT]] = [(Fraction(0), source)]
+    heap: list[tuple[int, DualNodeT]] = [(0, source)]
     done: set[DualNodeT] = set()
     while heap:
         d, u = heapq.heappop(heap)
@@ -148,16 +152,15 @@ def dijkstra(
             continue
         for v, wt, e in g.adj[u]:
             nd = d + wt
-            if v not in dist or nd < dist[v] or (nd == dist[v] and (u, e) < pred.get(v, ((), ()))):
-                if v not in done:
-                    dist[v] = nd
-                    pred[v] = (u, e)
-                    heapq.heappush(heap, (nd, v))
+            if v not in done and (v not in dist or nd < dist[v] or (nd == dist[v] and (u, e) < pred[v])):
+                dist[v] = nd
+                pred[v] = (u, e)
+                heapq.heappush(heap, (nd, v))
     return dist, pred
 
 
 def dual_distance(g: DualGraph, s: DualNodeT, t: DualNodeT) -> Fraction:
-    return dijkstra(g, s)[0][t]
+    return Fraction(dijkstra(g, s)[0][t], g.denominator)
 
 
 def potential_rows(g: DualGraph) -> Iterator[tuple[dict[Hashable, int], int]]:
@@ -233,7 +236,6 @@ FAMILIES = (NONOPPOSITE, THREEWAY)
 class Certificate:
     """Machine-checkable lower bound on the minimum cut cost of a family."""
 
-    digest: str
     family: str
     pairwise: dict[tuple[int, int], Fraction]
     ball: Fraction
@@ -248,7 +250,6 @@ class Certificate:
         from .serialize import rat_to_str
 
         return {
-            "digest": self.digest,
             "family": self.family,
             "pairwise": {f"{i},{j}": rat_to_str(v) for (i, j), v in sorted(self.pairwise.items())},
             "ball": rat_to_str(self.ball),
@@ -274,25 +275,23 @@ def certify(n: int, w: WeightFunction, family: str, target: Fraction) -> Certifi
     g = build_dual(n, w)
     dists = [dijkstra(g, o)[0] for o in OUTER]
     pairwise = {(i, j): dists[i][("O", j)] for i in range(3) for j in range(i + 1, 3)}
-    ball, witness = None, None
-    for f in g.faces:
-        s = dists[0][f] + dists[1][f] + dists[2][f]
-        if ball is None or s < ball:
-            ball, witness = s, f
-    corner = sum(pairwise.values(), Fraction(0))
-    two_corner = sum(sorted(pairwise.values())[:2], Fraction(0))
+    d0, d1, d2 = dists
+    # the first face of least distance sum, in face order
+    ball, witness = min(((d0[f] + d1[f] + d2[f], f) for f in g.faces), key=lambda t: t[0])
+    corner = sum(pairwise.values())
+    two_corner = sum(sorted(pairwise.values())[:2])
     overall = min(ball, corner) if family == NONOPPOSITE else min(ball, two_corner)
+    D = g.denominator
     return Certificate(
-        digest=instance_digest(w),
         family=family,
-        pairwise=pairwise,
-        ball=ball,
+        pairwise={ij: Fraction(d, D) for ij, d in pairwise.items()},
+        ball=Fraction(ball, D),
         witness_face=witness,
-        corner=corner,
-        two_corner=two_corner,
-        overall=overall,
+        corner=Fraction(corner, D),
+        two_corner=Fraction(two_corner, D),
+        overall=Fraction(overall, D),
         target=target,
-        passed=overall >= target,
+        passed=overall >= target * D,
     )
 
 
@@ -308,20 +307,21 @@ def check_potentials(n: int, w: WeightFunction) -> PotentialReport:
     Phi_i is `potential(i, ., n)` on faces and the corner margin
     (2n/3) rho = 1/3 at O_j, j != i, so the Lipschitz rows next to O_j
     are the corner-cut margins and the corner row reads 3 * 1/3 >= 1.
-    Rows are summed in integers over a common denominator; the first
-    violated row is reported.
+    Every potential value has a denominator dividing 6n, so rows are
+    summed in integers over L = lcm(D, 6n), D the denominator of
+    `w.integer_form()`; the first violated row is reported.
     """
     g = build_dual(n, w)
-    value: dict[Hashable, Fraction] = dict(w.weights)
+    D, _, _, nums = w.integer_form()
+    L = lcm(D, 6 * n)
+    value: dict[Hashable, int] = {e: q * (L // D) for e, q in zip(w.weights, nums)}
     for i, source in enumerate(OUTER):
-        value.update({(i, f): potential(i, f, n) for f in g.faces})
-        value.update({(i, o): Fraction(1, 3) for o in OUTER if o != source})
-    denom = lcm(*(q.denominator for q in value.values()))
-    scaled = {var: q.numerator * (denom // q.denominator) for var, q in value.items()}
+        value.update({(i, f): int(potential(i, f, n) * L) for f in g.faces})
+        value.update({(i, o): L // 3 for o in OUTER if o != source})
     for row, rhs in potential_rows(g):
-        lhs = sum(coef * scaled.get(var, 0) for var, coef in row.items())
-        if lhs < rhs * denom:
-            return PotentialReport(False, (row, Fraction(lhs, denom), rhs))
+        lhs = sum(coef * value.get(var, 0) for var, coef in row.items())
+        if lhs < rhs * L:
+            return PotentialReport(False, (row, Fraction(lhs, L), rhs))
     return PotentialReport(True)
 
 
@@ -476,14 +476,13 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
     points = enumerate_points(3, n)
     if len(points) > BRUTE_MAX_POINTS:
         raise ValueError(f"{len(points)} points exceed the exhaustive bound {BRUTE_MAX_POINTS}")
-    index = point_index(3, n)
+    D, u, v, nums = w.integer_form()
     # edges to already-assigned (lower-index) points, per point
-    back_edges: list[list[tuple[int, Fraction]]] = [[] for _ in points]
-    for (x, y), val in w.weights.items():
-        i, j = index[x], index[y]
+    back_edges: list[list[tuple[int, int]]] = [[] for _ in points]
+    for i, j, num in zip(u.tolist(), v.tolist(), nums):
         if i > j:
             i, j = j, i
-        back_edges[j].append((i, val))
+        back_edges[j].append((i, num))
 
     choices: list[list[int]] = []
     for p in points:
@@ -494,11 +493,11 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
         else:
             choices.append([0, 1, 2])
 
-    best_cost: Optional[Fraction] = None
+    best_cost: Optional[int] = None
     best_labels: Optional[list[int]] = None
     assigned: list[int] = []
 
-    def dfs(i: int, running: Fraction) -> None:
+    def dfs(i: int, running: int) -> None:
         nonlocal best_cost, best_labels
         if best_cost is not None and running >= best_cost:
             return
@@ -506,7 +505,7 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
             best_cost, best_labels = running, assigned.copy()
             return
         for c in choices[i]:
-            extra = Fraction(0)
+            extra = 0
             for j, val in back_edges[i]:
                 if assigned[j] != c:
                     extra += val
@@ -514,8 +513,8 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
             dfs(i + 1, running + extra)
             assigned.pop()
 
-    dfs(0, Fraction(0))
+    dfs(0, 0)
     assert best_cost is not None and best_labels is not None
     labels = {p: best_labels[i] for i, p in enumerate(points)}
     fam = NONOPPOSITE if family == NONOPPOSITE else KWAY
-    return best_cost, Cut(3, n, labels, fam)
+    return Fraction(best_cost, D), Cut(3, n, labels, fam)

@@ -7,10 +7,10 @@ the big grid goes through `core.embed` and `core.point_index`:
 list of faces and marks the bad points.  `restrict_triple` builds the raw
 labels and the fixed cut from one face's row, restriction along an
 injection is its fixed cut, and `check_projection_bounds` runs the kernel
-on all sorted faces at once.  `d_profile` embeds
-the lines between terminal pairs to get the label sets D_{i,j} and their
-mean, and the checks below verify the probability and cost bounds built
-on them by exact enumeration.
+on all sorted faces at once.  `d_profile` reads the lines between
+terminal pairs through the same embedding index to get the label sets
+D_{i,j} and their mean, and the checks below verify the probability and
+cost bounds built on them by exact enumeration.
 """
 
 from __future__ import annotations
@@ -38,17 +38,17 @@ from .core import (
 
 
 def _face_index(k: int, n: int, faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(gather, opposite) for a list of ordered faces of [k].
+    """(gather, opposite) for a list of ordered faces of [k], all of one size m.
 
-    For face f and x_j the j-th point of the triangle grid, gather[f, j]
-    is the position of embed(x_j, faces[f], k) in `point_index(k, n)`, and
+    For face f and x_j the j-th point of the m-grid, gather[f, j] is the
+    position of embed(x_j, faces[f], k) in `point_index(k, n)`, and
     opposite[f, j, r] is faces[f][r] where x_j[r] = 0 (a corner opposite
     x_j), else -1.
     """
     index = point_index(k, n)
-    tri = enumerate_points(3, n)
-    gather = np.array([[index[embed(x, f, k)] for x in tri] for f in faces], dtype=np.intp)
-    opposite = np.where(np.array(tri) == 0, np.array(faces)[:, None, :], -1)
+    small = enumerate_points(len(faces[0]), n)
+    gather = np.array([[index[embed(x, f, k)] for x in small] for f in faces], dtype=np.intp)
+    opposite = np.where(np.array(small) == 0, np.array(faces)[:, None, :], -1)
     gather.setflags(write=False)
     opposite.setflags(write=False)
     return gather, opposite
@@ -58,6 +58,12 @@ def _face_index(k: int, n: int, faces: Sequence[Sequence[int]]) -> tuple[np.ndar
 def _sorted_face_index(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """`_face_index` of the C(k, 3) sorted faces, in `combinations` order."""
     return _face_index(k, n, list(combinations(range(k), 3)))
+
+
+@lru_cache(maxsize=16)
+def _line_gather(k: int, n: int) -> np.ndarray:
+    """`_face_index` gather of the C(k, 2) terminal-pair lines, in `combinations` order."""
+    return _face_index(k, n, list(combinations(range(k), 2)))[0]
 
 
 def _face_labels(P: Cut, gather: np.ndarray, opposite: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,9 +132,8 @@ def d_profile(P: Cut) -> DProfile:
     """Label sets used on the lines between terminal pairs, and their mean size."""
     if P.family != KWAY:
         raise ValueError("d_profile expects a k-way cut")
-    per_pair = {}
-    for i, j in combinations(range(P.k), 2):
-        per_pair[(i, j)] = frozenset(P.labels[embed((t, P.n - t), (i, j), P.k)] for t in range(P.n + 1))
+    lines = P.label_array[_line_gather(P.k, P.n)].tolist()
+    per_pair = dict(zip(combinations(range(P.k), 2), map(frozenset, lines)))
     total = sum(len(s) for s in per_pair.values())
     return DProfile(per_pair=per_pair, mean=Fraction(total, comb(P.k, 2)))
 

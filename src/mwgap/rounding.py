@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Point, enumerate_edges, enumerate_points
+from .core import Point, enumerate_edges, enumerate_points, point_index
 
 # Cells in the discretized parameter intervals.
 PARAM_CELLS = 1 << 20
@@ -270,7 +270,7 @@ def estimate_density(
     if not 0 <= p_corner <= 1:
         raise ValueError(f"p_corner must be in [0, 1], got {p_corner}")
     points = enumerate_points(3, n)
-    pindex = {p: i for i, p in enumerate(points)}
+    pindex = point_index(3, n)
     edges = enumerate_edges(3, n)
     rng = np.random.default_rng(seed)
     batch = _batch_size(n)

@@ -38,6 +38,8 @@ def emit_svg(
     """Render the instance (k = 3 only) as a standalone SVG document."""
     if w.k != 3:
         raise ValueError(f"SVG rendering is specific to k = 3, got k = {w.k}")
+    if cut is not None and (cut.k, cut.n) != (w.k, w.n):
+        raise ValueError(f"cut is on (k={cut.k}, n={cut.n}) but the instance on (k={w.k}, n={w.n})")
     n = w.n
     maxw = max(w.weights.values(), default=Fraction(0))
     width = SIDE + 2 * MARGIN

@@ -44,6 +44,8 @@ def test_certify_pass_and_fail_exit_codes(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["pass"] is True and obj["overall"] == "1/1"
+    # the certificate names its instance by the digest `lpc` prints
+    assert obj["digest"] == json.loads(run(capsys, "lpc", str(inst))[1])["digest"]
     # an unreachable target fails with exit 1
     code, out = run(capsys, "certify", str(inst), "--family", "nonopposite", "--target", "2/1")
     assert code == 1
@@ -161,6 +163,16 @@ def test_svg_subcommand(tmp_path, capsys):
     assert "stroke-dasharray" in out  # zero-weight edges inside corners
     _, out2 = run(capsys, "svg", str(inst), "--potential", "1")
     assert out == out2
+
+
+@pytest.mark.parametrize("k, n", [(3, 6), (5, 3)])
+def test_svg_rejects_a_cut_on_another_grid(tmp_path, capsys, k, n):
+    inst, cutfile = tmp_path / "w3.json", tmp_path / "cut.json"
+    run(capsys, "build", "--weights", "w3", "--n", "3", "--out", str(inst))
+    dump_cut(random_kway_cut(k, n, random.Random(1)), str(cutfile))
+    assert main(["svg", str(inst), "--cut", str(cutfile)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"cut is on (k={k}, n={n}) but the instance on (k=3, n=3)" in err
 
 
 def test_svg_rejects_non_triangle():

@@ -1,5 +1,6 @@
 """Planar dual graph, certificates, potentials, normalization, brute force."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -32,7 +33,63 @@ from mwgap.dual import (
     potential_rows,
     uncut_edges,
 )
+from mwgap.lpsearch import search
 from mwgap.weights import build_fk, build_w3
+
+
+def oracle_dijkstra(g, w, source):
+    """Reference: exact Dijkstra in `Fraction`s, arc weights read through `w.get`."""
+    dist = {source: Fraction(0)}
+    pred = {}
+    heap = [(Fraction(0), source)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u[0] == "O" and u != source:
+            continue
+        for v, _, e in g.adj[u]:
+            nd = d + w.get(*e)
+            if v not in dist or nd < dist[v] or (nd == dist[v] and (u, e) < pred.get(v, ((), ()))):
+                if v not in done:
+                    dist[v] = nd
+                    pred[v] = (u, e)
+                    heapq.heappush(heap, (nd, v))
+    return dist, pred
+
+
+def _past_int64_instances():
+    """Triangle weights whose numerators over the common denominator pass 2**63.
+
+    The first instance lists its edges in reverse order, so the integer
+    form's order is not the sorted edge order.
+    """
+    edges = enumerate_edges(3, 3)
+    primes = [p for p in range(101, 400) if all(p % q for q in range(2, 20))][: len(edges)]
+    yield WeightFunction(3, 3, {e: Fraction(p - 1, p) for e, p in zip(reversed(edges), primes)})
+    yield WeightFunction(3, 6, {e: Fraction(2**62 + j) for j, e in enumerate(enumerate_edges(3, 6))})
+
+
+def test_dijkstra_matches_fraction_oracle():
+    cases = [build_w3(n) for n in range(3, 19, 3)] + [build_fk()]
+    for n in range(3, 6):
+        w = search(n).weights
+        # the rescaled weights, and the float-derived ones the LP hands to certify
+        cases += [w, WeightFunction(3, n, {e: Fraction(float(v)) for e, v in w.weights.items()})]
+    big = list(_past_int64_instances())
+    for w in cases + big:
+        g = build_dual(w.n, w)
+        for source in list(OUTER) + g.faces[:: len(g.faces) // 2]:
+            dist, pred = dijkstra(g, source)
+            want_dist, want_pred = oracle_dijkstra(g, w, source)
+            assert dist.keys() == want_dist.keys() == g.adj.keys()
+            assert all(Fraction(d, g.denominator) == want_dist[v] for v, d in dist.items())
+            assert pred == want_pred
+    for w in big:
+        g = build_dual(w.n, w)
+        assert max(dijkstra(g, OUTER[0])[0].values()) > 2**63
 
 
 def test_face_count_is_n_squared():
@@ -122,7 +179,7 @@ def _arc_walk_check_potentials(n, w):
     g = build_dual(n, w)
     rho = Fraction(1, 2 * n)
     margin = Fraction(2 * n, 3) * rho
-    edges = {e: (u, v, wt) for u, arcs in g.adj.items() for v, wt, e in arcs}
+    edges = {e: (u, v, w.get(*e)) for u, arcs in g.adj.items() for v, _, e in arcs}
     for i in range(3):
         for u, v, wt in edges.values():
             outer = [x for x in (u, v) if x[0] == "O"]
@@ -185,6 +242,38 @@ def test_potentials_agree_with_arc_walk_oracle():
     assert outcomes == {True, False}
 
 
+def oracle_check_potentials(n, w):
+    """Reference: `potential_rows` summed in `Fraction`s, weights read through `w.get`."""
+    g = build_dual(n, w)
+    value = {}
+    for i, source in enumerate(OUTER):
+        value.update({(i, f): potential(i, f, n) for f in g.faces})
+        value.update({(i, o): Fraction(1, 3) for o in OUTER if o != source})
+    for row, rhs in potential_rows(g):
+        lhs = sum(coef * (value[var] if isinstance(var[0], int) else w.get(*var)) for var, coef in row.items())
+        if lhs < rhs:
+            return False, (row, lhs, rhs)
+    return True, None
+
+
+def test_check_potentials_matches_fraction_oracle():
+    # n not divisible by 3 too, where the 2/3 and 1/3 potentials need the
+    # factor 3 of lcm(D, 6n) and the weights' denominators are powers of two
+    rng = random.Random(8)
+    outcomes = set()
+    for n in (2, 3, 4, 5, 7):
+        edges = enumerate_edges(3, n)
+        for _ in range(8):
+            weights = {e: Fraction(rng.randrange(4, 9), 2 ** rng.randrange(0, 3)) for e in edges}
+            for e in rng.sample(edges, rng.randrange(0, 3)):
+                weights[e] = Fraction(rng.randrange(0, 8), 2 ** rng.randrange(3, 6))
+            w = WeightFunction(3, n, {e: v for e, v in weights.items() if v})
+            rep = check_potentials(n, w)
+            assert (rep.ok, rep.violation) == oracle_check_potentials(n, w)
+            outcomes.add(rep.ok)
+    assert outcomes == {True, False}
+
+
 def _rows_hold(g, value):
     return all(
         sum(coef * value.get(var, 0) for var, coef in row.items()) >= rhs
@@ -207,7 +296,7 @@ def test_certify_passes_exactly_when_distances_satisfy_rows():
         g = build_dual(n, w)
         value = dict(w.weights)
         for i, o in enumerate(OUTER):
-            value.update({(i, v): d for v, d in dijkstra(g, o)[0].items()})
+            value.update({(i, v): Fraction(d, g.denominator) for v, d in dijkstra(g, o)[0].items()})
         passed = certify(n, w, NONOPPOSITE, Fraction(1)).passed
         assert passed == _rows_hold(g, value)
         outcomes.add(passed)
@@ -238,7 +327,7 @@ def test_distances_dominate_potentials():
     for i in range(3):
         dist, _ = dijkstra(g, ("O", i))
         for f in g.faces:
-            assert dist[f] >= potential(i, f, n)
+            assert Fraction(dist[f], g.denominator) >= potential(i, f, n)
 
 
 def test_normalize_fixed_point_on_ball_cut():
@@ -286,15 +375,17 @@ def test_brute_force_fk():
     value, cut = brute_force_min_cut(2, build_fk(), NONOPPOSITE)
     assert value == 1
     cut.validate()
-    assert cost(cut, build_fk()) == 1
+    assert cost(cut, build_fk()) == value
 
 
 def test_brute_force_w3_bounds():
     w = build_w3(3)
-    nonop, _ = brute_force_min_cut(3, w, NONOPPOSITE)
+    nonop, cut = brute_force_min_cut(3, w, NONOPPOSITE)
     assert nonop >= 1
-    three, _ = brute_force_min_cut(3, w, THREEWAY)
+    assert nonop == cost(cut, w)
+    three, cut = brute_force_min_cut(3, w, THREEWAY)
     assert three >= Fraction(2, 3)
+    assert three == cost(cut, w)
     assert three <= nonop
 
 
@@ -308,7 +399,8 @@ def test_brute_force_never_below_certificate():
         }
         w = WeightFunction(3, 3, {e: v for e, v in weights.items() if v})
         for family in (NONOPPOSITE, THREEWAY):
-            bf, _ = brute_force_min_cut(3, w, family)
+            bf, cut = brute_force_min_cut(3, w, family)
+            assert bf == cost(cut, w)
             assert bf >= certify(3, w, family, Fraction(0)).overall
 
 
@@ -319,7 +411,9 @@ def test_certify_never_exceeds_brute_force(n, family, data):
         st.lists(st.fractions(0, 2, max_denominator=4), min_size=len(edges), max_size=len(edges))
     )
     w = WeightFunction(3, n, {e: v for e, v in zip(edges, values) if v})
-    assert certify(n, w, family, Fraction(0)).overall <= brute_force_min_cut(n, w, family)[0]
+    value, cut = brute_force_min_cut(n, w, family)
+    assert value == cost(cut, w)
+    assert certify(n, w, family, Fraction(0)).overall <= value
 
 
 def test_brute_force_rejects_non_triangle_input():

@@ -40,6 +40,15 @@ def oracle_fraction_nonopposite(P):
     return Fraction(good, len(triples))
 
 
+def oracle_d_profile(P):
+    """Reference: each terminal-pair line embedded point by point, labels read from the dict."""
+    per_pair = {
+        (i, j): frozenset(P.labels[embed((t, P.n - t), (i, j), P.k)] for t in range(P.n + 1))
+        for i, j in itertools.combinations(range(P.k), 2)
+    }
+    return per_pair, Fraction(sum(map(len, per_pair.values())), len(per_pair))
+
+
 def _identity_cut(k, n):
     labels = {}
     for p in enumerate_points(k, n):
@@ -90,6 +99,26 @@ def test_d_profile_mean_is_average():
     prof = d_profile(P)
     pairs = list(itertools.combinations(range(5), 2))
     assert prof.mean == Fraction(sum(len(prof.per_pair[p]) for p in pairs), len(pairs))
+
+
+@pytest.mark.parametrize("k, n", [(5, 3), (8, 6), (12, 3)])
+def test_d_profile_matches_line_oracle(k, n):
+    rng = random.Random(k * 100 + n)
+    cuts = [random_kway_cut(k, n, rng) for _ in range(10)]
+    for _ in range(10):
+        # mostly the identity cut, so the line label sets differ in size
+        labels = dict(_identity_cut(k, n).labels)
+        for x in rng.sample(sorted(labels), 3 * n):
+            if max(x) < n:
+                labels[x] = rng.randrange(k)
+        cuts.append(Cut(k, n, labels, KWAY))
+    sizes = set()
+    for P in cuts:
+        per_pair, mean = oracle_d_profile(P)
+        prof = d_profile(P)
+        assert prof.per_pair == per_pair and prof.mean == mean
+        sizes |= {len(s) for s in per_pair.values()}
+    assert len(sizes) > 1
 
 
 def test_projection_bounds_hold_on_random_cuts():
