@@ -325,6 +325,10 @@ ALL_CRITERIA = {
 
 
 def run_ledger(ids=None, verbose: bool = True) -> list[CriterionResult]:
+    unknown = sorted(set(ids or ()) - set(ALL_CRITERIA))
+    if unknown:
+        valid = f"{min(ALL_CRITERIA)}-{max(ALL_CRITERIA)}"
+        raise ValueError(f"unknown criterion id(s) {', '.join(map(str, unknown))}; valid ids are {valid}")
     results = []
     for cid in sorted(ids or ALL_CRITERIA):
         t0 = time.time()

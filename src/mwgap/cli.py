@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="emit an instance JSON for a named weight family")
     b.add_argument("--weights", required=True, choices=sorted(BUILDERS))
     b.add_argument("--k", type=int, default=3)
-    b.add_argument("--n", type=int, default=3)
+    b.add_argument("--n", type=int, help="grid size (default 3; fk is fixed at n = 2)")
     b.add_argument("--out")
     b.set_defaults(func=cmd_build)
 

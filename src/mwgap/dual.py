@@ -16,8 +16,14 @@ and exact shortest-path distances give machine-checkable lower bounds on
 cut costs.  `potential_rows` states that bound as one linear system,
 which `lpsearch` solves and `check_potentials` evaluates on the paper's
 potentials; a brute-force enumerator provides an oracle at tiny n.
-Inside, weights are the integer numerators of `WeightFunction.integer_form()`
-over its one denominator; only returned values are `Fraction`s.
+
+The weight-free part of the dual, `dual_topology(n)`, is built once per n
+and cached as read-only integer arrays: a CSR adjacency over node ids in
+sorted node-tuple order, the edge slot (`enumerate_edges` position) of
+each arc, and the face and outer-node ids.  A `DualGraph` adds one list of
+weight numerators per edge slot, from `WeightFunction.integer_form()`;
+`dijkstra` and `check_potentials` run on the ids in Python integers, and
+only returned values are node tuples and `Fraction`s.
 """
 
 from __future__ import annotations
@@ -26,8 +32,13 @@ import heapq
 from collections.abc import Hashable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice, repeat
 from math import lcm
 from typing import Optional
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .core import (
     KWAY,
@@ -41,6 +52,7 @@ from .core import (
     enumerate_edges,
     enumerate_points,
     neighbors,
+    point_index,
     support,
     terminal,
 )
@@ -82,50 +94,111 @@ def enumerate_faces(n: int) -> list[DualNodeT]:
     return faces
 
 
+@dataclass(frozen=True)
+class DualTopology:
+    """The weight-free dual of the augmented grid Delta_{3,n}.
+
+    Node ids follow sorted node-tuple order: the down faces, then O_0,
+    O_1, O_2, then the up faces.  Edge slots follow `enumerate_edges(3, n)`
+    order.  So comparing ids, or (id, slot) pairs, compares node tuples,
+    or (node, primal edge) pairs.  Every field is a read-only integer array.
+    """
+
+    indptr: np.ndarray  # the arcs leaving node u are indptr[u]:indptr[u + 1], sorted by (head, slot)
+    head: np.ndarray  # node each arc enters
+    slot: np.ndarray  # edge slot each arc crosses
+    edge_u: np.ndarray  # endpoints of each edge slot, in `point_index(3, n)`
+    edge_v: np.ndarray
+    faces: np.ndarray  # face ids in `enumerate_faces` order
+    face_base: np.ndarray  # (a, b, c) of each face, in the same order
+    outer: np.ndarray  # ids of O_0, O_1, O_2
+
+    def nodes(self) -> list[DualNodeT]:
+        """The node tuples, by id.  Built per call: the cache holds no tuples."""
+        n_down = int(self.outer[0])
+        n_up = len(self.faces) - n_down
+        a, b, c = self.face_base.T.tolist()  # up faces, then down faces
+        return [
+            *zip(repeat("D"), a[n_up:], b[n_up:], c[n_up:]),
+            *OUTER,
+            *zip(repeat("U"), a[:n_up], b[:n_up], c[:n_up]),
+        ]
+
+
+def _frozen(values) -> np.ndarray:
+    a = np.asarray(values, dtype=np.int32)
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=64)
+def dual_topology(n: int) -> DualTopology:
+    """The dual's topology for Delta_{3,n}, built once per n."""
+    edges = enumerate_edges(3, n)
+    slot_of = {e: s for s, e in enumerate(edges)}
+    faces = enumerate_faces(n)
+    n_up = n * (n + 1) // 2
+    n_down = len(faces) - n_up
+    # enumerate_faces lists the up faces, then the down faces, each in tuple order
+    ids = list(range(n_down + 3, n_down + 3 + n_up)) + list(range(n_down))
+    outer = [n_down + i for i in range(3)]
+    ends: list[list[int]] = [[] for _ in edges]
+    for f, node in zip(ids, faces):
+        vs = face_vertices(node)
+        for i in range(3):
+            ends[slot_of[canonical_edge(vs[i], vs[(i + 1) % 3])]].append(f)
+    tail, head, slot = [], [], []
+    for s, ((x, y), fs) in enumerate(zip(edges, ends)):
+        if len(fs) == 1:
+            # boundary edge: both endpoints have some coordinate zero
+            (c,) = (i for i in range(3) if x[i] == 0 and y[i] == 0)
+            fs.append(outer[c])
+        u, v = fs
+        tail += (u, v)
+        head += (v, u)
+        slot += (s, s)
+    order = np.lexsort((slot, head, tail))
+    count = np.bincount(tail, minlength=len(faces) + 3)
+    index = point_index(3, n)
+    return DualTopology(
+        indptr=_frozen(np.concatenate(([0], np.cumsum(count)))),
+        head=_frozen(np.asarray(head)[order]),
+        slot=_frozen(np.asarray(slot)[order]),
+        edge_u=_frozen([index[x] for x, _ in edges]),
+        edge_v=_frozen([index[y] for _, y in edges]),
+        faces=_frozen(ids),
+        face_base=_frozen([node[1:] for node in faces]),
+        outer=_frozen(outer),
+    )
+
+
 @dataclass
 class DualGraph:
     n: int
-    # adjacency: node -> sorted list of (neighbor, weight numerator, primal edge)
-    adj: dict[DualNodeT, list[tuple[DualNodeT, int, Edge]]]
-    faces: list[DualNodeT]
-    denominator: int  # arc weights are numerators over this
+    topology: DualTopology
+    weights: list[int]  # weight numerator of each edge slot, over `denominator`
+    denominator: int
 
 
 def build_dual(n: int, w: WeightFunction) -> DualGraph:
-    """Dual of the augmented triangle grid; arcs carry w's integer_form() numerators."""
+    """The cached dual topology, with w's integer_form() numerators in edge-slot order."""
     if w.k != 3:
         raise ValueError(f"dual machinery is specific to k = 3, got k = {w.k}")
     if w.n != n:
         raise ValueError(f"weight function is on n = {w.n}, expected {n}")
-    D, _, _, nums = w.integer_form()
-    num = dict(zip(w.weights, nums))
-    faces = enumerate_faces(n)
-    incident: dict[Edge, list[DualNodeT]] = {}
-    for f in faces:
-        vs = face_vertices(f)
-        for i in range(3):
-            e = canonical_edge(vs[i], vs[(i + 1) % 3])
-            incident.setdefault(e, []).append(f)
-
-    adj: dict[DualNodeT, list] = {f: [] for f in faces}
-    for o in OUTER:
-        adj[o] = []
-    for x, y in enumerate_edges(3, n):
-        e = (x, y)
-        fs = incident[e]
-        wt = num.get(e, 0)
-        if len(fs) == 2:
-            u, v = fs
-        else:
-            (u,) = fs
-            # boundary edge: both endpoints have some coordinate zero
-            (c,) = (i for i in range(3) if x[i] == 0 and y[i] == 0)
-            v = ("O", c)
-        adj[u].append((v, wt, e))
-        adj[v].append((u, wt, e))
-    for lst in adj.values():
-        lst.sort(key=lambda t: (t[0], t[2]))
-    return DualGraph(n, adj, faces, D)
+    topo = dual_topology(n)
+    D, u, v, nums = w.integer_form()
+    # a canonical edge has u <= v, and the edge slots are in (u, v) order
+    points = len(point_index(3, n))
+    keys = topo.edge_u.astype(np.intp) * points + topo.edge_v
+    wanted = u * points + v
+    slots = np.searchsorted(keys, wanted)
+    if not np.array_equal(keys[np.minimum(slots, len(keys) - 1)], wanted):
+        raise ValueError(f"w has weight on a pair that is not an edge of Delta_{{3,{n}}}")
+    weights = [0] * len(keys)
+    for s, q in zip(slots.tolist(), nums):
+        weights[s] = q
+    return DualGraph(n, topo, weights, D)
 
 
 def dijkstra(
@@ -137,34 +210,68 @@ def dijkstra(
     Outer nodes other than the source may end a path but are never
     traversed: the paths forming a cut meet outer nodes only at their
     endpoints.  Ties are broken by node order, so the predecessors are
-    reproducible.
+    reproducible: ids and edge slots are in node-tuple and edge order.
     """
-    dist: dict[DualNodeT, int] = {source: 0}
-    pred: dict[DualNodeT, tuple[DualNodeT, Edge]] = {}
-    heap: list[tuple[int, DualNodeT]] = [(0, source)]
-    done: set[DualNodeT] = set()
+    topo = g.topology
+    nodes = topo.nodes()
+    s = nodes.index(source)
+    first_outer, last_outer = int(topo.outer[0]), int(topo.outer[-1])
+    indptr, head, slot = topo.indptr.tolist(), topo.head.tolist(), topo.slot.tolist()
+    weights = g.weights
+    m = len(weights)
+    # pred[v] = u * m + slot of the arc u -> v, so one int compares (u, e) pairs
+    dist: list[Optional[int]] = [None] * len(nodes)
+    pred: list[Optional[int]] = [None] * len(nodes)
+    done = [False] * len(nodes)
+    dist[s] = 0
+    heap = [(0, s)]
     while heap:
         d, u = heapq.heappop(heap)
-        if u in done:
+        if done[u]:
             continue
-        done.add(u)
-        if u[0] == "O" and u != source:
+        done[u] = True
+        if first_outer <= u <= last_outer and u != s:
             continue
-        for v, wt, e in g.adj[u]:
-            nd = d + wt
-            if v not in done and (v not in dist or nd < dist[v] or (nd == dist[v] and (u, e) < pred[v])):
+        base = u * m
+        for k in range(indptr[u], indptr[u + 1]):
+            v = head[k]
+            if done[v]:
+                continue
+            e = slot[k]
+            nd = d + weights[e]
+            dv = dist[v]
+            if dv is None or nd < dv or (nd == dv and base + e < pred[v]):
                 dist[v] = nd
-                pred[v] = (u, e)
+                pred[v] = base + e
                 heapq.heappush(heap, (nd, v))
-    return dist, pred
+    points = enumerate_points(3, g.n)
+    eu, ev = topo.edge_u.tolist(), topo.edge_v.tolist()
+    return (
+        {x: d for x, d in zip(nodes, dist) if d is not None},
+        {x: (nodes[p // m], (points[eu[p % m]], points[ev[p % m]])) for x, p in zip(nodes, pred) if p is not None},
+    )
 
 
 def dual_distance(g: DualGraph, s: DualNodeT, t: DualNodeT) -> Fraction:
     return Fraction(dijkstra(g, s)[0][t], g.denominator)
 
 
-def potential_rows(g: DualGraph) -> Iterator[tuple[dict[Hashable, int], int]]:
-    """The potential system on g, one row at a time.
+def _lipschitz_arcs(topo: DualTopology, i: int) -> tuple[list[int], list[int], list[int]]:
+    """Tail, head and edge slot of each Lipschitz row for O_i, in row
+    order: the arcs leaving each face, in `enumerate_faces` order, then
+    those leaving O_i; arcs into O_i are left out."""
+    source = topo.outer[i]
+    tails = np.append(topo.faces, source)
+    start = topo.indptr[tails]
+    count = topo.indptr[tails + 1] - start
+    # the arcs of each tail's CSR range, the ranges concatenated in tail order
+    arc = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+    keep = topo.head[arc] != source
+    return np.repeat(tails, count)[keep].tolist(), topo.head[arc[keep]].tolist(), topo.slot[arc[keep]].tolist()
+
+
+def potential_rows(n: int) -> Iterator[tuple[dict[Hashable, int], int]]:
+    """The potential system on the dual of Delta_{3,n}, one row at a time.
 
     Each `(row, rhs)` means sum(coef * var for var, coef in row.items())
     >= rhs, with integer coefficients.  A variable is a primal edge e,
@@ -182,50 +289,60 @@ def potential_rows(g: DualGraph) -> Iterator[tuple[dict[Hashable, int], int]]:
     Weights w admit such potentials exactly when every ball and 3-corner
     dual path system costs at least one: shortest-path distances from O_i
     are feasible potentials, and any feasible pi_i is a lower bound on
-    them.  Rows are yielded in a fixed order.
+    them.  Rows are yielded in a fixed order: for each i, the Lipschitz
+    rows of the arcs leaving each face (in `enumerate_faces` order) and
+    then O_i, each node's arcs in (head, edge) order; then the ball rows
+    in face order; then the corner row.
     """
-    for i, source in enumerate(OUTER):
-        for u, arcs in g.adj.items():
-            if u[0] == "O" and u != source:
-                continue
-            for v, _, e in arcs:
-                if v == source:
-                    continue
-                row = {e: 1, (i, v): -1}
-                if u != source:
-                    row[(i, u)] = 1
-                yield row, 0
-    for f in g.faces:
-        yield {(i, f): 1 for i in range(3)}, 1
+    topo = dual_topology(n)
+    nodes = topo.nodes()
+    points = enumerate_points(3, n)
+    eu, ev = topo.edge_u.tolist(), topo.edge_v.tolist()
+    for i in range(3):
+        source = int(topo.outer[i])
+        for u, v, s in zip(*_lipschitz_arcs(topo, i)):
+            row = {(points[eu[s]], points[ev[s]]): 1, (i, nodes[v]): -1}
+            if u != source:
+                row[(i, nodes[u])] = 1
+            yield row, 0
+    for f in topo.faces.tolist():
+        yield {(i, nodes[f]): 1 for i in range(3)}, 1
     yield {(0, OUTER[1]): 1, (0, OUTER[2]): 1, (1, OUTER[2]): 1}, 1
 
 
-def potential(i: int, node: DualNodeT, n: int) -> Fraction:
-    """Potential of O_i at a dual node (a face or O_i itself).
+def potential_numerators(i: int, centroids: ArrayLike, n: int) -> np.ndarray:
+    """Potential of O_i at faces with the given centroid numerators (one
+    row of three per face, over 3n), as numerators over 6n.
 
     At a face with centroid x = num / (3n), and rho = 1/(2n), it is
 
-      * ceil(2n x_i) rho = ceil(2 num_i / 3) / (2n) in the middle hexagon,
-        where no num_j > 2n (no x_j > 2/3);
-      * (4n/3) rho = 2/3 in the corner triangle of e^i;
+      * ceil(2n x_i) rho = 3 ceil(2 num_i / 3) / (6n) in the middle
+        hexagon, where no num_j > 2n (no x_j > 2/3);
+      * (4n/3) rho = 4n / (6n) in the corner triangle of e^i;
       * (n/3 + n (x_i - x_o)) rho = (n + num_i - num_o) / (6n) in the
         corner triangle of another e^m, o being the third index.
 
     Centroid numerators are 1 or 2 mod 3, so no face meets a line x_j = 2/3.
     """
+    num = np.asarray(centroids).reshape(-1, 3)
+    corner = num > 2 * n  # at most one corner triangle per face
+    out = 3 * -(-2 * num[:, i] // 3)
+    out = np.where(corner[:, i], 4 * n, out)
+    for m in range(3):
+        if m != i:
+            o = 3 - i - m
+            out = np.where(corner[:, m], n + num[:, i] - num[:, o], out)
+    return out
+
+
+def potential(i: int, node: DualNodeT, n: int) -> Fraction:
+    """Potential Phi_i of O_i at a dual node (a face or O_i itself); see
+    `potential_numerators`."""
     if node == ("O", i):
         return Fraction(0)
     if node[0] == "O":
         raise ValueError(f"potential of O_{i} is undefined at {node}")
-    num = face_centroid_numerators(node)
-    region = [j for j in range(3) if num[j] > 2 * n]
-    if not region:  # middle hexagon
-        return Fraction(-(-2 * num[i] // 3), 2 * n)
-    (m,) = region
-    if m == i:
-        return Fraction(2, 3)
-    (o,) = (j for j in range(3) if j not in (i, m))
-    return Fraction(n + num[i] - num[o], 6 * n)
+    return Fraction(int(potential_numerators(i, face_centroid_numerators(node), n)[0]), 6 * n)
 
 
 THREEWAY = "threeway"
@@ -277,7 +394,7 @@ def certify(n: int, w: WeightFunction, family: str, target: Fraction) -> Certifi
     pairwise = {(i, j): dists[i][("O", j)] for i in range(3) for j in range(i + 1, 3)}
     d0, d1, d2 = dists
     # the first face of least distance sum, in face order
-    ball, witness = min(((d0[f] + d1[f] + d2[f], f) for f in g.faces), key=lambda t: t[0])
+    ball, witness = min(((d0[f] + d1[f] + d2[f], f) for f in enumerate_faces(n)), key=lambda t: t[0])
     corner = sum(pairwise.values())
     two_corner = sum(sorted(pairwise.values())[:2])
     overall = min(ball, corner) if family == NONOPPOSITE else min(ball, two_corner)
@@ -307,21 +424,48 @@ def check_potentials(n: int, w: WeightFunction) -> PotentialReport:
     Phi_i is `potential(i, ., n)` on faces and the corner margin
     (2n/3) rho = 1/3 at O_j, j != i, so the Lipschitz rows next to O_j
     are the corner-cut margins and the corner row reads 3 * 1/3 >= 1.
-    Every potential value has a denominator dividing 6n, so rows are
-    summed in integers over L = lcm(D, 6n), D the denominator of
-    `w.integer_form()`; the first violated row is reported.
+    Every potential value has a denominator dividing 6n, so the rows are
+    scanned, in their order, as integer sums over L = lcm(D, 6n), D the
+    denominator of `w.integer_form()`; only the first violated row is
+    built, from `potential_rows`, and reported.
     """
     g = build_dual(n, w)
-    D, _, _, nums = w.integer_form()
+    topo = g.topology
+    D = g.denominator
     L = lcm(D, 6 * n)
-    value: dict[Hashable, int] = {e: q * (L // D) for e, q in zip(w.weights, nums)}
-    for i, source in enumerate(OUTER):
-        value.update({(i, f): int(potential(i, f, n) * L) for f in g.faces})
-        value.update({(i, o): L // 3 for o in OUTER if o != source})
-    for row, rhs in potential_rows(g):
-        lhs = sum(coef * value.get(var, 0) for var, coef in row.items())
-        if lhs < rhs * L:
-            return PotentialReport(False, (row, Fraction(lhs, L), rhs))
+    weights = [q * (L // D) for q in g.weights]
+    nodes = topo.nodes()
+    faces = topo.faces.tolist()
+    centroids = [face_centroid_numerators(nodes[f]) for f in faces]
+    phi = []  # phi[i][v] = L * Phi_i(v), by node id
+    for i in range(3):
+        p = [L // 3] * len(nodes)  # the corner margin at O_j, j != i
+        p[int(topo.outer[i])] = 0
+        for f, x in zip(faces, potential_numerators(i, centroids, n).tolist()):
+            p[f] = x * (L // (6 * n))
+        phi.append(p)
+
+    def violation(index: int, lhs: int) -> PotentialReport:
+        row, rhs = next(islice(potential_rows(n), index, None))
+        return PotentialReport(False, (row, Fraction(lhs, L), rhs))
+
+    index = 0
+    for i, p in enumerate(phi):
+        tails, heads, slots = _lipschitz_arcs(topo, i)
+        for r, (u, v, s) in enumerate(zip(tails, heads, slots), index):
+            lhs = weights[s] + p[u] - p[v]
+            if lhs < 0:
+                return violation(r, lhs)
+        index += len(tails)
+    p0, p1, p2 = phi
+    for r, f in enumerate(faces, index):
+        lhs = p0[f] + p1[f] + p2[f]
+        if lhs < L:
+            return violation(r, lhs)
+    o1, o2 = topo.outer[1:].tolist()
+    lhs = p0[o1] + p0[o2] + p1[o2]
+    if lhs < L:
+        return violation(index + len(faces), lhs)
     return PotentialReport(True)
 
 

@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_array
 
 from .core import Edge, WeightFunction, enumerate_edges
-from .dual import NONOPPOSITE, Certificate, build_dual, certify, potential_rows
+from .dual import NONOPPOSITE, Certificate, certify, potential_rows
 
 # `lpsearch.dijkstra` is the exact kernel behind the recheck; it stays
 # importable from this module, where bench/selftest.py checks that the
@@ -86,7 +86,7 @@ def search(n: int) -> SearchState:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     edges = enumerate_edges(3, n)
-    rows, rhs = zip(*potential_rows(build_dual(n, WeightFunction(3, n, {}))))
+    rows, rhs = zip(*potential_rows(n))
     x = solve_lp(rows, rhs, n, edges)
 
     w = _to_weight_function(n, edges, x)

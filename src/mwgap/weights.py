@@ -18,6 +18,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import Optional
 
 from .core import Edge, Point, WeightFunction, combine, embed, enumerate_edges
 
@@ -132,10 +133,36 @@ def lpc_w_tilde_closed(k: int, n: int) -> Fraction:
     return Fraction(k - 2, k - 1) * lpc_w3_closed(n) + Fraction(1, k - 1)
 
 
+DEFAULT_N = 3
+
+
+def _require_fixed(family: str, axis: str, given: Optional[int], fixed: int) -> None:
+    if given is not None and given != fixed:
+        raise ValueError(f"{family} is defined only for {axis} = {fixed}, got {axis} = {given}")
+
+
+def _w3_on(k: int, n: Optional[int]) -> WeightFunction:
+    _require_fixed("w3", "k", k, 3)
+    return build_w3(DEFAULT_N if n is None else n)
+
+
+def _fk_on(k: int, n: Optional[int]) -> WeightFunction:
+    _require_fixed("fk", "k", k, 3)
+    _require_fixed("fk", "n", n, 2)
+    return build_fk()
+
+
+def _kway_on(build):
+    return lambda k, n: build(k, DEFAULT_N if n is None else n)
+
+
+# Families by name, each built on the grid (k, n), where n is None when
+# not given (then DEFAULT_N).  A family on a fixed grid (w3 on k = 3, fk
+# on k = 3, n = 2) raises ValueError for any other k or given n.
 BUILDERS = {
-    "w3": lambda k, n: build_w3(n),
-    "fk": lambda k, n: build_fk(),
-    "what": build_w_hat,
-    "wprime": build_w_prime,
-    "wtilde": build_w_tilde,
+    "w3": _w3_on,
+    "fk": _fk_on,
+    "what": _kway_on(build_w_hat),
+    "wprime": _kway_on(build_w_prime),
+    "wtilde": _kway_on(build_w_tilde),
 }

@@ -37,6 +37,29 @@ def test_build_fk_lpc(tmp_path, capsys):
     assert json.loads(out)["lpc"] == "7/8"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--weights", "w3", "--k", "4", "--n", "3"), "w3 is defined only for k = 3, got k = 4"),
+        (("--weights", "fk", "--k", "5", "--n", "9"), "fk is defined only for k = 3, got k = 5"),
+        (("--weights", "fk", "--n", "9"), "fk is defined only for n = 2, got n = 9"),
+    ],
+)
+def test_build_rejects_a_grid_off_the_family(capsys, argv, message):
+    assert main(["build", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_build_uses_the_given_grid(capsys):
+    for argv, grid in (((), (3, 2)), (("--k", "3", "--n", "2"), (3, 2))):
+        code, out = run(capsys, "build", "--weights", "fk", *argv)
+        assert code == 0 and (json.loads(out)["k"], json.loads(out)["n"]) == grid
+    for weights, argv, grid in (("w3", (), (3, 3)), ("w3", ("--n", "6"), (3, 6)), ("wtilde", ("--k", "4"), (4, 3))):
+        code, out = run(capsys, "build", "--weights", weights, *argv)
+        assert code == 0 and (json.loads(out)["k"], json.loads(out)["n"]) == grid
+
+
 def test_certify_pass_and_fail_exit_codes(tmp_path, capsys):
     inst = tmp_path / "w3.json"
     run(capsys, "build", "--weights", "w3", "--n", "6", "--out", str(inst))
@@ -195,3 +218,9 @@ def test_ledger_subset(tmp_path, capsys):
     report = json.loads(report_file.read_text())
     assert report["pass"] is True
     assert report["criteria"][0]["id"] == 1
+
+
+def test_ledger_rejects_an_unknown_criterion(capsys):
+    assert main(["ledger", "--only", "1,11"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unknown criterion id(s) 11; valid ids are 1-10" in err

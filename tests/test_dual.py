@@ -2,17 +2,23 @@
 
 import heapq
 import random
+from dataclasses import fields
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mwgap import dual as dual_module
 from mwgap.core import (
     NONOPPOSITE,
     WeightFunction,
+    canonical_edge,
     cost,
     enumerate_edges,
+    enumerate_points,
     random_nonopposite_cut,
 )
 from mwgap.dual import (
@@ -25,8 +31,10 @@ from mwgap.dual import (
     classify_cut,
     dijkstra,
     dual_distance,
+    dual_topology,
     enumerate_faces,
     face_centroid,
+    face_centroid_numerators,
     face_vertices,
     normalize_cut,
     potential,
@@ -35,6 +43,70 @@ from mwgap.dual import (
 )
 from mwgap.lpsearch import search
 from mwgap.weights import build_fk, build_w3
+
+
+def oracle_build_dual(n, w):
+    """Reference: the dual as a dict adjacency, node -> sorted list of
+    (neighbor, weight numerator over D, primal edge), from faces and their
+    incident edges."""
+    D, _, _, nums = w.integer_form()
+    num = dict(zip(w.weights, nums))
+    faces = enumerate_faces(n)
+    incident = {}
+    for f in faces:
+        vs = face_vertices(f)
+        for i in range(3):
+            incident.setdefault(canonical_edge(vs[i], vs[(i + 1) % 3]), []).append(f)
+    adj = {f: [] for f in faces}
+    for o in OUTER:
+        adj[o] = []
+    for x, y in enumerate_edges(3, n):
+        e = (x, y)
+        fs = incident[e]
+        wt = num.get(e, 0)
+        if len(fs) == 2:
+            u, v = fs
+        else:
+            (u,) = fs
+            # boundary edge: both endpoints have some coordinate zero
+            (c,) = (i for i in range(3) if x[i] == 0 and y[i] == 0)
+            v = ("O", c)
+        adj[u].append((v, wt, e))
+        adj[v].append((u, wt, e))
+    for lst in adj.values():
+        lst.sort(key=lambda t: (t[0], t[2]))
+    return SimpleNamespace(n=n, adj=adj, faces=faces, denominator=D)
+
+
+def oracle_potential_rows(g):
+    """Reference: the potential system read off the dict adjacency."""
+    for i, source in enumerate(OUTER):
+        for u, arcs in g.adj.items():
+            if u[0] == "O" and u != source:
+                continue
+            for v, _, e in arcs:
+                if v == source:
+                    continue
+                row = {e: 1, (i, v): -1}
+                if u != source:
+                    row[(i, u)] = 1
+                yield row, 0
+    for f in g.faces:
+        yield {(i, f): 1 for i in range(3)}, 1
+    yield {(0, OUTER[1]): 1, (0, OUTER[2]): 1, (1, OUTER[2]): 1}, 1
+
+
+def oracle_potential(i, node, n):
+    """Reference: Phi_i at a face, region by region, in `Fraction`s."""
+    num = face_centroid_numerators(node)
+    region = [j for j in range(3) if num[j] > 2 * n]
+    if not region:  # middle hexagon
+        return Fraction(-(-2 * num[i] // 3), 2 * n)
+    (m,) = region
+    if m == i:
+        return Fraction(2, 3)
+    (o,) = (j for j in range(3) if j not in (i, m))
+    return Fraction(n + num[i] - num[o], 6 * n)
 
 
 def oracle_dijkstra(g, w, source):
@@ -81,15 +153,105 @@ def test_dijkstra_matches_fraction_oracle():
     big = list(_past_int64_instances())
     for w in cases + big:
         g = build_dual(w.n, w)
-        for source in list(OUTER) + g.faces[:: len(g.faces) // 2]:
+        og = oracle_build_dual(w.n, w)
+        for source in list(OUTER) + og.faces[:: len(og.faces) // 2]:
             dist, pred = dijkstra(g, source)
-            want_dist, want_pred = oracle_dijkstra(g, w, source)
-            assert dist.keys() == want_dist.keys() == g.adj.keys()
+            want_dist, want_pred = oracle_dijkstra(og, w, source)
+            assert dist.keys() == want_dist.keys() == og.adj.keys()
             assert all(Fraction(d, g.denominator) == want_dist[v] for v, d in dist.items())
             assert pred == want_pred
     for w in big:
         g = build_dual(w.n, w)
         assert max(dijkstra(g, OUTER[0])[0].values()) > 2**63
+
+
+def test_dijkstra_pred_matches_oracle_from_every_source():
+    cases = [build_w3(n) for n in range(3, 19, 3)] + [build_fk()]
+    cases += [search(n).weights for n in range(3, 6)] + list(_past_int64_instances())
+    for w in cases:
+        g = build_dual(w.n, w)
+        og = oracle_build_dual(w.n, w)
+        for source in og.adj:
+            dist, pred = dijkstra(g, source)
+            want_dist, want_pred = oracle_dijkstra(og, w, source)
+            assert {v: Fraction(d, g.denominator) for v, d in dist.items()} == want_dist
+            assert pred == want_pred
+
+
+def _topology_arcs(n):
+    """The cached topology as node tuple -> [(neighbor, edge)], in id and arc order."""
+    topo = dual_topology(n)
+    nodes = topo.nodes()
+    edges = enumerate_edges(3, n)
+    arcs = {}
+    for u, x in enumerate(nodes):
+        lo, hi = topo.indptr[u], topo.indptr[u + 1]
+        arcs[x] = [(nodes[v], edges[s]) for v, s in zip(topo.head[lo:hi], topo.slot[lo:hi])]
+    return arcs
+
+
+def test_topology_matches_oracle_adjacency():
+    for n in range(1, 13):
+        topo = dual_topology(n)
+        og = oracle_build_dual(n, WeightFunction(3, n, {}))
+        arcs = _topology_arcs(n)
+        # ids are in sorted node-tuple order, and each node's arcs, the
+        # outer nodes' included, in the oracle's order
+        assert list(arcs) == sorted(og.adj)
+        assert arcs == {u: [(v, e) for v, _, e in lst] for u, lst in og.adj.items()}
+        # edge keys: slot s joins the endpoints of enumerate_edges' s-th edge
+        points = enumerate_points(3, n)
+        assert [(points[u], points[v]) for u, v in zip(topo.edge_u, topo.edge_v)] == enumerate_edges(3, n)
+        nodes = topo.nodes()
+        assert [nodes[f] for f in topo.faces] == og.faces
+        assert [nodes[o] for o in topo.outer] == list(OUTER)
+
+
+def test_potential_rows_match_oracle():
+    for n in range(1, 13):
+        rows = list(potential_rows(n))
+        want = list(oracle_potential_rows(oracle_build_dual(n, WeightFunction(3, n, {}))))
+        # the same dicts, in the same order and with the same key order (the LP's columns)
+        assert [(list(row.items()), rhs) for row, rhs in rows] == [(list(row.items()), rhs) for row, rhs in want]
+
+
+def test_potential_matches_region_oracle():
+    for n in range(1, 13):
+        for f in enumerate_faces(n):
+            for i in range(3):
+                assert potential(i, f, n) == oracle_potential(i, f, n)
+
+
+def test_topology_holds_only_read_only_integer_arrays():
+    topo = dual_topology(6)
+    for field in fields(topo):
+        a = getattr(topo, field.name)
+        assert isinstance(a, np.ndarray) and a.dtype.kind == "i" and not a.flags.writeable, field.name
+    with pytest.raises(ValueError):
+        topo.head[0] = 0
+
+
+def test_second_build_dual_enumerates_no_edges(monkeypatch):
+    calls = []
+
+    def counting(k, n):
+        calls.append((k, n))
+        return enumerate_edges(k, n)
+
+    monkeypatch.setattr(dual_module, "enumerate_edges", counting)
+    dual_topology.cache_clear()
+    g = build_dual(6, build_w3(6))
+    assert calls == [(3, 6)]
+    h = build_dual(6, build_w3(6).scaled(2))
+    assert calls == [(3, 6)]
+    assert h.topology is g.topology
+
+
+def test_build_dual_rejects_weight_off_the_edges():
+    # (0, 0, 3) and (2, 1, 0) are points of Delta_{3,3} but not adjacent
+    w = WeightFunction(3, 3, {((0, 0, 3), (2, 1, 0)): Fraction(1)})
+    with pytest.raises(ValueError, match="not an edge"):
+        build_dual(3, w)
 
 
 def test_face_count_is_n_squared():
@@ -120,12 +282,13 @@ def test_face_centroids_avoid_third_lines():
 
 def test_dual_degrees():
     n = 3
-    g = build_dual(n, build_w3(n))
-    for f in g.faces:
-        assert len(g.adj[f]) == 3
+    topo = build_dual(n, build_w3(n)).topology
+    degree = np.diff(topo.indptr)
+    for f in topo.faces:
+        assert degree[f] == 3
     for i in range(3):
-        assert len(g.adj[("O", i)]) == n
-    assert sum(len(v) for v in g.adj.values()) == 2 * len(enumerate_edges(3, n))
+        assert degree[topo.outer[i]] == n
+    assert degree.sum() == 2 * len(enumerate_edges(3, n))
 
 
 def test_dual_distance_uniform_weights():
@@ -176,7 +339,7 @@ def _arc_walk_check_potentials(n, w):
     Lipschitz between faces and next to O_i, corner-cut margin
     Phi_i(F) + w(e) >= (2n/3) rho next to O_j, j != i, and ball sum >= 1.
     """
-    g = build_dual(n, w)
+    g = oracle_build_dual(n, w)
     rho = Fraction(1, 2 * n)
     margin = Fraction(2 * n, 3) * rho
     edges = {e: (u, v, w.get(*e)) for u, arcs in g.adj.items() for v, _, e in arcs}
@@ -243,13 +406,13 @@ def test_potentials_agree_with_arc_walk_oracle():
 
 
 def oracle_check_potentials(n, w):
-    """Reference: `potential_rows` summed in `Fraction`s, weights read through `w.get`."""
-    g = build_dual(n, w)
+    """Reference: the oracle's potential rows summed in `Fraction`s, weights read through `w.get`."""
+    g = oracle_build_dual(n, w)
     value = {}
     for i, source in enumerate(OUTER):
-        value.update({(i, f): potential(i, f, n) for f in g.faces})
+        value.update({(i, f): oracle_potential(i, f, n) for f in g.faces})
         value.update({(i, o): Fraction(1, 3) for o in OUTER if o != source})
-    for row, rhs in potential_rows(g):
+    for row, rhs in oracle_potential_rows(g):
         lhs = sum(coef * (value[var] if isinstance(var[0], int) else w.get(*var)) for var, coef in row.items())
         if lhs < rhs:
             return False, (row, lhs, rhs)
@@ -274,10 +437,27 @@ def test_check_potentials_matches_fraction_oracle():
     assert outcomes == {True, False}
 
 
+def test_check_potentials_reports_the_oracle_violation_on_w3_perturbations():
+    rng = random.Random(12)
+    outcomes = set()
+    for n in (3, 6, 9):
+        w = build_w3(n)
+        edges = enumerate_edges(3, n)
+        for _ in range(200):
+            weights = dict(w.weights)
+            for e in rng.sample(edges, rng.randrange(1, 6)):
+                weights[e] = weights.get(e, 0) * Fraction(rng.randrange(0, 150), 100) + Fraction(rng.randrange(0, 3), 7 * n)
+            v = WeightFunction(3, n, {e: x for e, x in weights.items() if x})
+            rep = check_potentials(n, v)
+            assert (rep.ok, rep.violation) == oracle_check_potentials(n, v)
+            outcomes.add(rep.ok)
+    assert outcomes == {True, False}
+
+
 def _rows_hold(g, value):
     return all(
         sum(coef * value.get(var, 0) for var, coef in row.items()) >= rhs
-        for row, rhs in potential_rows(g)
+        for row, rhs in potential_rows(g.n)
     )
 
 
@@ -326,7 +506,7 @@ def test_distances_dominate_potentials():
     g = build_dual(n, w)
     for i in range(3):
         dist, _ = dijkstra(g, ("O", i))
-        for f in g.faces:
+        for f in enumerate_faces(n):
             assert Fraction(dist[f], g.denominator) >= potential(i, f, n)
 
 
