@@ -13,12 +13,13 @@ is never used here.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress, repeat
 from math import lcm
+from operator import sub
 from types import MappingProxyType
 from typing import Optional
 
@@ -114,9 +115,22 @@ def enumerate_edges(k: int, n: int) -> list[Edge]:
     return sorted(edges)
 
 
+def check_edges(k: int, n: int, edges: Collection[Edge]) -> None:
+    """Raise ValueError unless every (x, y) in edges joins two points of
+    Delta_{k,n} one unit transfer apart.  Each distinct point is checked once."""
+    for p in set(chain.from_iterable(edges)):
+        if len(p) != k or not all(map(isinstance, p, repeat(int))) or min(p) < 0 or sum(p) != n:
+            raise ValueError(f"{list(p)} is not a point of Delta_{{k={k},n={n}}}")
+    for x, y in edges:
+        # equal sums and an L1 distance of 2: one coordinate up by one, one down
+        if sum(map(abs, map(sub, x, y))) != 2:
+            raise ValueError(f"{list(x)} and {list(y)} are not one unit transfer apart, so not an edge")
+
+
 @dataclass
 class WeightFunction:
     """Exact-rational edge weights on E_{k,n}; absent edges weigh zero.
+    Every key must be a canonically ordered edge (`check_edges`).
 
     The weights dict is copied at construction.  Treat `weights` as
     read-only afterwards: `cost` caches an integer form of it on first use.
@@ -129,10 +143,11 @@ class WeightFunction:
 
     def __post_init__(self) -> None:
         self.weights = dict(self.weights)
+        check_edges(self.k, self.n, self.weights)
         for (x, y), w in self.weights.items():
             if w < 0:
                 raise ValueError(f"negative weight {w} on {(x, y)}")
-            if canonical_edge(x, y) != (x, y):
+            if x > y:
                 raise ValueError(f"edge {(x, y)} is not canonically ordered")
 
     def integer_form(self) -> tuple[int, np.ndarray, np.ndarray, tuple[int, ...]]:

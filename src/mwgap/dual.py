@@ -188,13 +188,11 @@ def build_dual(n: int, w: WeightFunction) -> DualGraph:
         raise ValueError(f"weight function is on n = {w.n}, expected {n}")
     topo = dual_topology(n)
     D, u, v, nums = w.integer_form()
-    # a canonical edge has u <= v, and the edge slots are in (u, v) order
+    # a canonical edge has u <= v, and the edge slots are in (u, v) order;
+    # `WeightFunction` admits weight only on edges, so every pair has a slot
     points = len(point_index(3, n))
     keys = topo.edge_u.astype(np.intp) * points + topo.edge_v
-    wanted = u * points + v
-    slots = np.searchsorted(keys, wanted)
-    if not np.array_equal(keys[np.minimum(slots, len(keys) - 1)], wanted):
-        raise ValueError(f"w has weight on a pair that is not an edge of Delta_{{3,{n}}}")
+    slots = np.searchsorted(keys, u * points + v)
     weights = [0] * len(keys)
     for s, q in zip(slots.tolist(), nums):
         weights[s] = q
@@ -592,11 +590,14 @@ def classify_cut(P: Cut) -> Optional[str]:
 
 
 def uncut_edges(P: Cut) -> set[Edge]:
-    return {
-        (x, y)
-        for x, y in enumerate_edges(P.k, P.n)
-        if P.labels[x] == P.labels[y]
-    }
+    """The edges of Delta_{3,n} whose endpoints share a label under P."""
+    if P.k != 3:
+        raise ValueError(f"dual machinery is specific to k = 3, got k = {P.k}")
+    topo = dual_topology(P.n)
+    lab = P.label_array
+    same = lab[topo.edge_u] == lab[topo.edge_v]
+    points = enumerate_points(3, P.n)
+    return {(points[u], points[v]) for u, v in zip(topo.edge_u[same].tolist(), topo.edge_v[same].tolist())}
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_array
 
 from .core import Edge, WeightFunction, enumerate_edges
 from .dual import NONOPPOSITE, Certificate, certify, potential_rows
@@ -47,7 +45,12 @@ def solve_lp(
     A row maps variables to coefficients: an edge of `edges` stands for
     its weight w(e), any other key for a free variable.  Returns the
     optimal weights in edge order.  Deterministic for fixed inputs.
+    SciPy is imported here, on the first solve, so that `import mwgap`
+    does not load it.
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
+
     m = len(edges)
     if not constraints:
         return np.zeros(m)

@@ -11,6 +11,12 @@ follows from the signs of x_i - r_i alone (the rule is stated once, in
 meet a grid point is detected exactly and redrawn, mirroring the
 almost-sure non-degeneracy of continuous sampling.  The grid size is
 bounded only by memory: one draw's label row must fit LABEL_BYTES.
+
+Hence a draw's labels on the n-grid are fixed by its class: the three
+floors floor(n r_i), its three chord lines, and whether it is a corner
+cut (a corner cut never reads its chord lines, so all corner cuts with
+one threshold floor share a class).  `estimate_density` counts the draws
+of each class and labels one representative per class.
 """
 
 from __future__ import annotations
@@ -23,15 +29,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Point, enumerate_edges, enumerate_points, point_index
+from .core import Point, enumerate_edges, enumerate_points
+from .dual import dual_topology
 
 # Cells in the discretized parameter intervals.
 PARAM_CELLS = 1 << 20
 
 EXTRA = 3  # label of the unassigned middle cluster of a corner cut
 
-# Cap on one batch's int8 label matrix (draws x grid points), the one
-# matrix `_batch_labels` holds.
+# Cap on the largest array of one batch: the int8 label matrix (draws or
+# classes x grid points) and the compare matrix of one chunk of edges.
 LABEL_BYTES = 1 << 25
 
 # Largest n whose label row, comb(n + 2, 2) bytes, fits LABEL_BYTES: 8190.
@@ -176,16 +183,32 @@ def _draw_params(rng: np.random.Generator, count: int, p_corner: Fraction) -> di
     }
 
 
-def _ball_r_numerators(params: dict, mask: np.ndarray) -> np.ndarray:
-    """Center coordinates of the masked ball cuts as numerators over 3M."""
+def _thresholds(params: dict, n: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """(floor_nr, lines, degenerate) of each parametrized cut on the n-grid.
+
+    floor_nr[i] is floor(n r_i) (r_i = r for a corner cut), lines[s] the
+    coordinate index of the chord to side s, and degenerate flags the ball
+    cuts with a grid point on a chord.  The chord on x_a = r_a to side s
+    ends at the side point with x_s = 0, a grid point whenever the line
+    holds any, so that happens iff some n r_a, a a chord line, is an integer.
+    """
+    _check_n(n)
     M = PARAM_CELLS
-    j = params["jt"][mask].astype(np.int64)
-    diag = params["diag"][mask]
-    rn = np.empty((3, j.size), np.int64)
-    rn[0] = 2 * (M - j)
-    rn[1] = np.where(diag == 0, M + j, j)
-    rn[2] = np.where(diag == 0, j, M + j)
-    return rn
+    corner = params["is_corner"]
+    # the centre as numerators over 3M: (2(M - j), M + j, j) on diagonal 0,
+    # (2(M - j), j, M + j) on diagonal 1
+    j = np.asarray(params["jt"], np.int64)
+    first = 2 * (M - j)
+    second = j + M * (1 - params["diag"])
+    ball = np.stack([first, second, 3 * M - first - second])
+    nr = n * np.where(corner, 2 * M + np.asarray(params["jr"], np.int64), ball)
+    floor_nr = nr // (3 * M)
+    rem = nr - 3 * M * floor_nr
+    # choice[:, s] picks the smaller (0) or larger (1) index other than s
+    choice = params["choice"]
+    lines = [lo + (hi - lo) * choice[:, s] for s, (lo, hi) in enumerate(((1, 2), (0, 2), (0, 1)))]
+    degenerate = ~corner & np.take_along_axis(rem == 0, np.stack(lines), 0).any(0)
+    return floor_nr, lines, degenerate
 
 
 def _batch_labels(params: dict, points: list[Point], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,38 +216,64 @@ def _batch_labels(params: dict, points: list[Point], n: int) -> tuple[np.ndarray
 
     Returns (labels, degenerate): labels has shape (count, len(points)) with
     values in {0, 1, 2, EXTRA}, each point's column contiguous; rows flagged
-    degenerate carry no meaning and must be redrawn.
+    degenerate (see `_thresholds`) carry no meaning and must be redrawn.
 
     This is the `BallCut` rule on the grid: x_i > r_i iff p_i > floor(n r_i),
-    and one table per draw maps the three comparisons to a label.  A ball
-    cut is degenerate iff a grid point lies on a chord.  The chord on
-    x_a = r_a to side s ends at the side point with x_s = 0, a grid point
-    whenever the line holds any, so that happens iff some n r_a, a a chord
-    line, is an integer.
+    and one table per draw maps the three comparisons to a label.
     """
-    _check_n(n)
-    M = PARAM_CELLS
-    corner = params["is_corner"]
-    count = corner.size
-    # n r_i as numerators over 3M (r_i = r for a corner cut)
-    nr = np.empty((3, count), np.int64)
-    nr[:] = n * (2 * M + params["jr"].astype(np.int64))
-    nr[:, ~corner] = n * _ball_r_numerators(params, ~corner)
-    floor_nr, rem = np.divmod(nr, 3 * M)
-    lines = [np.where(params["choice"][:, s] == 0, *(a for a in range(3) if a != s)) for s in range(3)]
-    rows = np.arange(count)
-    degenerate = ~corner & np.logical_or.reduce([rem[lines[s], rows] == 0 for s in range(3)])
+    floor_nr, lines, degenerate = _thresholds(params, n)
+    count = degenerate.size
     # table[row, code] with bit i of code set iff x_i > r_i; two bits set
     # (codes 6, 5, 3 have side 0, 1, 2 below) occur only for ball cuts
     table = np.empty((count, 8), np.int8)
     table[:] = (EXTRA, 0, 1, -1, 2, -1, -1, -1)
     table[:, 6], table[:, 5], table[:, 3] = lines
-    table, base = table.ravel(), 8 * rows
+    table, base = table.ravel(), 8 * np.arange(count)
     labels = np.empty((len(points), count), np.int8)
     for j, p in enumerate(points):
         code = (floor_nr[0] < p[0]) | ((floor_nr[1] < p[1]) << 1) | ((floor_nr[2] < p[2]) << 2)
         labels[j] = table[base + code]
     return labels.T, degenerate
+
+
+def _class_keys(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(key, degenerate): one int64 per cut naming its class (module
+    docstring), so that cuts with equal keys label the n-grid alike.
+
+    The key is the floors in base n (each is below n), then the chord lines
+    in base 3.  The lines' digit is 0 for a corner cut and at least 9 for
+    a ball cut (lines[0] > 0), so it also carries the corner flag.
+    """
+    floor_nr, lines, degenerate = _thresholds(params, n)
+    key = (floor_nr[0] * n + floor_nr[1]) * n + floor_nr[2]
+    chords = (lines[0] * 3 + lines[1]) * 3 + lines[2]
+    return key * 27 + np.where(params["is_corner"], 0, chords), degenerate
+
+
+def _classes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(members, counts): one draw of each distinct key, and how many draws
+    share it.  Any member represents its class, so an unstable sort does."""
+    order = np.argsort(key)
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))  # keys are >= 0
+    return order[starts], np.diff(starts, append=key.size)
+
+
+def _edge_chunk(classes: int) -> int:
+    """Edges scored at once against `classes` representatives: their compare
+    matrix, widened to int64 for the weighted sum, fits LABEL_BYTES."""
+    return max(1, LABEL_BYTES // (8 * classes))
+
+
+def _separations(labels: np.ndarray, counts: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """For each edge (eu[e], ev[e]), the sum of counts over the
+    representatives whose labels (one row each) differ on its endpoints."""
+    by_point = labels.T  # one contiguous row per point
+    step = _edge_chunk(counts.size)
+    out = np.empty(eu.size, np.int64)
+    for lo in range(0, eu.size, step):
+        hi = lo + step
+        out[lo:hi] = (by_point[eu[lo:hi]] != by_point[ev[lo:hi]]) @ counts
+    return out
 
 
 @dataclass
@@ -261,7 +310,9 @@ def estimate_density(
     Only adjacent grid pairs are scored: any grid pair is joined by an
     L1-geodesic grid path and separation probability is subadditive along
     it, so adjacent pairs attain the maximum density on the grid.  Draws
-    are labelled `_batch_size(n)` at a time.
+    come `_batch_size(n)` at a time, degenerate ones redrawn; each batch
+    labels one representative per class (module docstring) and adds its
+    class's draw count to every edge that representative separates.
     """
     _check_n(n)
     if samples < 1000:
@@ -270,8 +321,8 @@ def estimate_density(
     if not 0 <= p_corner <= 1:
         raise ValueError(f"p_corner must be in [0, 1], got {p_corner}")
     points = enumerate_points(3, n)
-    pindex = point_index(3, n)
     edges = enumerate_edges(3, n)
+    topo = dual_topology(n)
     rng = np.random.default_rng(seed)
     batch = _batch_size(n)
 
@@ -282,20 +333,20 @@ def estimate_density(
     while done < samples:
         want = min(batch, samples - done)
         params = _draw_params(rng, want, p_corner)
-        labels, degenerate = _batch_labels(params, points, n)
+        key, degenerate = _class_keys(params, n)
         while degenerate.any():
             redo = np.flatnonzero(degenerate)
             resampled += redo.size
             fresh = _draw_params(rng, redo.size, p_corner)
-            sub_labels, sub_deg = _batch_labels(fresh, points, n)
-            labels[redo] = sub_labels
-            for key in params:
-                params[key][redo] = fresh[key]
+            key[redo], sub_deg = _class_keys(fresh, n)
+            for name in params:
+                params[name][redo] = fresh[name]
             degenerate[:] = False
             degenerate[redo] = sub_deg
         corner_count += int(params["is_corner"].sum())
-        for e_idx, (u, v) in enumerate(edges):
-            sep[e_idx] += int(np.count_nonzero(labels[:, pindex[u]] != labels[:, pindex[v]]))
+        members, counts = _classes(key)
+        labels, _ = _batch_labels({name: v[members] for name, v in params.items()}, points, n)
+        sep += _separations(labels, counts, topo.edge_u, topo.edge_v)
         done += want
 
     stats = []

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .core import Cut, Point, WeightFunction, canonical_edge
+from .core import Cut, Point, WeightFunction, canonical_edge, check_edges
 
 
 def rat_to_str(r: Fraction) -> str:
@@ -38,21 +38,18 @@ def instance_to_obj(w: WeightFunction) -> dict[str, Any]:
 
 
 def obj_to_instance(obj: dict[str, Any]) -> WeightFunction:
-    """Instance from its JSON object; every edge must join two points of
-    Delta_{k,n} that are one unit transfer apart."""
+    """Instance from its JSON object; every edge, zero-weight ones too, must
+    pass `core.check_edges`."""
     k, n = obj["k"], obj["n"]
     weights = {}
     for rec in obj["weights"]:
         u: Point = tuple(rec["u"])
         v: Point = tuple(rec["v"])
-        for x in (u, v):
-            if len(x) != k or not all(isinstance(c, int) and c >= 0 for c in x) or sum(x) != n:
-                raise ValueError(f"{list(x)} is not a point of Delta_{{k={k},n={n}}}")
-        if sorted(a - b for a, b in zip(u, v) if a != b) != [-1, 1]:
-            raise ValueError(f"{list(u)} and {list(v)} are not one unit transfer apart")
         val = str_to_rat(rec["w"])
         if val != 0:
             weights[canonical_edge(u, v)] = val
+        else:
+            check_edges(k, n, [(u, v)])  # a zero weight is dropped, not stored
     return WeightFunction(k, n, weights)
 
 

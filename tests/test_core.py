@@ -236,3 +236,20 @@ def test_weight_function_never_enumerates_its_grid():
     assert lpc(w) == Fraction(1, 180)
     assert w.scaled(Fraction(2)).total() == Fraction(2, 3)
     assert core._points.cache_info() == before
+
+
+def test_weight_function_admits_only_grid_edges():
+    # two points of Delta_{3,3} that are not adjacent, and a point paired with itself
+    for x, y in (((0, 0, 3), (2, 1, 0)), ((0, 1, 2), (0, 1, 2))):
+        with pytest.raises(ValueError, match="not one unit transfer apart"):
+            WeightFunction(3, 3, {(x, y): Fraction(1)})
+    # off the grid: wrong sum, length or sign, or a non-integer coordinate
+    for x in ((0, 0, 4), (0, 3), (-1, 1, 3), (0, 1.5, 1.5), (0, 0, 3, 0)):
+        with pytest.raises(ValueError, match="is not a point of"):
+            WeightFunction(3, 3, {canonical_edge(x, (0, 1, 2)): Fraction(1)})
+    # every edge of the grid is admitted, in canonical order only
+    edges = enumerate_edges(3, 3)
+    assert len(WeightFunction(3, 3, dict.fromkeys(edges, Fraction(1))).weights) == len(edges)
+    x, y = edges[0]
+    with pytest.raises(ValueError, match="canonically ordered"):
+        WeightFunction(3, 3, {(y, x): Fraction(1)})

@@ -19,6 +19,7 @@ from mwgap.core import (
     cost,
     enumerate_edges,
     enumerate_points,
+    random_kway_cut,
     random_nonopposite_cut,
 )
 from mwgap.dual import (
@@ -248,10 +249,10 @@ def test_second_build_dual_enumerates_no_edges(monkeypatch):
 
 
 def test_build_dual_rejects_weight_off_the_edges():
-    # (0, 0, 3) and (2, 1, 0) are points of Delta_{3,3} but not adjacent
-    w = WeightFunction(3, 3, {((0, 0, 3), (2, 1, 0)): Fraction(1)})
+    # (0, 0, 3) and (2, 1, 0) are points of Delta_{3,3} but not adjacent;
+    # the weight function itself refuses the pair, so no such w reaches build_dual
     with pytest.raises(ValueError, match="not an edge"):
-        build_dual(3, w)
+        build_dual(3, WeightFunction(3, 3, {((0, 0, 3), (2, 1, 0)): Fraction(1)}))
 
 
 def test_face_count_is_n_squared():
@@ -537,6 +538,36 @@ def test_normalize_random_cuts_property():
         assert classify_cut(Q) in ("ball", "3corner")
         assert cost(Q, w) <= cost(P, w)
         assert uncut_edges(P) <= uncut_edges(Q)
+
+
+@given(
+    n=st.integers(2, 9),
+    with_w=st.booleans(),
+    rng=st.randoms(use_true_random=False),
+)
+def test_normalize_cut_never_cuts_an_uncut_edge(n, with_w, rng):
+    P = random_nonopposite_cut(n, rng)
+    # build_w3 exists for n divisible by 3; elsewhere every edge weighs 1
+    w3 = build_w3(n) if n % 3 == 0 else None
+    Q = normalize_cut(P, w3 if with_w else None)
+    assert uncut_edges(P) <= uncut_edges(Q)
+    w = w3 or WeightFunction(3, n, {e: Fraction(1) for e in enumerate_edges(3, n)})
+    assert cost(Q, w) <= cost(P, w)
+
+
+def oracle_uncut_edges(P):
+    """Reference: every edge of a fresh `enumerate_edges`, labels read by dict."""
+    return {(x, y) for x, y in enumerate_edges(P.k, P.n) if P.labels[x] == P.labels[y]}
+
+
+def test_uncut_edges_matches_comprehension_oracle():
+    rng = random.Random(8)
+    for n in (1, 2, 3, 5, 6, 9):
+        for _ in range(10):
+            for P in (random_nonopposite_cut(n, rng), random_kway_cut(3, n, rng)):
+                assert uncut_edges(P) == oracle_uncut_edges(P)
+    with pytest.raises(ValueError, match="k = 3"):
+        uncut_edges(random_kway_cut(4, 3, rng))
 
 
 def test_classify_rejects_disconnected_cluster():

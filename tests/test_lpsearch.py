@@ -1,10 +1,15 @@
 """Potential-LP search for minimum-total-weight certified instances."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mwgap
 from mwgap import cli, lpsearch
 from mwgap.core import NONOPPOSITE, enumerate_edges
 from mwgap.dual import brute_force_min_cut, certify
@@ -85,3 +90,15 @@ def test_search_uncertified_when_lp_weights_fail(monkeypatch):
 def test_search_rejects_bad_n():
     with pytest.raises(ValueError):
         search(0)
+
+
+def test_import_mwgap_leaves_scipy_unloaded():
+    # a fresh interpreter: SciPy loads on the first solve_lp, not on import
+    code = (
+        "import sys, mwgap\n"
+        "from mwgap.lpsearch import dijkstra\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mwgap.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

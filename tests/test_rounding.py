@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mwgap import cli, rounding
-from mwgap.core import enumerate_points, support
+from mwgap.core import enumerate_edges, enumerate_points, point_index, support
 from mwgap.rounding import (
     BallCut,
     CornerCut,
@@ -23,6 +23,8 @@ from mwgap.rounding import (
     _batch_labels,
     _batch_size,
     _draw_params,
+    _edge_chunk,
+    _separations,
     estimate_density,
     evaluate,
     sample_cut,
@@ -414,3 +416,117 @@ def test_batch_labels_match_oracle_on_aligned_centres():
         seen_degenerate += int(degenerate.sum())
         assert not degenerate.all()
     assert seen_degenerate > 0
+
+
+# ---------------------------------------------------------------------------
+# Per-class scoring against the per-draw loop
+# ---------------------------------------------------------------------------
+
+
+def oracle_density(n, samples, p_corner, seed):
+    """Reference: label every draw at every point and count each edge's
+    separations draw by draw, with the same draws and redraws as
+    `estimate_density`.  Returns (separations, corner_fraction, resampled).
+    It draws through `rounding._draw_params`, so a test can substitute it."""
+    points = enumerate_points(3, n)
+    pindex = point_index(3, n)
+    edges = enumerate_edges(3, n)
+    rng = np.random.default_rng(seed)
+    sep = np.zeros(len(edges), np.int64)
+    corner_count = resampled = done = 0
+    while done < samples:
+        want = min(_batch_size(n), samples - done)
+        params = rounding._draw_params(rng, want, p_corner)
+        labels, degenerate = _batch_labels(params, points, n)
+        while degenerate.any():
+            redo = np.flatnonzero(degenerate)
+            resampled += redo.size
+            fresh = rounding._draw_params(rng, redo.size, p_corner)
+            sub_labels, sub_deg = _batch_labels(fresh, points, n)
+            labels[redo] = sub_labels
+            for key in params:
+                params[key][redo] = fresh[key]
+            degenerate[:] = False
+            degenerate[redo] = sub_deg
+        corner_count += int(params["is_corner"].sum())
+        for e_idx, (u, v) in enumerate(edges):
+            sep[e_idx] += int(np.count_nonzero(labels[:, pindex[u]] != labels[:, pindex[v]]))
+        done += want
+    return sep, corner_count / samples, resampled
+
+
+def _assert_matches_oracle(n, samples, seed):
+    want_sep, corner_fraction, resampled = oracle_density(n, samples, Fraction(1, 5), seed)
+    est = estimate_density(n, samples, Fraction(1, 5), seed)
+    assert [s.separations for s in est.pair_stats] == want_sep.tolist()
+    assert [s.edge for s in est.pair_stats] == enumerate_edges(3, n)
+    assert (est.resampled, est.corner_fraction) == (resampled, corner_fraction)
+    worst = int(np.argmax(want_sep))  # the first edge of largest count
+    assert est.worst_pair == enumerate_edges(3, n)[worst]
+    assert est.tau_hat == want_sep[worst] / samples * n
+
+
+def test_estimate_density_matches_per_draw_oracle():
+    for n, seed in ((2, 3), (3, 1), (6, 2), (12, 2)):
+        _assert_matches_oracle(n, 20_000, seed)
+    # two batches: a full one and a short one
+    assert _batch_size(17) < 200_000
+    _assert_matches_oracle(17, _batch_size(17) + 5000, 1)
+
+
+def test_estimate_density_redraws_like_the_oracle(monkeypatch):
+    # the first batch and its first redraw carry forced degenerate ball cuts
+    # (centre at t = 1/2 on diagonal 0 and chord lines 1, 0, 0, where n r_0 = n/3
+    # and n r_1 = n/2 are integers), so the redraw loop runs at least twice
+    def forcing_draws(calls):
+        def draw(rng, count, p_corner):
+            params = _draw_params(rng, count, p_corner)
+            calls.append(count)
+            if len(calls) <= 2:
+                rows = slice(0, min(count, 7))
+                params["is_corner"][rows] = False
+                params["diag"][rows] = 0
+                params["jt"][rows] = PARAM_CELLS // 2
+                params["choice"][rows] = 0
+            return params
+
+        return draw
+
+    for n in (2, 3, 6, 12):
+        oracle_calls, calls = [], []
+        monkeypatch.setattr(rounding, "_draw_params", forcing_draws(oracle_calls))
+        want = oracle_density(n, 5000, Fraction(1, 5), 4)
+        monkeypatch.setattr(rounding, "_draw_params", forcing_draws(calls))
+        est = estimate_density(n, 5000, Fraction(1, 5), 4)
+        assert [s.separations for s in est.pair_stats] == want[0].tolist()
+        assert (est.corner_fraction, est.resampled) == want[1:]
+        assert calls == oracle_calls and len(calls) >= 3 and est.resampled >= 14
+
+
+def test_separations_in_edge_chunks_match_one_chunk(monkeypatch):
+    n = 6
+    points = enumerate_points(3, n)
+    index = point_index(3, n)
+    eu = np.array([index[x] for x, _ in enumerate_edges(3, n)])
+    ev = np.array([index[y] for _, y in enumerate_edges(3, n)])
+    params = _draw_params(np.random.default_rng(9), 40, Fraction(1, 5))
+    labels, _ = _batch_labels(params, points, n)
+    counts = np.arange(1, 41)
+    want = [int(counts[labels[:, u] != labels[:, v]].sum()) for u, v in zip(eu, ev)]
+    for cap in (8 * 40 * 7, 8 * 40, 1):  # 7 edges, one edge, and below one edge per chunk
+        monkeypatch.setattr(rounding, "LABEL_BYTES", cap)
+        assert _edge_chunk(40) == max(1, cap // (8 * 40))
+        assert _separations(labels, counts, eu, ev).tolist() == want
+
+
+def test_batch_arrays_fit_label_bytes():
+    # per batch: params and thresholds hold at most 3 int64 per draw, the
+    # labels one int8 per class and point, and an edge chunk's compare, widened
+    # to int64, 8 bytes per class and edge; classes never outnumber draws
+    for n in (2, 12, 16, 17, 45, 1000, MAX_N):
+        draws = _batch_size(n)
+        assert 24 * draws <= LABEL_BYTES
+        for classes in (1, draws):
+            assert classes * comb(n + 2, 2) <= LABEL_BYTES
+            assert 8 * classes * _edge_chunk(classes) <= LABEL_BYTES
+    assert _batch_size(MAX_N) == 1 and _edge_chunk(1) == LABEL_BYTES // 8

@@ -76,3 +76,13 @@ def test_instance_edges_must_join_adjacent_grid_points():
     # the same edge with n edited
     with pytest.raises(ValueError, match="is not a point of"):
         obj_to_instance(dict(obj, n=3))
+
+
+def test_zero_weight_records_are_checked_then_dropped():
+    obj = instance_to_obj(build_fk())
+    rec = {"u": [2, 0, 0], "v": [0, 2, 0], "w": "0/1"}
+    with pytest.raises(ValueError, match="one unit transfer"):
+        obj_to_instance(dict(obj, weights=obj["weights"] + [rec]))
+    with pytest.raises(ValueError, match="is not a point of"):
+        obj_to_instance(dict(obj, weights=[dict(rec, v=[0, 0, 5])]))
+    assert obj_to_instance(dict(obj, weights=[dict(obj["weights"][0], w="0/1")])).weights == {}
