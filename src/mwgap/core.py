@@ -107,12 +107,22 @@ def neighbors(x: Point) -> list[Point]:
 
 
 def enumerate_edges(k: int, n: int) -> list[Edge]:
-    """All unordered adjacent grid-point pairs, canonically ordered and sorted."""
-    edges = set()
-    for x in enumerate_points(k, n):
-        for y in neighbors(x):
-            edges.add(canonical_edge(x, y))
-    return sorted(edges)
+    """All unordered adjacent grid-point pairs, canonically ordered and sorted.
+
+    Returns a fresh list of the cached edge tuple, so callers may mutate it.
+    """
+    return list(_edges(k, n))
+
+
+@lru_cache(maxsize=64)
+def _edges(k: int, n: int) -> tuple[Edge, ...]:
+    # endpoints are the cached point tuples; index order is lexicographic,
+    # so sorted (i, j) pairs with i < j are the sorted canonical edges
+    points = _points(k, n)
+    index = point_index(k, n)
+    pairs = [(i, j) for i, x in enumerate(points) for j in map(index.__getitem__, neighbors(x)) if i < j]
+    pairs.sort()
+    return tuple((points[i], points[j]) for i, j in pairs)
 
 
 def check_edges(k: int, n: int, edges: Collection[Edge]) -> None:

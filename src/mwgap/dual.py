@@ -24,6 +24,11 @@ each arc, and the face and outer-node ids.  A `DualGraph` adds one list of
 weight numerators per edge slot, from `WeightFunction.integer_form()`;
 `dijkstra` and `check_potentials` run on the ids in Python integers, and
 only returned values are node tuples and `Fraction`s.
+
+The same topology is the one primal adjacency of the triangle grid:
+`normalize_cut` and `classify_cut` find a cut's components by union-find
+over its edge arrays on the cut's label array, and read the sides a
+component touches from the per-point side bitmasks.
 """
 
 from __future__ import annotations
@@ -47,11 +52,11 @@ from .core import (
     Edge,
     Point,
     WeightFunction,
+    _edges,
     canonical_edge,
     cost,
     enumerate_edges,
     enumerate_points,
-    neighbors,
     point_index,
     support,
     terminal,
@@ -109,6 +114,7 @@ class DualTopology:
     slot: np.ndarray  # edge slot each arc crosses
     edge_u: np.ndarray  # endpoints of each edge slot, in `point_index(3, n)`
     edge_v: np.ndarray
+    point_sides: np.ndarray  # bit i set where a point lies on the side x_i = 0, by point index
     faces: np.ndarray  # face ids in `enumerate_faces` order
     face_base: np.ndarray  # (a, b, c) of each face, in the same order
     outer: np.ndarray  # ids of O_0, O_1, O_2
@@ -166,6 +172,7 @@ def dual_topology(n: int) -> DualTopology:
         slot=_frozen(np.asarray(slot)[order]),
         edge_u=_frozen([index[x] for x, _ in edges]),
         edge_v=_frozen([index[y] for _, y in edges]),
+        point_sides=_frozen([sum(1 << i for i in range(3) if x[i] == 0) for x in index]),
         faces=_frozen(ids),
         face_base=_frozen([node[1:] for node in faces]),
         outer=_frozen(outer),
@@ -242,11 +249,10 @@ def dijkstra(
                 dist[v] = nd
                 pred[v] = base + e
                 heapq.heappush(heap, (nd, v))
-    points = enumerate_points(3, g.n)
-    eu, ev = topo.edge_u.tolist(), topo.edge_v.tolist()
+    edges = _edges(3, g.n)
     return (
         {x: d for x, d in zip(nodes, dist) if d is not None},
-        {x: (nodes[p // m], (points[eu[p % m]], points[ev[p % m]])) for x, p in zip(nodes, pred) if p is not None},
+        {x: (nodes[p // m], edges[p % m]) for x, p in zip(nodes, pred) if p is not None},
     )
 
 
@@ -294,12 +300,11 @@ def potential_rows(n: int) -> Iterator[tuple[dict[Hashable, int], int]]:
     """
     topo = dual_topology(n)
     nodes = topo.nodes()
-    points = enumerate_points(3, n)
-    eu, ev = topo.edge_u.tolist(), topo.edge_v.tolist()
+    edges = _edges(3, n)
     for i in range(3):
         source = int(topo.outer[i])
         for u, v, s in zip(*_lipschitz_arcs(topo, i)):
-            row = {(points[eu[s]], points[ev[s]]): 1, (i, nodes[v]): -1}
+            row = {edges[s]: 1, (i, nodes[v]): -1}
             if u != source:
                 row[(i, nodes[u])] = 1
             yield row, 0
@@ -476,33 +481,44 @@ class NormalizationError(RuntimeError):
     """No legal relabeling exists; signals an implementation bug."""
 
 
-def _components(n: int, labels: dict[Point, int], points: list[Point]) -> list[list[Point]]:
-    """Connected components of the grid graph minus cut edges, lex-sorted."""
-    seen: set[Point] = set()
-    comps = []
-    for p in points:
-        if p in seen:
+ALL_SIDES = 0b111
+
+
+def _components(
+    lab: list[int], topo: DualTopology
+) -> tuple[list[int], dict[int, list[int]], dict[int, int]]:
+    """Connected components of the grid graph minus the cut edges, by
+    union-find over the topology's edge arrays.
+
+    Returns root, the smallest point index of each point's component;
+    the members of each component, ascending, keyed by root in ascending
+    order (so in lex order of their first points); and the sides each
+    component touches, as a `point_sides` bitmask.
+    """
+    root = list(range(len(lab)))
+    for u, v in zip(topo.edge_u.tolist(), topo.edge_v.tolist()):
+        if lab[u] != lab[v]:
             continue
-        comp = [p]
-        seen.add(p)
-        stack = [p]
-        while stack:
-            x = stack.pop()
-            for y in neighbors(x):
-                if y not in seen and labels[y] == labels[x]:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _touched_sides(comp: list[Point]) -> set[int]:
-    return {i for x in comp for i in range(3) if x[i] == 0}
-
-
-def _legal(label: int, comp: list[Point]) -> bool:
-    return label == 3 or all(label in support(x) for x in comp)
+        # path halving; every link points to a smaller index
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u < v:
+            root[v] = u
+        elif v < u:
+            root[u] = v
+    comps: dict[int, list[int]] = {}
+    sides: dict[int, int] = {}
+    for x, (r, z) in enumerate(zip(root, topo.point_sides.tolist())):
+        r = root[x] = root[r]  # root[r] is final already, as r <= x
+        if r == x:
+            comps[x] = [x]
+            sides[x] = z
+        else:
+            comps[r].append(x)
+            sides[r] |= z
+    return root, comps, sides
 
 
 def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
@@ -512,27 +528,32 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
     Two rules run to fixpoint: extra-cluster components not touching all
     three sides are folded into a legal terminal cluster, and components
     carrying label i but missing terminal e^i adopt a neighboring
-    component's label.  Ties always go to the smallest legal label.
+    component's label.  Ties always go to the smallest legal label.  A
+    label l < 3 is legal for a component when no member lies on the side
+    x_l = 0; the extra label 3 always is.
     """
     if P.family != NONOPPOSITE:
         raise ValueError("normalize_cut expects a non-opposite cut")
     n = P.n
+    topo = dual_topology(n)
+    eu, ev = topo.edge_u.tolist(), topo.edge_v.tolist()
     points = enumerate_points(3, n)
-    labels = dict(P.labels)
-    terminals = {i: terminal(i, 3, n) for i in range(3)}
+    index = point_index(3, n)
+    terminals = [index[terminal(i, 3, n)] for i in range(3)]
+    lab = P.label_array.tolist()
 
     while True:
-        comps = _components(n, labels, points)
+        root, comps, sides = _components(lab, topo)
         changed = False
         # rule (a): fold extra-cluster components not reaching all sides
-        for comp in comps:
-            if labels[comp[0]] != 3 or _touched_sides(comp) == {0, 1, 2}:
+        for r, comp in comps.items():
+            if lab[r] != 3 or sides[r] == ALL_SIDES:
                 continue
-            candidates = [l for l in range(3) if _legal(l, comp)]
+            candidates = [l for l in range(3) if not sides[r] >> l & 1]
             if not candidates:
-                raise NormalizationError(f"no legal label for extra component at {comp[0]}")
+                raise NormalizationError(f"no legal label for extra component at {points[r]}")
             for x in comp:
-                labels[x] = candidates[0]
+                lab[x] = candidates[0]
             changed = True
         if changed:
             continue
@@ -540,22 +561,24 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
         # Process the first violating component that has a legal neighbor
         # label; a violator can be temporarily stuck until another one is
         # folded first, so only raise when every violator is stuck.
+        nbr_labels = dict.fromkeys(comps, 0)  # bit m: a cut edge leads to label m
+        for u, v in zip(eu, ev):
+            if lab[u] != lab[v]:
+                nbr_labels[root[u]] |= 1 << lab[v]
+                nbr_labels[root[v]] |= 1 << lab[u]
         applied = False
         stuck = []
-        for comp in comps:
-            l = labels[comp[0]]
-            if l == 3 or terminals[l] in comp:
+        for r, comp in comps.items():
+            l = lab[r]
+            if l == 3 or root[terminals[l]] == r:
                 continue
-            in_comp = set(comp)
-            nbr_labels = sorted(
-                {labels[y] for x in comp for y in neighbors(x) if y not in in_comp}
-            )
-            legal = [m for m in nbr_labels if m != l and _legal(m, comp)]
+            legal = nbr_labels[r] & ~sides[r]  # a cut edge never leads to label l
             if not legal:
-                stuck.append(comp[0])
+                stuck.append(points[r])
                 continue
+            m = (legal & -legal).bit_length() - 1  # the smallest legal label
             for x in comp:
-                labels[x] = legal[0]
+                lab[x] = m
             applied = True
             break  # components changed; recompute
         if not applied:
@@ -563,7 +586,7 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
                 raise NormalizationError(f"no legal neighbor label for components at {stuck}")
             break
 
-    out = Cut(3, n, labels, NONOPPOSITE)
+    out = Cut(3, n, dict(zip(points, lab)), NONOPPOSITE)
     if w is not None and cost(out, w) > cost(P, w):
         raise NormalizationError("normalization increased the cost")
     return out
@@ -572,19 +595,20 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
 def classify_cut(P: Cut) -> Optional[str]:
     """"ball" / "3corner" if every cluster is connected (with its terminal,
     and the extra cluster touching all three sides); None otherwise."""
-    n = P.n
-    points = enumerate_points(3, P.n)
-    comps = _components(n, P.labels, points)
-    by_label: dict[int, list[list[Point]]] = {}
-    for comp in comps:
-        by_label.setdefault(P.labels[comp[0]], []).append(comp)
-    for i in range(3):
-        if len(by_label.get(i, [])) != 1 or terminal(i, 3, n) not in by_label[i][0]:
-            return None
+    if P.k != 3:
+        raise ValueError(f"dual machinery is specific to k = 3, got k = {P.k}")
+    lab = P.label_array.tolist()
+    _, comps, sides = _components(lab, dual_topology(P.n))
+    by_label: dict[int, list[int]] = {}
+    for r in comps:
+        by_label.setdefault(lab[r], []).append(r)
+    # a cut pins terminal i to label i, so a lone component of label i holds it
+    if any(len(by_label.get(i, [])) != 1 for i in range(3)):
+        return None
     extra = by_label.get(3, [])
     if not extra:
         return "ball"
-    if len(extra) == 1 and _touched_sides(extra[0]) == {0, 1, 2}:
+    if len(extra) == 1 and sides[extra[0]] == ALL_SIDES:
         return "3corner"
     return None
 
@@ -595,9 +619,8 @@ def uncut_edges(P: Cut) -> set[Edge]:
         raise ValueError(f"dual machinery is specific to k = 3, got k = {P.k}")
     topo = dual_topology(P.n)
     lab = P.label_array
-    same = lab[topo.edge_u] == lab[topo.edge_v]
-    points = enumerate_points(3, P.n)
-    return {(points[u], points[v]) for u, v in zip(topo.edge_u[same].tolist(), topo.edge_v[same].tolist())}
+    edges = _edges(3, P.n)
+    return {edges[s] for s in np.flatnonzero(lab[topo.edge_u] == lab[topo.edge_v]).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,41 @@ def test_neighbors_match_edge_list():
             assert canonical_edge(p, q) in edges
 
 
+def oracle_enumerate_edges(k, n):
+    """Reference: every point's neighbors, canonically ordered, deduplicated and sorted."""
+    return sorted({canonical_edge(x, y) for x in enumerate_points(k, n) for y in neighbors(x)})
+
+
+def test_edges_match_neighbor_oracle():
+    for k, n in ((2, 4), (3, 1), (3, 2), (3, 9), (4, 5), (8, 3)):
+        assert enumerate_edges(k, n) == oracle_enumerate_edges(k, n)
+
+
+def test_edges_are_cached_per_grid(monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return neighbors(x)
+
+    monkeypatch.setattr(core, "neighbors", counting)
+    core._edges.cache_clear()
+    build_w3(6)
+    assert len(calls) == len(enumerate_points(3, 6))
+    calls.clear()
+    build_w3(6)
+    assert calls == []
+    edges = enumerate_edges(3, 6)
+    first = list(edges)
+    edges.pop()
+    edges[0] = ((9, 9, 9), (9, 9, 9))
+    assert enumerate_edges(3, 6) == first
+    # the endpoints are the cached point tuples, not copies
+    points = enumerate_points(3, 6)
+    index = point_index(3, 6)
+    assert all(x is points[index[x]] and y is points[index[y]] for x, y in first)
+
+
 def test_terminal_and_support():
     assert terminal(1, 3, 6) == (0, 6, 0)
     assert support((0, 2, 1)) == frozenset({1, 2})

@@ -14,17 +14,22 @@ from hypothesis import strategies as st
 from mwgap import dual as dual_module
 from mwgap.core import (
     NONOPPOSITE,
+    Cut,
     WeightFunction,
     canonical_edge,
     cost,
     enumerate_edges,
     enumerate_points,
+    neighbors,
     random_kway_cut,
     random_nonopposite_cut,
+    support,
+    terminal,
 )
 from mwgap.dual import (
     OUTER,
     THREEWAY,
+    NormalizationError,
     brute_force_min_cut,
     build_dual,
     certify,
@@ -203,6 +208,7 @@ def test_topology_matches_oracle_adjacency():
         # edge keys: slot s joins the endpoints of enumerate_edges' s-th edge
         points = enumerate_points(3, n)
         assert [(points[u], points[v]) for u, v in zip(topo.edge_u, topo.edge_v)] == enumerate_edges(3, n)
+        assert topo.point_sides.tolist() == [sum(1 << i for i in range(3) if x[i] == 0) for x in points]
         nodes = topo.nodes()
         assert [nodes[f] for f in topo.faces] == og.faces
         assert [nodes[o] for o in topo.outer] == list(OUTER)
@@ -568,6 +574,152 @@ def test_uncut_edges_matches_comprehension_oracle():
                 assert uncut_edges(P) == oracle_uncut_edges(P)
     with pytest.raises(ValueError, match="k = 3"):
         uncut_edges(random_kway_cut(4, 3, rng))
+
+
+def oracle_components(labels, points):
+    """Reference: components of the grid graph minus cut edges, by a
+    depth-first walk over point tuples through `neighbors`; each sorted,
+    listed in the order of their first points."""
+    seen = set()
+    comps = []
+    for p in points:
+        if p in seen:
+            continue
+        comp = [p]
+        seen.add(p)
+        stack = [p]
+        while stack:
+            x = stack.pop()
+            for y in neighbors(x):
+                if y not in seen and labels[y] == labels[x]:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _oracle_touched_sides(comp):
+    return {i for x in comp for i in range(3) if x[i] == 0}
+
+
+def _oracle_legal(label, comp):
+    return label == 3 or all(label in support(x) for x in comp)
+
+
+def oracle_normalize_cut(P, w=None):
+    """Reference: the two normalization rules on point tuples and a labels dict."""
+    n = P.n
+    points = enumerate_points(3, n)
+    labels = dict(P.labels)
+    terminals = {i: terminal(i, 3, n) for i in range(3)}
+    while True:
+        comps = oracle_components(labels, points)
+        changed = False
+        for comp in comps:
+            if labels[comp[0]] != 3 or _oracle_touched_sides(comp) == {0, 1, 2}:
+                continue
+            candidates = [l for l in range(3) if _oracle_legal(l, comp)]
+            if not candidates:
+                raise NormalizationError(f"no legal label for extra component at {comp[0]}")
+            for x in comp:
+                labels[x] = candidates[0]
+            changed = True
+        if changed:
+            continue
+        applied = False
+        stuck = []
+        for comp in comps:
+            l = labels[comp[0]]
+            if l == 3 or terminals[l] in comp:
+                continue
+            in_comp = set(comp)
+            nbr_labels = sorted({labels[y] for x in comp for y in neighbors(x) if y not in in_comp})
+            legal = [m for m in nbr_labels if m != l and _oracle_legal(m, comp)]
+            if not legal:
+                stuck.append(comp[0])
+                continue
+            for x in comp:
+                labels[x] = legal[0]
+            applied = True
+            break
+        if not applied:
+            if stuck:
+                raise NormalizationError(f"no legal neighbor label for components at {stuck}")
+            break
+    out = Cut(3, n, labels, NONOPPOSITE)
+    if w is not None and cost(out, w) > cost(P, w):
+        raise NormalizationError("normalization increased the cost")
+    return out
+
+
+def oracle_classify_cut(P):
+    """Reference: cluster shapes from `oracle_components`."""
+    n = P.n
+    by_label = {}
+    for comp in oracle_components(P.labels, enumerate_points(3, n)):
+        by_label.setdefault(P.labels[comp[0]], []).append(comp)
+    for i in range(3):
+        if len(by_label.get(i, [])) != 1 or terminal(i, 3, n) not in by_label[i][0]:
+            return None
+    extra = by_label.get(3, [])
+    if not extra:
+        return "ball"
+    if len(extra) == 1 and _oracle_touched_sides(extra[0]) == {0, 1, 2}:
+        return "3corner"
+    return None
+
+
+def _normalized_or_error(normalize, P, w):
+    try:
+        return normalize(P, w).labels
+    except NormalizationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_normalize_and_classify_match_oracles(n):
+    rng = random.Random(f"normalize:{n}")
+    w3 = build_w3(n) if n % 3 == 0 else None
+    for i in range(300):
+        P = random_nonopposite_cut(n, rng)
+        w = w3 if i % 2 else None
+        got = _normalized_or_error(normalize_cut, P, w)
+        assert got == _normalized_or_error(oracle_normalize_cut, P, w)
+        assert classify_cut(P) == oracle_classify_cut(P)
+        if isinstance(got, dict):
+            Q = Cut(3, n, got, NONOPPOSITE)
+            assert classify_cut(Q) == oracle_classify_cut(Q)
+
+
+def test_stuck_normalization_names_points(monkeypatch):
+    from dataclasses import replace
+
+    n = 3
+    labels = {p: min(support(p)) for p in enumerate_points(3, n)}
+    labels[(1, 1, 1)] = 2
+    P = Cut(3, n, labels, NONOPPOSITE)
+    # every point on every side: no label but the extra one is legal
+    # anywhere, and the island of cluster 2 at the centre has no extra neighbor
+    topo = dual_topology(n)
+    everywhere = replace(topo, point_sides=np.full_like(topo.point_sides, 0b111))
+    monkeypatch.setattr(dual_module, "dual_topology", lambda m: everywhere)
+    with pytest.raises(NormalizationError, match=r"^no legal neighbor label for components at \[\(1, 1, 1\)\]$"):
+        normalize_cut(P)
+
+
+def test_classify_matches_oracle_on_kway_cuts():
+    rng = random.Random(12)
+    for n in (1, 2, 3, 5):
+        for _ in range(50):
+            P = random_kway_cut(3, n, rng)
+            assert classify_cut(P) == oracle_classify_cut(P)
+
+
+def test_classify_rejects_other_k():
+    P = random_kway_cut(4, 3, random.Random(0))
+    with pytest.raises(ValueError, match="dual machinery is specific to k = 3, got k = 4"):
+        classify_cut(P)
 
 
 def test_classify_rejects_disconnected_cluster():

@@ -2,10 +2,11 @@
 
 The tracer rebinds mwgap functions by name and reads their arguments, so
 a rename in `src/` would otherwise show only in the slow harness
-self-test.  This runs one tiny job of the kway and triangle workloads
+self-test.  This runs tiny jobs of the kway and triangle workloads
 under the tracer; it reads bench/ and changes nothing there.
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,20 @@ def test_tracer_records_every_wrapped_layer(bench_modules):
     for name in ("core.cost.calls", "core.cost.weighted_edges", "core.Cut.validate.calls", "dual.dijkstra.calls"):
         assert sums[name] > 0, name
     assert (core.cost, projection.cost, dual.cost, core.Cut.validate, dual.dijkstra) == originals
+
+
+def test_tracer_records_normalization_spans(bench_modules):
+    tracing, workloads = bench_modules
+    from mwgap import core, weights
+
+    P = core.random_nonopposite_cut(6, random.Random(0))
+    w = weights.build_w3(6)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workloads.normalize_job(P, w)
+    finally:
+        tracer.uninstall()
+    sums = tracer.take()
+    for name in ("dual.normalize_cut.calls", "dual.classify_cut.calls"):
+        assert sums[name] > 0, name
