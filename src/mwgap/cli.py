@@ -31,19 +31,18 @@ from .svg import emit_svg
 from .weights import BUILDERS
 
 
-def _emit(obj) -> None:
-    print(canonical_json(obj))
-
-
-def cmd_build(args) -> int:
-    w = BUILDERS[args.weights](args.k, args.n)
-    obj = instance_to_obj(w)
+def _emit(obj, out=None) -> None:
+    """Canonical JSON to the file at out, or to stdout."""
     text = canonical_json(obj)
-    if args.out:
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def cmd_build(args) -> int:
+    _emit(instance_to_obj(BUILDERS[args.weights](args.k, args.n)), args.out)
     return 0
 
 
@@ -55,9 +54,6 @@ def cmd_lpc(args) -> int:
 
 def cmd_certify(args) -> int:
     w = load_instance(args.instance)
-    if w.k != 3:
-        print("certify requires k = 3", file=sys.stderr)
-        return 2
     cert = certify(w.n, w, args.family, str_to_rat(args.target))
     _emit({**cert.to_obj(), "digest": instance_digest(w)})
     return 0 if cert.passed else 1
@@ -121,23 +117,14 @@ def cmd_lpsearch(args) -> int:
     obj["lpc_exact"] = rat_to_str(st.lpc_exact)
     obj["iterations"] = st.iterations
     obj["certified"] = st.certified
-    text = canonical_json(obj)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(obj, args.out)
     return 0 if st.certified else 1
 
 
 def cmd_svg(args) -> int:
     w = load_instance(args.instance)
     cut = load_cut(args.cut) if args.cut else None
-    try:
-        text = emit_svg(w, cut=cut, potential_index=args.potential)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    text = emit_svg(w, cut=cut, potential_index=args.potential)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -158,8 +145,7 @@ def cmd_ledger(args) -> int:
         "pass": bool(all(r.passed for r in results)),
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(canonical_json(report) + "\n")
+        _emit(report, args.out)
     return 0 if report["pass"] else 1
 
 

@@ -140,7 +140,8 @@ def check_edges(k: int, n: int, edges: Collection[Edge]) -> None:
 @dataclass
 class WeightFunction:
     """Exact-rational edge weights on E_{k,n}; absent edges weigh zero.
-    Every key must be a canonically ordered edge (`check_edges`).
+    Every key must be a canonically ordered edge (`check_edges`), and every
+    value a nonnegative `int` or `Fraction`.
 
     The weights dict is copied at construction.  Treat `weights` as
     read-only afterwards: `cost` caches an integer form of it on first use.
@@ -155,7 +156,9 @@ class WeightFunction:
         self.weights = dict(self.weights)
         check_edges(self.k, self.n, self.weights)
         for (x, y), w in self.weights.items():
-            if w < 0:
+            if not isinstance(w, (int, Fraction)):
+                raise ValueError(f"weight {w!r} on {(x, y)} is not an int or Fraction")
+            if w.numerator < 0:
                 raise ValueError(f"negative weight {w} on {(x, y)}")
             if x > y:
                 raise ValueError(f"edge {(x, y)} is not canonically ordered")
@@ -259,9 +262,6 @@ class Cut:
         self.label_array = np.empty(len(index), np.min_scalar_type(hi - 1))
         self.label_array[positions] = values
         self.label_array.setflags(write=False)
-
-    def __call__(self, x: Point) -> int:
-        return self.labels[x]
 
 
 def cost(P: Cut, w: WeightFunction) -> Fraction:

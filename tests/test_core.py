@@ -1,6 +1,7 @@
 """Grid simplex primitives: points, edges, weight functions, cuts."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -288,3 +289,19 @@ def test_weight_function_admits_only_grid_edges():
     x, y = edges[0]
     with pytest.raises(ValueError, match="canonically ordered"):
         WeightFunction(3, 3, {(y, x): Fraction(1)})
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (0.25, "0.25 on {e} is not an int or Fraction"),
+        ("1/4", "'1/4' on {e} is not an int or Fraction"),
+        (None, "None on {e} is not an int or Fraction"),
+        (-1, "negative weight -1 on {e}"),
+        (Fraction(-1, 4), "negative weight -1/4 on {e}"),
+    ],
+)
+def test_weight_function_rejects_weights_off_the_nonnegative_rationals(value, message):
+    e = enumerate_edges(3, 2)[0]
+    with pytest.raises(ValueError, match=re.escape(message.format(e=e))):
+        WeightFunction(3, 2, {e: value})
