@@ -38,7 +38,7 @@ from .dual import (
 )
 from .lpsearch import search
 from .projection import check_cost_lemmas, check_projection_bounds, restrict_triple
-from .rounding import estimate_density
+from .rounding import P_CORNER, estimate_density
 from .weights import (
     build_fk,
     build_w3,
@@ -237,15 +237,16 @@ def criterion_8(res: CriterionResult) -> None:
 
 def criterion_9(res: CriterionResult) -> None:
     """Monte-Carlo maximum density at n = 6 stays within 6/5."""
-    est = estimate_density(6, DENSITY_SAMPLES, Fraction(1, 5), 9)
+    est = estimate_density(6, DENSITY_SAMPLES, 9)
     res.check(
         est.tau_hat <= 1.2 + 3 * est.max_sigma_tau,
         f"tau_hat {est.tau_hat:.5f} > 1.2 + {3 * est.max_sigma_tau:.5f}",
     )
-    sigma_mix = sqrt(0.2 * 0.8 / DENSITY_SAMPLES)
+    p = float(P_CORNER)
+    sigma_mix = sqrt(p * (1 - p) / DENSITY_SAMPLES)
     res.check(
-        abs(est.corner_fraction - 0.2) <= 3 * sigma_mix,
-        f"corner fraction {est.corner_fraction:.5f} off 1/5 by more than 3 sigma",
+        abs(est.corner_fraction - p) <= 3 * sigma_mix,
+        f"corner fraction {est.corner_fraction:.5f} off {P_CORNER} by more than 3 sigma",
     )
     res.details.append(f"tau_hat = {est.tau_hat:.5f} at pair {est.worst_pair}, resampled {est.resampled}")
 

@@ -81,8 +81,7 @@ def cmd_project(args) -> int:
     if args.instance:
         w = load_instance(args.instance)
         if (w.k, w.n) != (P.k, P.n):
-            print(f"instance is on (k={w.k}, n={w.n}) but the cut on (k={P.k}, n={P.n})", file=sys.stderr)
-            return 2
+            raise ValueError(f"instance is on (k={w.k}, n={w.n}) but the cut on (k={P.k}, n={P.n})")
         rep = check_cost_lemmas(P, P.n)
         obj["cost_lemmas"] = {
             "cost_what": rat_to_str(rep.cost_hat),
@@ -95,7 +94,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_round(args) -> int:
-    est = estimate_density(args.n, args.samples, str_to_rat(args.p_corner), args.seed)
+    est = estimate_density(args.n, args.samples, args.seed)
     _emit(
         {
             "n": est.n,
@@ -192,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("round", help="Monte-Carlo density estimate of the rounding scheme")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--samples", type=int, required=True)
-    c.add_argument("--p-corner", default="1/5")
     c.add_argument("--seed", type=int, required=True)
     c.set_defaults(func=cmd_round)
 

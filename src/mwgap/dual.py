@@ -61,6 +61,7 @@ from .core import (
     support,
     terminal,
 )
+from .serialize import rat_to_str
 
 # Dual node encodings: ("O", i) for outer nodes, ("U"/"D", a, b, c) for
 # upward/downward faces with base coordinates a+b+c = n-1 / n-2.
@@ -256,10 +257,6 @@ def dijkstra(
     )
 
 
-def dual_distance(g: DualGraph, s: DualNodeT, t: DualNodeT) -> Fraction:
-    return Fraction(dijkstra(g, s)[0][t], g.denominator)
-
-
 def _lipschitz_arcs(topo: DualTopology, i: int) -> tuple[list[int], list[int], list[int]]:
     """Tail, head and edge slot of each Lipschitz row for O_i, in row
     order: the arcs leaving each face, in `enumerate_faces` order, then
@@ -367,8 +364,6 @@ class Certificate:
     passed: bool
 
     def to_obj(self) -> dict:
-        from .serialize import rat_to_str
-
         return {
             "family": self.family,
             "pairwise": {f"{i},{j}": rat_to_str(v) for (i, j), v in sorted(self.pairwise.items())},

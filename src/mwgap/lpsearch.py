@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,7 @@ class SearchState:
     certified: bool
     weights: WeightFunction  # final weights, exactly rescaled to lower bound 1
     lpc_exact: Fraction  # exact lpc of the rescaled weights
-    certificate: Optional[Certificate] = None
+    certificate: Certificate
 
 
 def solve_lp(

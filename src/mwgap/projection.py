@@ -35,6 +35,7 @@ from .core import (
     enumerate_points,
     point_index,
 )
+from .weights import build_w_hat, build_w_prime, build_w_tilde
 
 
 def _face_index(k: int, n: int, faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -189,8 +190,6 @@ def check_cost_lemmas(
     Prebuilt (w_hat, w_prime, w_tilde) can be passed to amortize
     construction over a corpus of cuts on the same grid.
     """
-    from .weights import build_w_hat, build_w_prime, build_w_tilde
-
     if n != P.n:
         raise ValueError(f"cut is on n = {P.n}, expected {n}")
     if weights is None:

@@ -1,18 +1,37 @@
-"""Sampler and evaluator for the two-part distribution on non-opposite
-triangle cuts (corner cuts with a uniform threshold, ball cuts built from
-three chords through a random point of two fixed diagonals), plus a
-Monte-Carlo estimator of the maximum separation density on the grid.
+"""Monte-Carlo estimator of the maximum separation density of the
+two-part distribution on non-opposite triangle cuts.
+
+A draw is a corner cut with probability P_CORNER = 1/5, else a ball cut.
+
+* A corner cut with threshold r in [2/3, 1) labels x with i iff x_i > r,
+  and with EXTRA if no coordinate exceeds r (at most one can).
+* A ball cut has its centre r inside one of two diagonals, picked by a
+  fair coin: (2/3, 1/3, 0)-(0, 2/3, 1/3) or (2/3, 0, 1/3)-(0, 1/3, 2/3).
+  Three chords from r, one ending on each side, split the triangle into
+  three corner regions.  The lines x_a = r_a (a = 0, 1, 2) make six
+  half-lines from r.  They cut the triangle into three corner sectors,
+  where only x_c > r_c (holding e^c), alternating with three side sectors,
+  where only x_s < r_s (touching side s, on which x_s = 0).  A fair coin
+  per side s picks the chord to it among the half-lines of x_a = r_a,
+  a != s; call that a lines[s].  The chord parts side sector s from the
+  corner sector of the third index, so side sector s joins corner
+  lines[s].  Hence x is labelled
+
+    * c, if x_c > r_c is its only coordinate above r;
+    * lines[s], if two coordinates are above r and x_s < r_s;
+
+  and x lies on a chord, with no label, if x = r or if exactly one
+  coordinate l has x_l < r_l and x_b = r_b for b = lines[l].
 
 All geometry is exact: cut parameters are rationals drawn from a fixed
-2^20-cell discretization of the parameter intervals.  Every chord lies on
-a coordinate line x_a = r_a through the centre r, so a point's label
-follows from the signs of x_i - r_i alone (the rule is stated once, in
-`BallCut`); on the n-grid that is p_i > floor(n r_i).  A cut whose chords
-meet a grid point is detected exactly and redrawn, mirroring the
-almost-sure non-degeneracy of continuous sampling.  The grid size is
-bounded only by memory: one draw's label row must fit LABEL_BYTES.
+2^20-cell discretization of the parameter intervals.  A label follows
+from the signs of x_i - r_i alone (r_i = r for a corner cut); on the
+n-grid that is p_i > floor(n r_i).  A cut whose chords meet a grid point
+is detected exactly and redrawn, mirroring the almost-sure
+non-degeneracy of continuous sampling.  The grid size is bounded only by
+memory: one draw's label row must fit LABEL_BYTES.
 
-Hence a draw's labels on the n-grid are fixed by its class: the three
+So a draw's labels on the n-grid are fixed by its class: the three
 floors floor(n r_i), its three chord lines, and whether it is a corner
 cut (a corner cut never reads its chord lines, so all corner cuts with
 one threshold floor share a class).  `estimate_density` counts the draws
@@ -21,16 +40,17 @@ of each class and labels one representative per class.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, sqrt
-from typing import Optional, Union
 
 import numpy as np
 
 from .core import Point, enumerate_edges, enumerate_points
 from .dual import dual_topology
+
+# The paper's mixture: a corner cut with this probability, else a ball cut.
+P_CORNER = Fraction(1, 5)
 
 # Cells in the discretized parameter intervals.
 PARAM_CELLS = 1 << 20
@@ -60,122 +80,12 @@ def _batch_size(n: int) -> int:
     return min(200_000, LABEL_BYTES // comb(n + 2, 2))
 
 
-class DegenerateEvaluationError(RuntimeError):
-    """The point lies on a chord of a ball cut, or exceeds a corner cut's
-    threshold in two coordinates."""
-
-
-@dataclass(frozen=True)
-class CornerCut:
-    """Assigns x to i iff x_i > r; to the extra cluster if no coordinate
-    exceeds r.  Well-defined for r >= 2/3 (at most one coordinate can
-    exceed r)."""
-
-    r: Fraction
-
-
-@dataclass(frozen=True)
-class BallCut:
-    """Three chords from the interior point r, one ending on each side of
-    the triangle, split the triangle into three corner regions.
-
-    The lines x_a = r_a (a = 0, 1, 2) make six half-lines from r.  They cut
-    the triangle into three corner sectors, where only x_c > r_c (holding
-    e^c), alternating with three side sectors, where only x_s < r_s
-    (touching side s, on which x_s = 0).  The chord to side s is the
-    half-line of x_a = r_a, a = chord_lines()[s], that runs from r to side
-    s.  It parts side sector s from the corner sector of the third index,
-    so side sector s joins corner a.  Hence x is labelled
-
-      * c, if x_c > r_c is its only coordinate above r;
-      * chord_lines()[s], if two coordinates are above r and x_s < r_s;
-
-    and x lies on a chord, with no label, if x = r or if exactly one
-    coordinate l has x_l < r_l and x_b = r_b for b = chord_lines()[l].
-
-    side_choice[s] picks which of the two candidate chords (pieces of the
-    lines x_a = r_a, a != s) ends on side s.  diag / t record the sampled
-    parametrization when the cut came from the sampler.
-    """
-
-    r: tuple[Fraction, Fraction, Fraction]
-    side_choice: tuple[bool, bool, bool]
-    diag: Optional[int] = None
-    t: Optional[Fraction] = None
-
-    def chord_lines(self) -> tuple[int, int, int]:
-        """For each side s, the coordinate index a with the chosen chord
-        on the line x_a = r_a."""
-        out = []
-        for s in range(3):
-            cands = [i for i in range(3) if i != s]
-            out.append(cands[1] if self.side_choice[s] else cands[0])
-        return tuple(out)
-
-
-SampledCut = Union[CornerCut, BallCut]
-
-# Endpoints of the two diagonals the ball-cut center is drawn from.
-DIAGONALS = (
-    ((Fraction(2, 3), Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(2, 3), Fraction(1, 3))),
-    ((Fraction(2, 3), Fraction(0), Fraction(1, 3)), (Fraction(0), Fraction(1, 3), Fraction(2, 3))),
-)
-
-
-def sample_cut(rng: random.Random, p_corner: Fraction = Fraction(1, 5)) -> SampledCut:
-    """Draw one cut: a corner cut with probability p_corner, else a ball
-    cut with a fair-coin diagonal, uniform position, and fair-coin chord
-    choices."""
-    p_corner = Fraction(p_corner)
-    if not 0 <= p_corner <= 1:
-        raise ValueError(f"p_corner must be in [0, 1], got {p_corner}")
-    M = PARAM_CELLS
-    if rng.randrange(p_corner.denominator) < p_corner.numerator:
-        j = rng.randrange(M)
-        return CornerCut(r=Fraction(2 * M + j, 3 * M))
-    diag = rng.getrandbits(1)
-    j = rng.randrange(1, M)  # open interval: keeps r strictly interior
-    t = Fraction(j, M)
-    A, B = DIAGONALS[diag]
-    r = tuple((1 - t) * A[i] + t * B[i] for i in range(3))
-    choice = (bool(rng.getrandbits(1)), bool(rng.getrandbits(1)), bool(rng.getrandbits(1)))
-    return BallCut(r=r, side_choice=choice, diag=diag, t=t)
-
-
-def evaluate(cut: SampledCut, x) -> int:
-    """Label of a simplex point x (exact rationals) under a sampled cut, by
-    the rule in the `BallCut` docstring (for a corner cut, r_i = r).
-
-    A point on a chord, or above a corner threshold in two coordinates,
-    raises DegenerateEvaluationError.
-    """
-    x = tuple(Fraction(v) for v in x)
-    if len(x) != 3 or sum(x) != 1 or any(v < 0 for v in x):
-        raise ValueError(f"{x} is not a point of the triangle")
-    if isinstance(cut, CornerCut):
-        above = [i for i in range(3) if x[i] > cut.r]
-        if len(above) > 1:
-            raise DegenerateEvaluationError(f"multiple coordinates exceed r = {cut.r}")
-        return above[0] if above else EXTRA
-    r, lines = cut.r, cut.chord_lines()
-    above = [i for i in range(3) if x[i] > r[i]]
-    below = [i for i in range(3) if x[i] < r[i]]
-    if len(above) == 2:
-        return lines[below[0]]
-    if not above or (len(below) == 1 and x[lines[below[0]]] == r[lines[below[0]]]):
-        raise DegenerateEvaluationError(f"{x} lies on a chord")
-    return above[0]
-
-
-# ---------------------------------------------------------------------------
-# Vectorized grid labeling and density estimation
-# ---------------------------------------------------------------------------
-
-
-def _draw_params(rng: np.random.Generator, count: int, p_corner: Fraction) -> dict:
+def _draw_params(rng: np.random.Generator, count: int) -> dict:
+    """`count` draws: corner threshold r = (2M + jr) / 3M; ball centre at
+    jt / M along diagonal diag (0 < jt < M: strictly interior)."""
     M = PARAM_CELLS
     return {
-        "is_corner": rng.integers(0, p_corner.denominator, count) < p_corner.numerator,
+        "is_corner": rng.integers(0, P_CORNER.denominator, count) < P_CORNER.numerator,
         "jr": rng.integers(0, M, count),
         "diag": rng.integers(0, 2, count),
         "jt": rng.integers(1, M, count),
@@ -218,8 +128,9 @@ def _batch_labels(params: dict, points: list[Point], n: int) -> tuple[np.ndarray
     values in {0, 1, 2, EXTRA}, each point's column contiguous; rows flagged
     degenerate (see `_thresholds`) carry no meaning and must be redrawn.
 
-    This is the `BallCut` rule on the grid: x_i > r_i iff p_i > floor(n r_i),
-    and one table per draw maps the three comparisons to a label.
+    This is the module docstring's rule on the grid: x_i > r_i iff
+    p_i > floor(n r_i), and one table per draw maps the three comparisons
+    to a label.
     """
     floor_nr, lines, degenerate = _thresholds(params, n)
     count = degenerate.size
@@ -288,7 +199,6 @@ class PairStat:
 class DensityEstimate:
     n: int
     samples: int
-    p_corner: Fraction
     seed: int
     pair_stats: list[PairStat]
     tau_hat: float
@@ -299,12 +209,7 @@ class DensityEstimate:
     resampled: int
 
 
-def estimate_density(
-    n: int,
-    samples: int,
-    p_corner: Fraction = Fraction(1, 5),
-    seed: int = 0,
-) -> DensityEstimate:
+def estimate_density(n: int, samples: int, seed: int) -> DensityEstimate:
     """Monte-Carlo estimate of the maximum separation density on the grid.
 
     Only adjacent grid pairs are scored: any grid pair is joined by an
@@ -317,9 +222,6 @@ def estimate_density(
     _check_n(n)
     if samples < 1000:
         raise ValueError(f"need samples >= 1000, got {samples}")
-    p_corner = Fraction(p_corner)
-    if not 0 <= p_corner <= 1:
-        raise ValueError(f"p_corner must be in [0, 1], got {p_corner}")
     points = enumerate_points(3, n)
     edges = enumerate_edges(3, n)
     topo = dual_topology(n)
@@ -332,12 +234,12 @@ def estimate_density(
     done = 0
     while done < samples:
         want = min(batch, samples - done)
-        params = _draw_params(rng, want, p_corner)
+        params = _draw_params(rng, want)
         key, degenerate = _class_keys(params, n)
         while degenerate.any():
             redo = np.flatnonzero(degenerate)
             resampled += redo.size
-            fresh = _draw_params(rng, redo.size, p_corner)
+            fresh = _draw_params(rng, redo.size)
             key[redo], sub_deg = _class_keys(fresh, n)
             for name in params:
                 params[name][redo] = fresh[name]
@@ -358,7 +260,6 @@ def estimate_density(
     return DensityEstimate(
         n=n,
         samples=samples,
-        p_corner=p_corner,
         seed=seed,
         pair_stats=stats,
         tau_hat=worst.p_hat * n,

@@ -3,6 +3,8 @@
 Rationals are serialized as exact "p/q" strings with gcd(p, q) = 1 and
 q > 0, never as floats.  Canonical form (sorted keys, fixed edge order,
 compact separators) makes instance digests byte-stable across platforms.
+`obj_to_instance` and `obj_to_cut` read untrusted JSON, so a wrong shape
+or a non-integer coordinate raises ValueError there.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ def rat_to_str(r: Fraction) -> str:
 
 
 def str_to_rat(s: str) -> Fraction:
-    if "/" not in s:
+    if not isinstance(s, str) or "/" not in s:
         raise ValueError(f"rationals are serialized as 'p/q', got {s!r}")
     return Fraction(s)
 
@@ -37,14 +39,37 @@ def instance_to_obj(w: WeightFunction) -> dict[str, Any]:
     }
 
 
+def _int(v: Any) -> int:
+    """v if it is a JSON integer (not a float or a boolean)."""
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _point(v: Any, k: int, n: int) -> Point:
+    """v as a point if it is a list of JSON integers; whether it lies on
+    the grid is checked by `check_edges` or `Cut`."""
+    if not isinstance(v, list) or any(type(a) is not int for a in v):
+        raise ValueError(f"{v!r} is not a point of Delta_{{k={k},n={n}}}")
+    return tuple(v)
+
+
+def _records(obj: Any, key: str) -> list[dict[str, Any]]:
+    """obj[key] as a list of JSON objects, obj itself being one."""
+    recs = obj[key] if isinstance(obj, dict) else None
+    if not isinstance(recs, list) or not all(isinstance(rec, dict) for rec in recs):
+        raise ValueError(f"expected an object whose {key!r} is a list of objects")
+    return recs
+
+
 def obj_to_instance(obj: dict[str, Any]) -> WeightFunction:
     """Instance from its JSON object; every edge, zero-weight ones too, must
     pass `core.check_edges`."""
-    k, n = obj["k"], obj["n"]
+    recs = _records(obj, "weights")
+    k, n = _int(obj["k"]), _int(obj["n"])
     weights = {}
-    for rec in obj["weights"]:
-        u: Point = tuple(rec["u"])
-        v: Point = tuple(rec["v"])
+    for rec in recs:
+        u, v = _point(rec["u"], k, n), _point(rec["v"], k, n)
         val = str_to_rat(rec["w"])
         if val != 0:
             weights[canonical_edge(u, v)] = val
@@ -63,8 +88,10 @@ def cut_to_obj(P: Cut) -> dict[str, Any]:
 
 
 def obj_to_cut(obj: dict[str, Any]) -> Cut:
-    labels = {tuple(rec["x"]): rec["c"] for rec in obj["labels"]}
-    return Cut(obj["k"], obj["n"], labels, obj.get("family", "kway"))
+    recs = _records(obj, "labels")
+    k, n = _int(obj["k"]), _int(obj["n"])
+    labels = {_point(rec["x"], k, n): _int(rec["c"]) for rec in recs}
+    return Cut(k, n, labels, obj.get("family", "kway"))
 
 
 def canonical_json(obj: Any) -> str:
@@ -82,11 +109,6 @@ def instance_digest(w: WeightFunction) -> str:
 def load_instance(path: str) -> WeightFunction:
     with open(path) as fh:
         return obj_to_instance(json.load(fh))
-
-
-def dump_cut(P: Cut, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(cut_to_obj(P)))
 
 
 def load_cut(path: str) -> Cut:

@@ -7,7 +7,7 @@ import pytest
 
 from mwgap.cli import main
 from mwgap.core import cost, random_kway_cut
-from mwgap.serialize import dump_cut, load_instance, rat_to_str
+from mwgap.serialize import canonical_json, cut_to_obj, load_instance, rat_to_str
 from mwgap.svg import emit_svg
 from mwgap.weights import build_fk, build_w3
 from mwgap.core import WeightFunction
@@ -17,6 +17,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def write_cut(P, path):
+    path.write_text(canonical_json(cut_to_obj(P)))
 
 
 def test_build_and_lpc(tmp_path, capsys):
@@ -87,7 +91,7 @@ def test_brute_subcommand(tmp_path, capsys):
 
 def test_project_subcommand(tmp_path, capsys):
     cutfile = tmp_path / "cut.json"
-    dump_cut(random_kway_cut(5, 3, random.Random(1)), str(cutfile))
+    write_cut(random_kway_cut(5, 3, random.Random(1)), cutfile)
     code, out = run(capsys, "project", "--cut", str(cutfile))
     obj = json.loads(out)
     assert code == (0 if obj["bounds_hold"] else 1)
@@ -97,7 +101,7 @@ def test_project_subcommand(tmp_path, capsys):
 def test_project_rejects_an_instance_on_another_grid(tmp_path, capsys):
     inst, cutfile = tmp_path / "w3.json", tmp_path / "cut.json"
     run(capsys, "build", "--weights", "w3", "--n", "3", "--out", str(inst))
-    dump_cut(random_kway_cut(5, 3, random.Random(1)), str(cutfile))
+    write_cut(random_kway_cut(5, 3, random.Random(1)), cutfile)
     assert main(["project", str(inst), "--cut", str(cutfile)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "instance is on (k=3, n=3)" in err
@@ -107,7 +111,7 @@ def test_project_cost_lemmas_on_the_cut_grid(tmp_path, capsys):
     inst, cutfile = tmp_path / "wtilde.json", tmp_path / "cut.json"
     run(capsys, "build", "--weights", "wtilde", "--k", "5", "--n", "3", "--out", str(inst))
     P = random_kway_cut(5, 3, random.Random(1))
-    dump_cut(P, str(cutfile))
+    write_cut(P, cutfile)
     code, out = run(capsys, "project", str(inst), "--cut", str(cutfile))
     lemmas = json.loads(out)["cost_lemmas"]
     assert code == 0 and lemmas["hold"] is True
@@ -126,6 +130,12 @@ def test_round_subcommand_deterministic(capsys):
 def test_round_requires_seed(capsys):
     code, _ = run(capsys, "round", "--n", "3", "--samples", "5000")
     assert code == 2
+
+
+def test_round_has_no_mixture_option(capsys):
+    # the corner share is the paper's 1/5, not an option
+    assert main(["round", "--n", "3", "--samples", "5000", "--seed", "1", "--p-corner", "1/5"]) == 2
+    assert "--p-corner" in capsys.readouterr().err
 
 
 def test_lpsearch_subcommand(tmp_path, capsys):
@@ -164,6 +174,47 @@ def test_instance_edge_with_a_foreign_endpoint_exits_2(tmp_path, capsys):
     assert run(capsys, "certify", inst, "--family", "nonopposite", "--target", "1/1")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"k": 3, "n": 3, "weights": 5}, "'weights' is a list of objects"),
+        ({"k": 3, "n": 3, "weights": [[0, 1]]}, "'weights' is a list of objects"),
+        ([1, 2], "'weights' is a list of objects"),
+        ({"k": "3", "n": 3, "weights": []}, "expected an integer, got '3'"),
+        ({"k": 3, "n": 3, "weights": [{"u": [1, 2, 0], "v": [2, 1, 0], "w": 1}]}, "serialized as 'p/q', got 1"),
+        ({"k": 3, "n": 3, "weights": [{"u": [1.0, 2, 0], "v": [2, 1, 0], "w": "1/1"}]}, "[1.0, 2, 0] is not a point of Delta_{k=3,n=3}"),
+        ({"k": 3, "n": 3, "weights": [{"u": 5, "v": [2, 1, 0], "w": "1/1"}]}, "5 is not a point of Delta_{k=3,n=3}"),
+    ],
+)
+def test_malformed_instance_exits_2(tmp_path, capsys, obj, message):
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(obj))
+    assert main(["lpc", str(inst)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: obj["labels"][0].update(x=[0.0, 0.0, 3.0]), "[0.0, 0.0, 3.0] is not a point of Delta_{k=3,n=3}"),
+        (lambda obj: obj["labels"][0].update(c=0.0), "expected an integer, got 0.0"),
+        (lambda obj: obj["labels"][0].update(c=True), "expected an integer, got True"),
+        (lambda obj: obj.update(n=3.0), "expected an integer, got 3.0"),
+        (lambda obj: obj.update(labels={}), "'labels' is a list of objects"),
+    ],
+)
+def test_malformed_cut_exits_2(tmp_path, capsys, edit, message):
+    obj = cut_to_obj(random_kway_cut(3, 3, random.Random(1)))
+    assert obj["labels"][0]["x"] == [0, 0, 3] and obj["labels"][0]["c"] == 2
+    edit(obj)
+    cutfile = tmp_path / "cut.json"
+    cutfile.write_text(json.dumps(obj))
+    assert main(["project", "--cut", str(cutfile)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 def test_brute_on_k4_instance_exits_2(tmp_path, capsys):
     inst = tmp_path / "k4.json"
     inst.write_text(json.dumps({"k": 4, "n": 3, "weights": [{"u": [0, 0, 0, 3], "v": [0, 0, 1, 2], "w": "1/1"}]}))
@@ -192,7 +243,7 @@ def test_svg_subcommand(tmp_path, capsys):
 def test_svg_rejects_a_cut_on_another_grid(tmp_path, capsys, k, n):
     inst, cutfile = tmp_path / "w3.json", tmp_path / "cut.json"
     run(capsys, "build", "--weights", "w3", "--n", "3", "--out", str(inst))
-    dump_cut(random_kway_cut(k, n, random.Random(1)), str(cutfile))
+    write_cut(random_kway_cut(k, n, random.Random(1)), cutfile)
     assert main(["svg", str(inst), "--cut", str(cutfile)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"cut is on (k={k}, n={n}) but the instance on (k=3, n=3)" in err

@@ -1,6 +1,7 @@
-"""Randomized simplex-partition sampler and the density estimator."""
+"""The density estimator, against the exact statement of the rounding
+distribution kept here as its oracle."""
 
-import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -12,22 +13,17 @@ from hypothesis import strategies as st
 from mwgap import cli, rounding
 from mwgap.core import enumerate_edges, enumerate_points, point_index, support
 from mwgap.rounding import (
-    BallCut,
-    CornerCut,
-    DIAGONALS,
-    DegenerateEvaluationError,
     EXTRA,
     LABEL_BYTES,
     MAX_N,
     PARAM_CELLS,
+    P_CORNER,
     _batch_labels,
     _batch_size,
     _draw_params,
     _edge_chunk,
     _separations,
     estimate_density,
-    evaluate,
-    sample_cut,
 )
 
 
@@ -35,17 +31,89 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+# ---------------------------------------------------------------------------
+# Exact statement of the distribution (the rule is in the `rounding`
+# module docstring): cuts with rational parameters, labelled point by point.
+# ---------------------------------------------------------------------------
+
+
+class DegenerateEvaluationError(RuntimeError):
+    """The point lies on a chord of a ball cut, or exceeds a corner cut's
+    threshold in two coordinates."""
+
+
+@dataclass(frozen=True)
+class CornerCut:
+    """Assigns x to i iff x_i > r; to the extra cluster if no coordinate
+    exceeds r."""
+
+    r: Fraction
+
+
+@dataclass(frozen=True)
+class BallCut:
+    """Three chords from the interior point r; side_choice[s] picks which
+    of the two candidate chords (pieces of the lines x_a = r_a, a != s)
+    ends on side s."""
+
+    r: tuple[Fraction, Fraction, Fraction]
+    side_choice: tuple[bool, bool, bool]
+
+    def chord_lines(self) -> tuple[int, int, int]:
+        """For each side s, the coordinate index a with the chosen chord
+        on the line x_a = r_a."""
+        out = []
+        for s in range(3):
+            cands = [i for i in range(3) if i != s]
+            out.append(cands[1] if self.side_choice[s] else cands[0])
+        return tuple(out)
+
+
+# Endpoints of the two diagonals the ball-cut center is drawn from.
+DIAGONALS = (
+    ((F(2, 3), F(1, 3), F(0)), (F(0), F(2, 3), F(1, 3))),
+    ((F(2, 3), F(0), F(1, 3)), (F(0), F(1, 3), F(2, 3))),
+)
+
+
+def evaluate(cut, x) -> int:
+    """Label of a simplex point x (exact rationals) under a cut, by the
+    coordinate rule (for a corner cut, r_i = r).
+
+    A point on a chord, or above a corner threshold in two coordinates,
+    raises DegenerateEvaluationError.
+    """
+    x = tuple(Fraction(v) for v in x)
+    if len(x) != 3 or sum(x) != 1 or any(v < 0 for v in x):
+        raise ValueError(f"{x} is not a point of the triangle")
+    if isinstance(cut, CornerCut):
+        above = [i for i in range(3) if x[i] > cut.r]
+        if len(above) > 1:
+            raise DegenerateEvaluationError(f"multiple coordinates exceed r = {cut.r}")
+        return above[0] if above else EXTRA
+    r, lines = cut.r, cut.chord_lines()
+    above = [i for i in range(3) if x[i] > r[i]]
+    below = [i for i in range(3) if x[i] < r[i]]
+    if len(above) == 2:
+        return lines[below[0]]
+    if not above or (len(below) == 1 and x[lines[below[0]]] == r[lines[below[0]]]):
+        raise DegenerateEvaluationError(f"{x} lies on a chord")
+    return above[0]
+
+
+def _ball_at(diag, t, side_choice=(False, False, False)):
+    A, B = DIAGONALS[diag]
+    r = tuple((1 - t) * A[i] + t * B[i] for i in range(3))
+    return BallCut(r=r, side_choice=side_choice)
+
+
 def _params_to_cut(params, i):
     """Reference cut object for row i of a parameter batch."""
     M = PARAM_CELLS
     if params["is_corner"][i]:
         return CornerCut(r=Fraction(2 * M + int(params["jr"][i]), 3 * M))
-    diag = int(params["diag"][i])
-    t = Fraction(int(params["jt"][i]), M)
-    A, B = DIAGONALS[diag]
-    r = tuple((1 - t) * A[j] + t * B[j] for j in range(3))
     choice = tuple(bool(v) for v in params["choice"][i])
-    return BallCut(r=r, side_choice=choice, diag=diag, t=t)
+    return _ball_at(int(params["diag"][i]), Fraction(int(params["jt"][i]), M), choice)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +202,6 @@ def _outcome(label, cut, x):
         return DegenerateEvaluationError
 
 
-def _ball_at(diag, t, side_choice=(False, False, False)):
-    A, B = DIAGONALS[diag]
-    r = tuple((1 - t) * A[i] + t * B[i] for i in range(3))
-    return BallCut(r=r, side_choice=side_choice, diag=diag, t=t)
-
-
 def test_corner_cut_thresholds():
     cut = CornerCut(r=F(7, 10))
     assert evaluate(cut, (F(9, 10), F(1, 20), F(1, 20))) == 0
@@ -164,12 +226,12 @@ def test_ball_cut_point_near_corner():
 
 
 def test_ball_cut_regions_partition_points():
-    rng = random.Random(2)
+    params = _draw_params(np.random.default_rng(2), 30)
     n = 7
     pts = enumerate_points(3, n)
     evaluated = 0
-    for _ in range(30):
-        cut = sample_cut(rng)
+    for i in range(30):
+        cut = _params_to_cut(params, i)
         labels = {}
         try:
             for p in pts:
@@ -199,39 +261,37 @@ def test_segments_intersect_basics():
 
 
 def test_sample_cut_reproducible_and_mixture():
-    rng1, rng2 = random.Random(5), random.Random(5)
-    kinds = []
-    for _ in range(400):
-        c1, c2 = sample_cut(rng1), sample_cut(rng2)
-        assert c1 == c2
-        kinds.append(isinstance(c1, CornerCut))
-    frac = sum(kinds) / len(kinds)
-    assert 0.1 < frac < 0.35  # p_corner = 1/5
+    count = 20_000
+    params = _draw_params(np.random.default_rng(5), count)
+    again = _draw_params(np.random.default_rng(5), count)
+    assert params.keys() == again.keys()
+    assert all(np.array_equal(params[key], again[key]) for key in params)
+    sigma = (0.2 * 0.8 / count) ** 0.5
+    assert P_CORNER == F(1, 5)
+    assert abs(params["is_corner"].mean() - 0.2) < 4 * sigma
 
 
 def test_sampled_parameter_ranges():
-    rng = random.Random(6)
-    for _ in range(500):
-        cut = sample_cut(rng)
+    M, count = PARAM_CELLS, 20_000
+    params = _draw_params(np.random.default_rng(6), count)
+    assert params["jr"].min() >= 0 and params["jr"].max() < M
+    assert params["jt"].min() >= 1 and params["jt"].max() < M  # strictly interior centre
+    assert set(np.unique(params["diag"])) == {0, 1}
+    assert params["choice"].shape == (count, 3) and set(np.unique(params["choice"])) == {0, 1}
+    for i in range(200):
+        cut = _params_to_cut(params, i)
         if isinstance(cut, CornerCut):
             assert F(2, 3) <= cut.r < 1
         else:
-            assert 0 < cut.t < 1
-            assert cut.diag in (0, 1)
             assert all(0 < ri < 1 for ri in cut.r)
             assert sum(cut.r) == 1
-
-
-def test_sample_cut_rejects_bad_mixture():
-    with pytest.raises(ValueError):
-        sample_cut(random.Random(0), Fraction(7, 5))
 
 
 def test_batch_labels_match_reference_evaluator():
     n = 5
     pts = enumerate_points(3, n)
     rng = np.random.default_rng(42)
-    params = _draw_params(rng, 300, Fraction(1, 5))
+    params = _draw_params(rng, 300)
     labels, degenerate = _batch_labels(params, pts, n)
     for i in range(300):
         if degenerate[i]:
@@ -243,16 +303,16 @@ def test_batch_labels_match_reference_evaluator():
 
 
 def test_estimate_density_deterministic():
-    a = estimate_density(3, 20000, Fraction(1, 5), 123)
-    b = estimate_density(3, 20000, Fraction(1, 5), 123)
+    a = estimate_density(3, 20000, 123)
+    b = estimate_density(3, 20000, 123)
     assert a.tau_hat == b.tau_hat
     assert a.worst_pair == b.worst_pair
-    c = estimate_density(3, 20000, Fraction(1, 5), 124)
+    c = estimate_density(3, 20000, 124)
     assert a.tau_hat != c.tau_hat
 
 
 def test_estimate_density_statistics_shape():
-    est = estimate_density(3, 50000, Fraction(1, 5), 7)
+    est = estimate_density(3, 50000, 7)
     assert est.samples == 50000
     assert 0 < est.tau_hat < 2
     assert est.ci3sigma > 0
@@ -264,9 +324,7 @@ def test_estimate_density_statistics_shape():
 
 def test_estimate_density_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        estimate_density(1, 100000, Fraction(1, 5), 1)
-    with pytest.raises(ValueError):
-        estimate_density(3, 100000, Fraction(7, 5), 1)
+        estimate_density(1, 100000, 1)
 
 
 def test_param_cells_is_power_of_two():
@@ -310,9 +368,9 @@ def test_estimate_density_rejects_n_past_memory_bound(monkeypatch):
 
     monkeypatch.setattr(rounding, "enumerate_points", no_allocation)
     with pytest.raises(ValueError, match="LABEL_BYTES"):
-        estimate_density(MAX_N + 1, 1000, Fraction(1, 5), 1)
+        estimate_density(MAX_N + 1, 1000, 1)
     with pytest.raises(ValueError, match="LABEL_BYTES"):
-        _batch_labels(_draw_params(np.random.default_rng(0), 1, Fraction(1, 5)), [], MAX_N + 1)
+        _batch_labels(_draw_params(np.random.default_rng(0), 1), [], MAX_N + 1)
     assert cli.main(["round", "--n", str(MAX_N + 1), "--samples", "1000", "--seed", "1"]) == 2
 
 
@@ -423,7 +481,7 @@ def test_batch_labels_match_oracle_on_aligned_centres():
 # ---------------------------------------------------------------------------
 
 
-def oracle_density(n, samples, p_corner, seed):
+def oracle_density(n, samples, seed):
     """Reference: label every draw at every point and count each edge's
     separations draw by draw, with the same draws and redraws as
     `estimate_density`.  Returns (separations, corner_fraction, resampled).
@@ -436,12 +494,12 @@ def oracle_density(n, samples, p_corner, seed):
     corner_count = resampled = done = 0
     while done < samples:
         want = min(_batch_size(n), samples - done)
-        params = rounding._draw_params(rng, want, p_corner)
+        params = rounding._draw_params(rng, want)
         labels, degenerate = _batch_labels(params, points, n)
         while degenerate.any():
             redo = np.flatnonzero(degenerate)
             resampled += redo.size
-            fresh = rounding._draw_params(rng, redo.size, p_corner)
+            fresh = rounding._draw_params(rng, redo.size)
             sub_labels, sub_deg = _batch_labels(fresh, points, n)
             labels[redo] = sub_labels
             for key in params:
@@ -456,8 +514,8 @@ def oracle_density(n, samples, p_corner, seed):
 
 
 def _assert_matches_oracle(n, samples, seed):
-    want_sep, corner_fraction, resampled = oracle_density(n, samples, Fraction(1, 5), seed)
-    est = estimate_density(n, samples, Fraction(1, 5), seed)
+    want_sep, corner_fraction, resampled = oracle_density(n, samples, seed)
+    est = estimate_density(n, samples, seed)
     assert [s.separations for s in est.pair_stats] == want_sep.tolist()
     assert [s.edge for s in est.pair_stats] == enumerate_edges(3, n)
     assert (est.resampled, est.corner_fraction) == (resampled, corner_fraction)
@@ -479,8 +537,8 @@ def test_estimate_density_redraws_like_the_oracle(monkeypatch):
     # (centre at t = 1/2 on diagonal 0 and chord lines 1, 0, 0, where n r_0 = n/3
     # and n r_1 = n/2 are integers), so the redraw loop runs at least twice
     def forcing_draws(calls):
-        def draw(rng, count, p_corner):
-            params = _draw_params(rng, count, p_corner)
+        def draw(rng, count):
+            params = _draw_params(rng, count)
             calls.append(count)
             if len(calls) <= 2:
                 rows = slice(0, min(count, 7))
@@ -495,9 +553,9 @@ def test_estimate_density_redraws_like_the_oracle(monkeypatch):
     for n in (2, 3, 6, 12):
         oracle_calls, calls = [], []
         monkeypatch.setattr(rounding, "_draw_params", forcing_draws(oracle_calls))
-        want = oracle_density(n, 5000, Fraction(1, 5), 4)
+        want = oracle_density(n, 5000, 4)
         monkeypatch.setattr(rounding, "_draw_params", forcing_draws(calls))
-        est = estimate_density(n, 5000, Fraction(1, 5), 4)
+        est = estimate_density(n, 5000, 4)
         assert [s.separations for s in est.pair_stats] == want[0].tolist()
         assert (est.corner_fraction, est.resampled) == want[1:]
         assert calls == oracle_calls and len(calls) >= 3 and est.resampled >= 14
@@ -509,7 +567,7 @@ def test_separations_in_edge_chunks_match_one_chunk(monkeypatch):
     index = point_index(3, n)
     eu = np.array([index[x] for x, _ in enumerate_edges(3, n)])
     ev = np.array([index[y] for _, y in enumerate_edges(3, n)])
-    params = _draw_params(np.random.default_rng(9), 40, Fraction(1, 5))
+    params = _draw_params(np.random.default_rng(9), 40)
     labels, _ = _batch_labels(params, points, n)
     counts = np.arange(1, 41)
     want = [int(counts[labels[:, u] != labels[:, v]].sum()) for u, v in zip(eu, ev)]
