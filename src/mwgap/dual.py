@@ -21,14 +21,18 @@ The weight-free part of the dual, `dual_topology(n)`, is built once per n
 and cached as read-only integer arrays: a CSR adjacency over node ids in
 sorted node-tuple order, the edge slot (`enumerate_edges` position) of
 each arc, and the face and outer-node ids.  A `DualGraph` adds one list of
-weight numerators per edge slot, from `WeightFunction.integer_form()`;
-`dijkstra` and `check_potentials` run on the ids in Python integers, and
-only returned values are node tuples and `Fraction`s.
+weight numerators per edge slot, from `WeightFunction.integer_form()`.
+One exact shortest-path kernel, `_shortest_paths`, runs on the ids in
+Python integers and returns distance and predecessor lists by node id:
+`certify` reads them as they are, and `dijkstra` keys them by node tuples.
+`check_potentials` also runs on the ids; only returned values are node
+tuples and `Fraction`s.
 
 The same topology is the one primal adjacency of the triangle grid:
 `normalize_cut` and `classify_cut` find a cut's components by union-find
 over its edge arrays on the cut's label array, and read the sides a
-component touches from the per-point side bitmasks.
+component touches from the per-point side bitmasks; `normalize_cut` then
+merges a relabelled component into its neighbours of the new label.
 """
 
 from __future__ import annotations
@@ -207,49 +211,65 @@ def build_dual(n: int, w: WeightFunction) -> DualGraph:
     return DualGraph(n, topo, weights, D)
 
 
-def dijkstra(
-    g: DualGraph, source: DualNodeT
-) -> tuple[dict[DualNodeT, int], dict[DualNodeT, tuple[DualNodeT, Edge]]]:
-    """Exact shortest-path distances, as numerators over g.denominator,
-    and predecessors from source.
+def _shortest_paths(g: DualGraph, sources: list[int]) -> list[tuple[list, list]]:
+    """Exact shortest paths from each source id: (dist, pred) lists by
+    node id, dist[v] the distance numerator over g.denominator and
+    pred[v] = u * m + slot of the arc u -> v that reaches v, m the number
+    of edge slots; None where v is not reached (and at the source, for
+    pred).  One (dist, pred) pair per source, in order.
 
     Outer nodes other than the source may end a path but are never
     traversed: the paths forming a cut meet outer nodes only at their
-    endpoints.  Ties are broken by node order, so the predecessors are
-    reproducible: ids and edge slots are in node-tuple and edge order.
+    endpoints.  Ties are broken by the smaller pred, so by (node, edge)
+    order: ids and edge slots are in node-tuple and edge order.
     """
     topo = g.topology
-    nodes = topo.nodes()
-    s = nodes.index(source)
     first_outer, last_outer = int(topo.outer[0]), int(topo.outer[-1])
     indptr, head, slot = topo.indptr.tolist(), topo.head.tolist(), topo.slot.tolist()
     weights = g.weights
     m = len(weights)
-    # pred[v] = u * m + slot of the arc u -> v, so one int compares (u, e) pairs
-    dist: list[Optional[int]] = [None] * len(nodes)
-    pred: list[Optional[int]] = [None] * len(nodes)
-    done = [False] * len(nodes)
-    dist[s] = 0
-    heap = [(0, s)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if first_outer <= u <= last_outer and u != s:
-            continue
-        base = u * m
-        for k in range(indptr[u], indptr[u + 1]):
-            v = head[k]
-            if done[v]:
+    size = len(indptr) - 1
+    heappop, heappush = heapq.heappop, heapq.heappush
+    out = []
+    for s in sources:
+        dist: list[Optional[int]] = [None] * size
+        pred: list[Optional[int]] = [None] * size
+        done = [False] * size
+        dist[s] = 0
+        heap = [(0, s)]
+        while heap:
+            d, u = heappop(heap)
+            if done[u]:
                 continue
-            e = slot[k]
-            nd = d + weights[e]
-            dv = dist[v]
-            if dv is None or nd < dv or (nd == dv and base + e < pred[v]):
-                dist[v] = nd
-                pred[v] = base + e
-                heapq.heappush(heap, (nd, v))
+            done[u] = True
+            if first_outer <= u <= last_outer and u != s:
+                continue
+            base = u * m
+            for k in range(indptr[u], indptr[u + 1]):
+                v = head[k]
+                if done[v]:
+                    continue
+                e = slot[k]
+                nd = d + weights[e]
+                dv = dist[v]
+                if dv is None or nd < dv or (nd == dv and base + e < pred[v]):
+                    dist[v] = nd
+                    pred[v] = base + e
+                    heappush(heap, (nd, v))
+        out.append((dist, pred))
+    return out
+
+
+def dijkstra(
+    g: DualGraph, source: DualNodeT
+) -> tuple[dict[DualNodeT, int], dict[DualNodeT, tuple[DualNodeT, Edge]]]:
+    """Exact shortest-path distances, as numerators over g.denominator,
+    and predecessors (node, primal edge) from source, keyed by node
+    tuples: `_shortest_paths` from one source, read through the node
+    tuples."""
+    nodes = g.topology.nodes()
+    ((dist, pred),) = _shortest_paths(g, [nodes.index(source)])
+    m = len(g.weights)
     edges = _edges(3, g.n)
     return (
         {x: d for x, d in zip(nodes, dist) if d is not None},
@@ -388,11 +408,16 @@ def certify(n: int, w: WeightFunction, family: str, target: Fraction) -> Certifi
         raise ValueError(f"unknown family {family!r}")
     target = Fraction(target)
     g = build_dual(n, w)
-    dists = [dijkstra(g, o)[0] for o in OUTER]
-    pairwise = {(i, j): dists[i][("O", j)] for i in range(3) for j in range(i + 1, 3)}
+    topo = g.topology
+    outer = topo.outer.tolist()
+    dists = [dist for dist, _ in _shortest_paths(g, outer)]
     d0, d1, d2 = dists
+    pairwise = {(i, j): dists[i][outer[j]] for i in range(3) for j in range(i + 1, 3)}
+    faces = topo.faces.tolist()
+    sums = [d0[f] + d1[f] + d2[f] for f in faces]
+    ball = min(sums)
     # the first face of least distance sum, in face order
-    ball, witness = min(((d0[f] + d1[f] + d2[f], f) for f in enumerate_faces(n)), key=lambda t: t[0])
+    witness = topo.nodes()[faces[sums.index(ball)]]
     corner = sum(pairwise.values())
     two_corner = sum(sorted(pairwise.values())[:2])
     overall = min(ball, corner) if family == NONOPPOSITE else min(ball, two_corner)
@@ -432,12 +457,14 @@ def check_potentials(n: int, w: WeightFunction) -> PotentialReport:
     D = g.denominator
     L = lcm(D, 6 * n)
     weights = [q * (L // D) for q in g.weights]
-    nodes = topo.nodes()
     faces = topo.faces.tolist()
-    centroids = [face_centroid_numerators(nodes[f]) for f in faces]
+    # `face_centroid_numerators`: 3 * base + 1 on the up faces, which
+    # `enumerate_faces` lists first, and 3 * base + 2 on the down faces
+    n_up = len(faces) - int(topo.outer[0])
+    centroids = 3 * topo.face_base + np.repeat([1, 2], [n_up, len(faces) - n_up])[:, None]
     phi = []  # phi[i][v] = L * Phi_i(v), by node id
     for i in range(3):
-        p = [L // 3] * len(nodes)  # the corner margin at O_j, j != i
+        p = [L // 3] * (len(topo.indptr) - 1)  # the corner margin at O_j, j != i
         p[int(topo.outer[i])] = 0
         for f, x in zip(faces, potential_numerators(i, centroids, n).tolist()):
             p[f] = x * (L // (6 * n))
@@ -536,22 +563,41 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
     index = point_index(3, n)
     terminals = [index[terminal(i, 3, n)] for i in range(3)]
     lab = P.label_array.tolist()
+    adj: list[list[int]] = [[] for _ in lab]
+    for u, v in zip(eu, ev):
+        adj[u].append(v)
+        adj[v].append(u)
+    root, comps, sides = _components(lab, topo)
+
+    def relabel(r: int, m: int) -> None:
+        """Give r's component label m and merge it with the components of
+        label m next to it, as `_components` would find them: the smallest
+        root survives, its members gain the others' (unsorted), and the
+        sides are OR'd together."""
+        comp = comps[r]
+        for x in comp:
+            lab[x] = m
+        joined = {r}.union(root[y] for x in comp for y in adj[x] if lab[y] == m)
+        new = min(joined)
+        joined.discard(new)
+        for q in joined:
+            members = comps.pop(q)
+            for x in members:
+                root[x] = new
+            comps[new] += members
+            sides[new] |= sides.pop(q)
 
     while True:
-        root, comps, sides = _components(lab, topo)
-        changed = False
-        # rule (a): fold extra-cluster components not reaching all sides
-        for r, comp in comps.items():
+        # rule (a): fold extra-cluster components not reaching all sides.
+        # Folding one never changes another extra component, so one pass
+        # over the components found before it suffices.
+        for r in list(comps):
             if lab[r] != 3 or sides[r] == ALL_SIDES:
                 continue
             candidates = [l for l in range(3) if not sides[r] >> l & 1]
             if not candidates:
                 raise NormalizationError(f"no legal label for extra component at {points[r]}")
-            for x in comp:
-                lab[x] = candidates[0]
-            changed = True
-        if changed:
-            continue
+            relabel(r, candidates[0])
         # rule (b): a component missing its terminal adopts a neighbor's label.
         # Process the first violating component that has a legal neighbor
         # label; a violator can be temporarily stuck until another one is
@@ -561,9 +607,9 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
             if lab[u] != lab[v]:
                 nbr_labels[root[u]] |= 1 << lab[v]
                 nbr_labels[root[v]] |= 1 << lab[u]
-        applied = False
+        move = None
         stuck = []
-        for r, comp in comps.items():
+        for r in comps:
             l = lab[r]
             if l == 3 or root[terminals[l]] == r:
                 continue
@@ -571,15 +617,13 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
             if not legal:
                 stuck.append(points[r])
                 continue
-            m = (legal & -legal).bit_length() - 1  # the smallest legal label
-            for x in comp:
-                lab[x] = m
-            applied = True
-            break  # components changed; recompute
-        if not applied:
+            move = r, (legal & -legal).bit_length() - 1  # the smallest legal label
+            break
+        if move is None:
             if stuck:
                 raise NormalizationError(f"no legal neighbor label for components at {stuck}")
             break
+        relabel(*move)
 
     out = Cut(3, n, dict(zip(points, lab)), NONOPPOSITE)
     if w is not None and cost(out, w) > cost(P, w):

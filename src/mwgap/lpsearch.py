@@ -19,9 +19,9 @@ import numpy as np
 from .core import Edge, WeightFunction, enumerate_edges
 from .dual import NONOPPOSITE, Certificate, certify, potential_rows
 
-# `lpsearch.dijkstra` is the exact kernel behind the recheck; it stays
-# importable from this module, where bench/selftest.py checks that the
-# tracer rebinds it.
+# Nothing here calls `dijkstra`: the recheck's `certify` runs the id-level
+# kernel.  The re-export only serves bench/selftest.py, which checks that
+# the tracer rebinds it in this module.
 from .dual import dijkstra  # noqa: F401
 
 

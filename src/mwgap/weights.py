@@ -20,22 +20,15 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .core import Edge, Point, WeightFunction, combine, embed, enumerate_edges
+import numpy as np
+
+from .core import Edge, WeightFunction, _edges, _points, combine, embed, enumerate_edges
+from .dual import dual_topology
 
 
 def _require_divisible(n: int) -> None:
     if n < 3 or n % 3 != 0:
         raise ValueError(f"construction needs n >= 3 divisible by 3, got {n}")
-
-
-def edge_direction(x: Point, y: Point) -> tuple[int, int, int]:
-    """(constant index c, moving index a, moving index b) for a triangle edge.
-
-    The edge is parallel to the side spanned by vertices a and b, with a < b.
-    """
-    diff = [i for i in range(3) if x[i] != y[i]]
-    (c,) = (i for i in range(3) if i not in diff)
-    return c, diff[0], diff[1]
 
 
 def build_w3(n: int) -> WeightFunction:
@@ -44,29 +37,26 @@ def build_w3(n: int) -> WeightFunction:
     Edges strictly inside corner triangle T_c parallel to the side opposite
     e^c get weight 0; side edges ramp from (n/3)*rho next to a terminal down
     to rho at the hexagon; everything else gets rho = 1/(2n).
+
+    The weights are numerators over 2n, computed on the edge arrays of
+    `dual_topology(n)`; the dict lists the edges in `enumerate_edges` order.
     """
     _require_divisible(n)
-    rho = Fraction(1, 2 * n)
+    topo = dual_topology(n)
+    points = np.array(_points(3, n))
+    x, y = points[topo.edge_u], points[topo.edge_v]
+    # an edge moves coordinates a < b by one each and keeps c at m
+    c = np.argmax(x == y, axis=1)
+    a = np.where(c == 0, 1, 0)
+    b = np.where(c == 2, 1, 2)
+    low = np.minimum(x, y)
+    rows = np.arange(len(low))
+    m, u, v = low[rows, c], low[rows, a], low[rows, b]
     third = n // 3
-    weights: dict[Edge, Fraction] = {}
-    for x, y in enumerate_edges(3, n):
-        c, a, b = edge_direction(x, y)
-        m = x[c]
-        if 3 * m > 2 * n:
-            continue  # weight zero
-        if m == 0:
-            u = min(x[a], y[a])
-            v = min(x[b], y[b])
-            if v < third:
-                wgt = (third - v) * rho
-            elif u < third:
-                wgt = (third - u) * rho
-            else:
-                wgt = rho
-        else:
-            wgt = rho
-        weights[(x, y)] = wgt
-    return WeightFunction(3, n, weights)
+    ramp = np.where(v < third, third - v, np.where(u < third, third - u, 1))
+    num = np.where(3 * m > 2 * n, 0, np.where(m == 0, ramp, 1))
+    rho = [Fraction(j, 2 * n) for j in range(third + 1)]
+    return WeightFunction(3, n, {e: rho[j] for e, j in zip(_edges(3, n), num.tolist()) if j})
 
 
 def build_fk() -> WeightFunction:

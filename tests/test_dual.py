@@ -29,6 +29,7 @@ from mwgap.core import (
 from mwgap.dual import (
     OUTER,
     THREEWAY,
+    Certificate,
     NormalizationError,
     brute_force_min_cut,
     build_dual,
@@ -149,14 +150,19 @@ def _past_int64_instances():
     yield WeightFunction(3, 6, {e: Fraction(2**62 + j) for j, e in enumerate(enumerate_edges(3, 6))})
 
 
-def test_dijkstra_matches_fraction_oracle():
+def _oracle_cases():
+    """w3 at n = 3..18, fk, `search(3..5)` weights and the past-int64 instances."""
     cases = [build_w3(n) for n in range(3, 19, 3)] + [build_fk()]
     for n in range(3, 6):
         w = search(n).weights
         # the rescaled weights, and the float-derived ones the LP hands to certify
         cases += [w, WeightFunction(3, n, {e: Fraction(float(v)) for e, v in w.weights.items()})]
+    return cases + list(_past_int64_instances())
+
+
+def test_dijkstra_matches_fraction_oracle():
     big = list(_past_int64_instances())
-    for w in cases + big:
+    for w in _oracle_cases():
         g = build_dual(w.n, w)
         og = oracle_build_dual(w.n, w)
         for source in list(OUTER) + og.faces[:: len(og.faces) // 2]:
@@ -324,6 +330,25 @@ def test_certify_w3_families():
         three = certify(n, w, THREEWAY, Fraction(2, 3))
         assert three.passed
         assert three.two_corner == Fraction(2, 3)
+
+
+def oracle_certify(w, family, target):
+    """Reference: the certificate assembled from `oracle_dijkstra` in `Fraction`s."""
+    og = oracle_build_dual(w.n, w)
+    dists = [oracle_dijkstra(og, w, o)[0] for o in OUTER]
+    pairwise = {(i, j): dists[i][OUTER[j]] for i in range(3) for j in range(i + 1, 3)}
+    witness = min(og.faces, key=lambda f: sum(d[f] for d in dists))  # the first minimum
+    ball = sum(d[witness] for d in dists)
+    corner = sum(pairwise.values())
+    two_corner = sum(sorted(pairwise.values())[:2])
+    overall = min(ball, corner if family == NONOPPOSITE else two_corner)
+    return Certificate(family, pairwise, ball, witness, corner, two_corner, overall, target, overall >= target)
+
+
+def test_certify_matches_oracle_dijkstra():
+    for w in _oracle_cases():
+        for family, target in ((NONOPPOSITE, Fraction(1)), (THREEWAY, Fraction(2, 3))):
+            assert certify(w.n, w, family, target) == oracle_certify(w, family, target)
 
 
 def test_certificate_round_trip_fields():

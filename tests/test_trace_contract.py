@@ -25,7 +25,7 @@ def bench_modules(monkeypatch):
 
 def test_tracer_records_every_wrapped_layer(bench_modules):
     tracing, workloads = bench_modules
-    from mwgap import core, dual, projection
+    from mwgap import core, dual, projection, weights
 
     originals = (core.cost, projection.cost, dual.cost, core.Cut.validate, dual.dijkstra)
     (_, kway_job), = workloads.kway_grid_jobs(5, 3, [0])
@@ -35,10 +35,18 @@ def test_tracer_records_every_wrapped_layer(bench_modules):
         assert core.cost is not originals[0] and projection.cost is core.cost
         kway_job()
         workloads.certify_job(3)
+        # certify runs the id-level kernel, not the traced dijkstra
+        dual.dijkstra(dual.build_dual(3, weights.build_w3(3)), dual.OUTER[0])
     finally:
         tracer.uninstall()
     sums = tracer.take()
-    for name in ("core.cost.calls", "core.cost.weighted_edges", "core.Cut.validate.calls", "dual.dijkstra.calls"):
+    for name in (
+        "core.cost.calls",
+        "core.cost.weighted_edges",
+        "core.Cut.validate.calls",
+        "dual.certify.calls",
+        "dual.dijkstra.calls",
+    ):
         assert sums[name] > 0, name
     assert (core.cost, projection.cost, dual.cost, core.Cut.validate, dual.dijkstra) == originals
 

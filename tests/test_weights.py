@@ -6,17 +6,51 @@ from math import comb
 
 import pytest
 
-from mwgap.core import enumerate_edges, lpc, support
+from mwgap.core import WeightFunction, enumerate_edges, lpc, support
 from mwgap.weights import (
     build_fk,
     build_w3,
     build_w_hat,
     build_w_prime,
     build_w_tilde,
-    edge_direction,
     lpc_w3_closed,
     lpc_w_tilde_closed,
 )
+
+
+def edge_direction(x, y):
+    """(constant index c, moving index a, moving index b) for a triangle edge.
+
+    The edge is parallel to the side spanned by vertices a and b, with a < b.
+    """
+    diff = [i for i in range(3) if x[i] != y[i]]
+    (c,) = (i for i in range(3) if i not in diff)
+    return c, diff[0], diff[1]
+
+
+def oracle_build_w3(n):
+    """Oracle for build_w3: the paper's rule, edge by edge, in `Fraction`s."""
+    rho = Fraction(1, 2 * n)
+    third = n // 3
+    weights = {}
+    for x, y in enumerate_edges(3, n):
+        c, a, b = edge_direction(x, y)
+        m = x[c]
+        if 3 * m > 2 * n:
+            continue  # weight zero
+        if m == 0:
+            u = min(x[a], y[a])
+            v = min(x[b], y[b])
+            if v < third:
+                wgt = (third - v) * rho
+            elif u < third:
+                wgt = (third - u) * rho
+            else:
+                wgt = rho
+        else:
+            wgt = rho
+        weights[(x, y)] = wgt
+    return WeightFunction(3, n, weights)
 
 
 def build_w_hat_literal(k, n):
@@ -52,6 +86,13 @@ def test_w3_requires_divisible_n():
     for bad in (0, 1, 2, 4, 7):
         with pytest.raises(ValueError):
             build_w3(bad)
+
+
+def test_build_w3_matches_loop_oracle():
+    for n in range(3, 46, 3):
+        fast, want = build_w3(n).weights, oracle_build_w3(n).weights
+        assert fast == want
+        assert list(fast) == list(want)
 
 
 def test_w3_smallest_instance_exact_weights():
