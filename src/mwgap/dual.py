@@ -13,26 +13,31 @@ weight, so:
   * a 2-corner (3-way) cut contains two edge-disjoint paths among them,
 
 and exact shortest-path distances give machine-checkable lower bounds on
-cut costs.  `potential_rows` states that bound as one linear system,
-which `lpsearch` solves and `check_potentials` evaluates on the paper's
-potentials; a brute-force enumerator provides an oracle at tiny n.
+cut costs.  `potential_system(n)` states that bound once, as one linear
+system in integer arrays of at most three terms a row.  `potential_rows`
+reads it as dict rows, which `lpsearch` solves; `check_potentials`
+evaluates it as one exact A x >= b on the weights and the paper's
+potentials, `paper_potentials(n)`; a brute-force enumerator provides an
+oracle at tiny n.
 
 The weight-free part of the dual, `dual_topology(n)`, is built once per n
 and cached as read-only integer arrays: a CSR adjacency over node ids in
 sorted node-tuple order, the edge slot (`enumerate_edges` position) of
-each arc, and the face and outer-node ids.  A `DualGraph` adds one list of
-weight numerators per edge slot, from `WeightFunction.integer_form()`.
+each arc, the face and outer-node ids, and the face centroids.  A
+`DualGraph` adds one list of weight numerators per edge slot, from
+`WeightFunction.integer_form()`.
 One exact shortest-path kernel, `_shortest_paths`, runs on the ids in
 Python integers and returns distance and predecessor lists by node id:
 `certify` reads them as they are, and `dijkstra` keys them by node tuples.
-`check_potentials` also runs on the ids; only returned values are node
-tuples and `Fraction`s.
+The potential system's columns are edge slots and (outer node, node id)
+pairs; only returned values are node tuples and `Fraction`s.
 
 The same topology is the one primal adjacency of the triangle grid:
 `normalize_cut` and `classify_cut` find a cut's components by union-find
 over its edge arrays on the cut's label array, and read the sides a
-component touches from the per-point side bitmasks; `normalize_cut` then
-merges a relabelled component into its neighbours of the new label.
+component touches from the per-point side bitmasks; `normalize_cut` reads
+a component's neighbour labels from its members' adjacency, and merges a
+relabelled component into its neighbours of the new label.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from math import lcm
 from typing import Optional
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .core import (
     KWAY,
@@ -81,18 +85,6 @@ def face_vertices(node: DualNodeT) -> tuple[Point, Point, Point]:
     return ((a, b + 1, c + 1), (a + 1, b, c + 1), (a + 1, b + 1, c))
 
 
-def face_centroid_numerators(node: DualNodeT) -> tuple[int, int, int]:
-    """Centroid coordinates as numerators over 3n."""
-    kind, a, b, c = node
-    off = 1 if kind == "U" else 2
-    return (3 * a + off, 3 * b + off, 3 * c + off)
-
-
-def face_centroid(node: DualNodeT, n: int) -> tuple[Fraction, Fraction, Fraction]:
-    nums = face_centroid_numerators(node)
-    return tuple(Fraction(v, 3 * n) for v in nums)
-
-
 def enumerate_faces(n: int) -> list[DualNodeT]:
     faces: list[DualNodeT] = []
     for a in range(n):
@@ -121,14 +113,15 @@ class DualTopology:
     edge_v: np.ndarray
     point_sides: np.ndarray  # bit i set where a point lies on the side x_i = 0, by point index
     faces: np.ndarray  # face ids in `enumerate_faces` order
-    face_base: np.ndarray  # (a, b, c) of each face, in the same order
+    centroids: np.ndarray  # each face's vertex sum, in the same order: its centroid as numerators over 3n
     outer: np.ndarray  # ids of O_0, O_1, O_2
 
     def nodes(self) -> list[DualNodeT]:
         """The node tuples, by id.  Built per call: the cache holds no tuples."""
         n_down = int(self.outer[0])
         n_up = len(self.faces) - n_down
-        a, b, c = self.face_base.T.tolist()  # up faces, then down faces
+        # the base (a, b, c) of a face: its centroid numerators are 3a + 1 (up) or 3a + 2 (down)
+        a, b, c = (self.centroids // 3).T.tolist()  # up faces, then down faces
         return [
             *zip(repeat("D"), a[n_up:], b[n_up:], c[n_up:]),
             *OUTER,
@@ -179,7 +172,7 @@ def dual_topology(n: int) -> DualTopology:
         edge_v=_frozen([index[y] for _, y in edges]),
         point_sides=_frozen([sum(1 << i for i in range(3) if x[i] == 0) for x in index]),
         faces=_frozen(ids),
-        face_base=_frozen([node[1:] for node in faces]),
+        centroids=_frozen([[sum(x) for x in zip(*face_vertices(node))] for node in faces]),
         outer=_frozen(outer),
     )
 
@@ -277,60 +270,70 @@ def dijkstra(
     )
 
 
-def _lipschitz_arcs(topo: DualTopology, i: int) -> tuple[list[int], list[int], list[int]]:
-    """Tail, head and edge slot of each Lipschitz row for O_i, in row
-    order: the arcs leaving each face, in `enumerate_faces` order, then
-    those leaving O_i; arcs into O_i are left out."""
-    source = topo.outer[i]
-    tails = np.append(topo.faces, source)
-    start = topo.indptr[tails]
-    count = topo.indptr[tails + 1] - start
-    # the arcs of each tail's CSR range, the ranges concatenated in tail order
-    arc = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
-    keep = topo.head[arc] != source
-    return np.repeat(tails, count)[keep].tolist(), topo.head[arc[keep]].tolist(), topo.slot[arc[keep]].tolist()
+def potential_system(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The potential system on the dual of Delta_{3,n}, as read-only int32
+    arrays `(col, coef, rhs)`.
 
-
-def potential_rows(n: int) -> Iterator[tuple[dict[Hashable, int], int]]:
-    """The potential system on the dual of Delta_{3,n}, one row at a time.
-
-    Each `(row, rhs)` means sum(coef * var for var, coef in row.items())
-    >= rhs, with integer coefficients.  A variable is a primal edge e,
-    standing for its weight w(e), or a pair (i, v), standing for the
-    potential pi_i(v) of outer node O_i at dual node v; pi_i(O_i) = 0 is
-    left out.  The rows are
+    Row r means sum_t coef[r, t] * x[col[r, t]] >= rhs[r]; col and coef
+    have shape (rows, 3).  Column s < m, m the number of edge slots, is the
+    weight w(e) of edge slot s; column m + i * N + v, N the number of dual
+    nodes, is the potential pi_i(v) of outer node O_i at node id v.  The
+    rows are
 
       * pi_i(v) - pi_i(u) <= w(e) on every dual arc u -> v that neither
         leaves an outer node O_j, j != i, nor enters O_i (Lipschitz rows:
         paths meet the other outer nodes only at their ends, and a path
-        from O_i never re-enters it),
+        from O_i never re-enters it); the term pi_i(O_i) = 0 of the rows
+        leaving O_i has coefficient 0,
       * sum_i pi_i(F) >= 1 for every face F (ball rows),
       * pi_0(O_1) + pi_0(O_2) + pi_1(O_2) >= 1 (corner row).
 
     Weights w admit such potentials exactly when every ball and 3-corner
     dual path system costs at least one: shortest-path distances from O_i
     are feasible potentials, and any feasible pi_i is a lower bound on
-    them.  Rows are yielded in a fixed order: for each i, the Lipschitz
-    rows of the arcs leaving each face (in `enumerate_faces` order) and
-    then O_i, each node's arcs in (head, edge) order; then the ball rows
-    in face order; then the corner row.
+    them.  The rows come in a fixed order: for each i, the Lipschitz rows
+    of the arcs leaving each face (in `enumerate_faces` order) and then
+    O_i, each node's arcs in (head, edge) order, with terms (w(e),
+    pi_i(v), pi_i(u)); then the ball rows in face order; then the corner
+    row.  Built per call from `dual_topology(n)`.
     """
     topo = dual_topology(n)
-    nodes = topo.nodes()
-    edges = _edges(3, n)
+    m, N = len(topo.edge_u), len(topo.indptr) - 1
+    tail = np.repeat(np.arange(N, dtype=np.int32), np.diff(topo.indptr))  # the node each arc leaves
+    face_arcs = (topo.indptr[topo.faces, None] + np.arange(3)).ravel()  # in face order; a face has three
+    cols, coefs = [], []
     for i in range(3):
-        source = int(topo.outer[i])
-        for u, v, s in zip(*_lipschitz_arcs(topo, i)):
-            row = {edges[s]: 1, (i, nodes[v]): -1}
-            if u != source:
-                row[(i, nodes[u])] = 1
-            yield row, 0
-    for f in topo.faces.tolist():
-        yield {(i, nodes[f]): 1 for i in range(3)}, 1
-    yield {(0, OUTER[1]): 1, (0, OUTER[2]): 1, (1, OUTER[2]): 1}, 1
+        source = topo.outer[i]
+        arc = np.append(face_arcs, np.arange(topo.indptr[source], topo.indptr[source + 1]))
+        arc = arc[topo.head[arc] != source]
+        t, h = tail[arc], topo.head[arc]
+        base = m + i * N
+        cols.append(np.column_stack((topo.slot[arc], base + h, base + t)))
+        coefs.append(np.column_stack((np.ones_like(t), -np.ones_like(t), t != source)))
+    o1, o2 = topo.outer[1:]  # int32, as every piece is, so nothing is built wider
+    cols += [np.column_stack([m + i * N + topo.faces for i in range(3)]), [[m + o1, m + o2, m + N + o2]]]
+    coefs.append(np.ones((len(topo.faces) + 1, 3), np.int32))
+    col = np.concatenate(cols)
+    rhs = np.zeros(len(col), np.int32)
+    rhs[-len(topo.faces) - 1 :] = 1
+    return _frozen(col), _frozen(np.concatenate(coefs)), _frozen(rhs)
 
 
-def potential_numerators(i: int, centroids: ArrayLike, n: int) -> np.ndarray:
+def potential_rows(n: int) -> Iterator[tuple[dict[Hashable, int], int]]:
+    """`potential_system(n)`, one `(row, rhs)` at a time.
+
+    A row maps the variable of each nonzero term, in term order, to its
+    coefficient: a primal edge e, standing for its weight w(e), or a pair
+    (i, v), standing for the potential pi_i at dual node v.
+    """
+    nodes = dual_topology(n).nodes()
+    names = [*_edges(3, n), *((i, v) for i in range(3) for v in nodes)]
+    col, coef, rhs = potential_system(n)
+    for c, k, b in zip(col.tolist(), coef.tolist(), rhs.tolist()):
+        yield {names[j]: q for j, q in zip(c, k) if q}, b
+
+
+def potential_numerators(i: int, num: np.ndarray, n: int) -> np.ndarray:
     """Potential of O_i at faces with the given centroid numerators (one
     row of three per face, over 3n), as numerators over 6n.
 
@@ -344,7 +347,6 @@ def potential_numerators(i: int, centroids: ArrayLike, n: int) -> np.ndarray:
 
     Centroid numerators are 1 or 2 mod 3, so no face meets a line x_j = 2/3.
     """
-    num = np.asarray(centroids).reshape(-1, 3)
     corner = num > 2 * n  # at most one corner triangle per face
     out = 3 * -(-2 * num[:, i] // 3)
     out = np.where(corner[:, i], 4 * n, out)
@@ -355,14 +357,19 @@ def potential_numerators(i: int, centroids: ArrayLike, n: int) -> np.ndarray:
     return out
 
 
-def potential(i: int, node: DualNodeT, n: int) -> Fraction:
-    """Potential Phi_i of O_i at a dual node (a face or O_i itself); see
-    `potential_numerators`."""
-    if node == ("O", i):
-        return Fraction(0)
-    if node[0] == "O":
-        raise ValueError(f"potential of O_{i} is undefined at {node}")
-    return Fraction(int(potential_numerators(i, face_centroid_numerators(node), n)[0]), 6 * n)
+def paper_potentials(n: int) -> np.ndarray:
+    """The paper's potentials Phi, a (3, N) array of numerators over 6n
+    by node id: Phi_i is `potential_numerators` at the faces, 0 at O_i,
+    and the corner margin (2n/3) rho = 2n / (6n) = 1/3 at O_j, j != i, so
+    the Lipschitz rows next to O_j are the corner-cut margins and the
+    corner row reads 3 * 1/3 >= 1.
+    """
+    topo = dual_topology(n)
+    phi = np.full((3, len(topo.indptr) - 1), 2 * n)
+    for i in range(3):
+        phi[i, topo.outer[i]] = 0
+        phi[i, topo.faces] = potential_numerators(i, topo.centroids, n)
+    return phi
 
 
 THREEWAY = "threeway"
@@ -442,56 +449,31 @@ class PotentialReport:
 
 
 def check_potentials(n: int, w: WeightFunction) -> PotentialReport:
-    """Evaluate `potential_rows` exactly on w and the paper's potentials.
+    """Evaluate `potential_system(n)` exactly on w and `paper_potentials(n)`.
 
-    Phi_i is `potential(i, ., n)` on faces and the corner margin
-    (2n/3) rho = 1/3 at O_j, j != i, so the Lipschitz rows next to O_j
-    are the corner-cut margins and the corner row reads 3 * 1/3 >= 1.
-    Every potential value has a denominator dividing 6n, so the rows are
-    scanned, in their order, as integer sums over L = lcm(D, 6n), D the
-    denominator of `w.integer_form()`; only the first violated row is
-    built, from `potential_rows`, and reported.
+    Every value is a multiple of 1/L, L = lcm(D, 6n) and D the denominator
+    of `w.integer_form()`, so the check is A x >= b L on x, the edge
+    weights and then the potentials as Python-int numerators over L.  The
+    first violated row is reported through `potential_rows`.
     """
     g = build_dual(n, w)
-    topo = g.topology
     D = g.denominator
     L = lcm(D, 6 * n)
-    weights = [q * (L // D) for q in g.weights]
-    faces = topo.faces.tolist()
-    # `face_centroid_numerators`: 3 * base + 1 on the up faces, which
-    # `enumerate_faces` lists first, and 3 * base + 2 on the down faces
-    n_up = len(faces) - int(topo.outer[0])
-    centroids = 3 * topo.face_base + np.repeat([1, 2], [n_up, len(faces) - n_up])[:, None]
-    phi = []  # phi[i][v] = L * Phi_i(v), by node id
-    for i in range(3):
-        p = [L // 3] * (len(topo.indptr) - 1)  # the corner margin at O_j, j != i
-        p[int(topo.outer[i])] = 0
-        for f, x in zip(faces, potential_numerators(i, centroids, n).tolist()):
-            p[f] = x * (L // (6 * n))
-        phi.append(p)
-
-    def violation(index: int, lhs: int) -> PotentialReport:
-        row, rhs = next(islice(potential_rows(n), index, None))
-        return PotentialReport(False, (row, Fraction(lhs, L), rhs))
-
-    index = 0
-    for i, p in enumerate(phi):
-        tails, heads, slots = _lipschitz_arcs(topo, i)
-        for r, (u, v, s) in enumerate(zip(tails, heads, slots), index):
-            lhs = weights[s] + p[u] - p[v]
-            if lhs < 0:
-                return violation(r, lhs)
-        index += len(tails)
-    p0, p1, p2 = phi
-    for r, f in enumerate(faces, index):
-        lhs = p0[f] + p1[f] + p2[f]
-        if lhs < L:
-            return violation(r, lhs)
-    o1, o2 = topo.outer[1:].tolist()
-    lhs = p0[o1] + p0[o2] + p1[o2]
-    if lhs < L:
-        return violation(index + len(faces), lhs)
-    return PotentialReport(True)
+    x = np.concatenate(
+        (
+            np.array(g.weights, dtype=object) * (L // D),
+            paper_potentials(n).ravel().astype(object) * (L // (6 * n)),
+        )
+    )
+    col, coef, rhs = potential_system(n)
+    # term by term, so the object temporaries are one column, not all three
+    lhs = sum(k * x[j] for k, j in zip(coef.T, col.T))
+    violated = np.flatnonzero(lhs < rhs.astype(object) * L)
+    if not violated.size:
+        return PotentialReport(True)
+    r = int(violated[0])
+    row, b = next(islice(potential_rows(n), r, None))
+    return PotentialReport(False, (row, Fraction(lhs[r], L), b))
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +540,12 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
         raise ValueError("normalize_cut expects a non-opposite cut")
     n = P.n
     topo = dual_topology(n)
-    eu, ev = topo.edge_u.tolist(), topo.edge_v.tolist()
     points = enumerate_points(3, n)
     index = point_index(3, n)
     terminals = [index[terminal(i, 3, n)] for i in range(3)]
     lab = P.label_array.tolist()
     adj: list[list[int]] = [[] for _ in lab]
-    for u, v in zip(eu, ev):
+    for u, v in zip(topo.edge_u.tolist(), topo.edge_v.tolist()):
         adj[u].append(v)
         adj[v].append(u)
     root, comps, sides = _components(lab, topo)
@@ -602,18 +583,17 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
         # Process the first violating component that has a legal neighbor
         # label; a violator can be temporarily stuck until another one is
         # folded first, so only raise when every violator is stuck.
-        nbr_labels = dict.fromkeys(comps, 0)  # bit m: a cut edge leads to label m
-        for u, v in zip(eu, ev):
-            if lab[u] != lab[v]:
-                nbr_labels[root[u]] |= 1 << lab[v]
-                nbr_labels[root[v]] |= 1 << lab[u]
         move = None
         stuck = []
         for r in comps:
             l = lab[r]
             if l == 3 or root[terminals[l]] == r:
                 continue
-            legal = nbr_labels[r] & ~sides[r]  # a cut edge never leads to label l
+            near = 0  # bit m: a member has a neighbour of label m
+            for x in comps[r]:
+                for y in adj[x]:
+                    near |= 1 << lab[y]
+            legal = near & ~(1 << l) & ~sides[r]
             if not legal:
                 stuck.append(points[r])
                 continue

@@ -12,7 +12,7 @@ from math import sqrt
 from typing import Optional
 
 from .core import Cut, Point, WeightFunction, enumerate_edges
-from .dual import enumerate_faces, face_centroid, potential
+from .dual import dual_topology, paper_potentials
 
 SIDE = 480.0
 MARGIN = 40.0
@@ -63,10 +63,11 @@ def emit_svg(
             f"<title>{x}-{y} w={val}</title></line>"
         )
     if potential_index is not None:
-        for f in enumerate_faces(n):
-            c = face_centroid(f, n)
-            cx, cy = _xy(tuple(v * n for v in c), n)  # rational point scaled like grid coords
-            val = potential(potential_index, f, n)
+        topo = dual_topology(n)
+        phi = paper_potentials(n)[potential_index].tolist()
+        for f, c in zip(topo.faces.tolist(), topo.centroids.tolist()):
+            cx, cy = _xy(tuple(Fraction(v, 3) for v in c), n)  # the centroid, scaled like grid coords
+            val = Fraction(phi[f], 6 * n)
             out.append(
                 f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-size="9" text-anchor="middle">{val}</text>'
             )

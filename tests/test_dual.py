@@ -2,6 +2,7 @@
 
 import heapq
 import random
+import re
 from dataclasses import fields
 from fractions import Fraction
 from types import SimpleNamespace
@@ -39,15 +40,15 @@ from mwgap.dual import (
     dijkstra,
     dual_topology,
     enumerate_faces,
-    face_centroid,
-    face_centroid_numerators,
     face_vertices,
     normalize_cut,
-    potential,
+    paper_potentials,
     potential_rows,
+    potential_system,
     uncut_edges,
 )
 from mwgap.lpsearch import search
+from mwgap.svg import emit_svg
 from mwgap.weights import build_fk, build_w3
 
 
@@ -104,7 +105,7 @@ def oracle_potential_rows(g):
 
 def oracle_potential(i, node, n):
     """Reference: Phi_i at a face, region by region, in `Fraction`s."""
-    num = face_centroid_numerators(node)
+    num = [sum(x) for x in zip(*face_vertices(node))]  # the centroid, over 3n
     region = [j for j in range(3) if num[j] > 2 * n]
     if not region:  # middle hexagon
         return Fraction(-(-2 * num[i] // 3), 2 * n)
@@ -217,6 +218,8 @@ def test_topology_matches_oracle_adjacency():
         nodes = topo.nodes()
         assert [nodes[f] for f in topo.faces] == og.faces
         assert [nodes[o] for o in topo.outer] == list(OUTER)
+        # centroid numerators over 3n: 3 * base + 1 on up faces, + 2 on down faces
+        assert topo.centroids.tolist() == [[3 * x + (1 if f[0] == "U" else 2) for x in f[1:]] for f in og.faces]
 
 
 def test_potential_rows_match_oracle():
@@ -227,11 +230,40 @@ def test_potential_rows_match_oracle():
         assert [(list(row.items()), rhs) for row, rhs in rows] == [(list(row.items()), rhs) for row, rhs in want]
 
 
+def test_potential_system_holds_three_terms_per_row():
+    for n in (1, 3, 6):
+        topo = dual_topology(n)
+        m, N = len(topo.edge_u), len(topo.indptr) - 1
+        col, coef, rhs = potential_system(n)
+        assert col.shape == coef.shape == (len(list(potential_rows(n))), 3) and rhs.shape == col.shape[:1]
+        for a in (col, coef, rhs):
+            assert a.dtype == np.int32 and not a.flags.writeable
+        # a zero coefficient marks pi_i(O_i), in the Lipschitz rows leaving O_i
+        i, v = np.divmod(col[coef == 0] - m, N)
+        assert len(i) == 3 * n and (v == topo.outer[i]).all()
+
+
+def _phi(i, node, n):
+    """Phi_i at a dual node tuple, from `paper_potentials`."""
+    return Fraction(int(paper_potentials(n)[i, dual_topology(n).nodes().index(node)]), 6 * n)
+
+
 def test_potential_matches_region_oracle():
     for n in range(1, 13):
-        for f in enumerate_faces(n):
-            for i in range(3):
-                assert potential(i, f, n) == oracle_potential(i, f, n)
+        nodes = dual_topology(n).nodes()
+        phi = paper_potentials(n)
+        assert phi.shape == (3, len(nodes))
+        for i in range(3):
+            want = {f: oracle_potential(i, f, n) for f in enumerate_faces(n)}
+            want.update({o: Fraction(0 if o == OUTER[i] else 1, 3) for o in OUTER})
+            assert {v: Fraction(p, 6 * n) for v, p in zip(nodes, phi[i].tolist())} == want
+
+
+def test_svg_overlay_shows_the_region_oracle():
+    for n in (3, 6):
+        for i in range(3):
+            values = re.findall(r">([^<>]*)</text>", emit_svg(build_w3(n), potential_index=i))
+            assert values == [str(oracle_potential(i, f, n)) for f in enumerate_faces(n)]
 
 
 def test_topology_holds_only_read_only_integer_arrays():
@@ -286,10 +318,9 @@ def test_face_centroids_avoid_third_lines():
     # centroids have numerator 1 or 2 mod 3 over 3n, so they never sit on
     # a line x_i = 2/3 and region membership is unambiguous
     n = 6
-    for f in enumerate_faces(n):
-        for c in face_centroid(f, n):
-            assert c.limit_denominator(3 * n) * 3 * n % 3 != 0
-            assert 3 * c != 2
+    centroids = dual_topology(n).centroids
+    assert (centroids % 3 != 0).all()
+    assert (centroids != 2 * n).all()
 
 
 def test_dual_degrees():
@@ -381,13 +412,13 @@ def _arc_walk_check_potentials(n, w):
                 (o,) = outer
                 f = v if u == o else u
                 if o == ("O", i):
-                    if abs(potential(i, f, n)) > wt:
+                    if abs(oracle_potential(i, f, n)) > wt:
                         return False
-                elif potential(i, f, n) + wt < margin:
+                elif oracle_potential(i, f, n) + wt < margin:
                     return False
-            elif abs(potential(i, u, n) - potential(i, v, n)) > wt:
+            elif abs(oracle_potential(i, u, n) - oracle_potential(i, v, n)) > wt:
                 return False
-    return all(sum(potential(i, f, n) for i in range(3)) >= 1 for f in g.faces)
+    return all(sum(oracle_potential(i, f, n) for i in range(3)) >= 1 for f in g.faces)
 
 
 def test_potentials_fail_when_weights_shrink():
@@ -485,6 +516,19 @@ def test_check_potentials_reports_the_oracle_violation_on_w3_perturbations():
     assert outcomes == {True, False}
 
 
+def test_check_potentials_is_exact_beyond_int64():
+    # LP weights with denominators near 2**55, the same divided by 3 (which
+    # violates rows), and numerators past 2**63 over the common denominator
+    searched = [search(n).weights for n in range(3, 7)]
+    cases = searched + [w.scaled(Fraction(1, 3)) for w in searched] + list(_past_int64_instances())
+    outcomes = set()
+    for w in cases:
+        rep = check_potentials(w.n, w)
+        assert (rep.ok, rep.violation) == oracle_check_potentials(w.n, w)
+        outcomes.add(rep.ok)
+    assert outcomes == {True, False}
+
+
 def _rows_hold(g, value):
     return all(
         sum(coef * value.get(var, 0) for var, coef in row.items()) >= rhs
@@ -518,17 +562,14 @@ def test_potential_values_in_regions():
     n = 9
     rho = Fraction(1, 18)
     # up face at the e^0 corner lies in T_0
-    assert potential(0, ("U", 8, 0, 0), n) == Fraction(4 * n, 3) * rho
-    assert potential(0, ("O", 0), n) == 0
+    assert _phi(0, ("U", 8, 0, 0), n) == Fraction(4 * n, 3) * rho
+    assert _phi(0, ("O", 0), n) == 0
+    # the corner margin at the other outer nodes
+    assert _phi(0, ("O", 1), n) == _phi(0, ("O", 2), n) == Fraction(1, 3)
     # central face sits in the hexagon: ceil(2 n x_0) rho
     f = ("U", 2, 3, 3)
-    x0 = face_centroid(f, n)[0]
-    assert potential(0, f, n) == -((-2 * n * x0).__floor__()) * rho
-
-
-def test_potential_undefined_at_other_outer_nodes():
-    with pytest.raises(ValueError):
-        potential(0, ("O", 1), 3)
+    x0 = Fraction(3 * 2 + 1, 3 * n)
+    assert _phi(0, f, n) == -((-2 * n * x0).__floor__()) * rho
 
 
 def test_distances_dominate_potentials():
@@ -538,7 +579,7 @@ def test_distances_dominate_potentials():
     for i in range(3):
         dist, _ = dijkstra(g, ("O", i))
         for f in enumerate_faces(n):
-            assert Fraction(dist[f], g.denominator) >= potential(i, f, n)
+            assert Fraction(dist[f], g.denominator) >= _phi(i, f, n)
 
 
 def test_normalize_fixed_point_on_ball_cut():

@@ -2,8 +2,8 @@
 
 The tracer rebinds mwgap functions by name and reads their arguments, so
 a rename in `src/` would otherwise show only in the slow harness
-self-test.  This runs tiny jobs of the kway and triangle workloads
-under the tracer; it reads bench/ and changes nothing there.
+self-test.  This runs tiny jobs of the kway, triangle and lpsearch
+workloads under the tracer; it reads bench/ and changes nothing there.
 """
 
 import random
@@ -35,6 +35,7 @@ def test_tracer_records_every_wrapped_layer(bench_modules):
         assert core.cost is not originals[0] and projection.cost is core.cost
         kway_job()
         workloads.certify_job(3)
+        workloads.search_job(3)
         # certify runs the id-level kernel, not the traced dijkstra
         dual.dijkstra(dual.build_dual(3, weights.build_w3(3)), dual.OUTER[0])
     finally:
@@ -45,7 +46,10 @@ def test_tracer_records_every_wrapped_layer(bench_modules):
         "core.cost.weighted_edges",
         "core.Cut.validate.calls",
         "dual.certify.calls",
+        "dual.check_potentials.calls",
         "dual.dijkstra.calls",
+        "lpsearch.solve_lp.rows",
+        "lpsearch.solve_lp.nnz",
     ):
         assert sums[name] > 0, name
     assert (core.cost, projection.cost, dual.cost, core.Cut.validate, dual.dijkstra) == originals
