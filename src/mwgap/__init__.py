@@ -5,7 +5,6 @@ from .core import (
     WeightFunction,
     KWAY,
     NONOPPOSITE,
-    combine,
     cost,
     enumerate_edges,
     enumerate_points,
@@ -52,7 +51,6 @@ __all__ = [
     "KWAY",
     "NONOPPOSITE",
     "THREEWAY",
-    "combine",
     "cost",
     "enumerate_edges",
     "enumerate_points",

@@ -78,6 +78,7 @@ def cmd_project(args) -> int:
         "coarse_bound": rat_to_str(proj.coarse_bound),
         "bounds_hold": proj.ok,
     }
+    ok = proj.ok
     if args.instance:
         w = load_instance(args.instance)
         if (w.k, w.n) != (P.k, P.n):
@@ -89,8 +90,9 @@ def cmd_project(args) -> int:
             "cost_wtilde": rat_to_str(rep.cost_tilde),
             "hold": rep.ok,
         }
+        ok = ok and rep.ok
     _emit(obj)
-    return 0 if proj.ok else 1
+    return 0 if ok else 1
 
 
 def cmd_round(args) -> int:

@@ -5,9 +5,10 @@ integer numerators summing to n (the real point is coords/n).  Each grid
 has one point index, `point_index(k, n)`: a validated `Cut` keeps its
 labels as an array in that order, and `cost` sums a weight function's
 integer numerators over one common denominator on the edges whose
-endpoint labels differ.  All arithmetic in this module is exact: weights
-and costs are `Fraction`s at the API, integers inside, and floating point
-is never used here.
+endpoint labels differ; `face_gather` places a smaller grid on faces of
+the k-simplex.  All arithmetic in this module is exact: weights and costs
+are `Fraction`s at the API, integers inside, and floating point is never
+used here.
 """
 
 from __future__ import annotations
@@ -37,18 +38,6 @@ def support(x: Point) -> frozenset[int]:
 def terminal(i: int, k: int, n: int) -> Point:
     """The grid point sitting at simplex vertex e^i."""
     return (0,) * i + (n,) + (0,) * (k - i - 1)
-
-
-def embed(x: Point, f: Sequence[int], k: int) -> Point:
-    """The k-grid point with x[j] at coordinate f[j] and zeros elsewhere.
-
-    With f increasing, embedding preserves lexicographic order, so it maps
-    canonical edges to canonical edges.
-    """
-    big = [0] * k
-    for j, i in enumerate(f):
-        big[i] = x[j]
-    return tuple(big)
 
 
 def enumerate_points(k: int, n: int) -> list[Point]:
@@ -82,6 +71,28 @@ def point_index(k: int, n: int) -> Mapping[Point, int]:
     """Read-only map from each point of Delta_{k,n} to its position in
     `enumerate_points(k, n)` order."""
     return MappingProxyType({x: i for i, x in enumerate(_points(k, n))})
+
+
+def face_gather(k: int, n: int, faces: Sequence[Sequence[int]]) -> np.ndarray:
+    """Read-only (len(faces), |Delta_{m,n}|) array: row f, column j is the
+    `point_index(k, n)` position of the j-th point of Delta_{m,n}, in
+    `enumerate_points` order, with its coordinates placed at faces[f].
+
+    faces are faces of [k], all of one size m, in any order.  A sorted face
+    keeps lexicographic order, so it maps canonical edges to canonical edges.
+    """
+    index = point_index(k, n)
+    small = _points(len(faces[0]), n)
+    rows = []
+    for f in faces:
+        for x in small:
+            big = [0] * k
+            for i, v in zip(f, x):
+                big[i] = v
+            rows.append(index[tuple(big)])
+    gather = np.array(rows, dtype=np.intp).reshape(len(faces), len(small))
+    gather.setflags(write=False)
+    return gather
 
 
 def canonical_edge(x: Point, y: Point) -> Edge:
@@ -192,19 +203,6 @@ class WeightFunction:
         return WeightFunction(
             self.k, self.n, {e: a * w for e, w in self.weights.items() if a * w != 0}
         )
-
-
-def combine(a: Fraction, w1: WeightFunction, b: Fraction, w2: WeightFunction) -> WeightFunction:
-    """a*w1 + b*w2 with nonnegative rational coefficients."""
-    if (w1.k, w1.n) != (w2.k, w2.n):
-        raise ValueError("weight functions live on different grids")
-    a, b = Fraction(a), Fraction(b)
-    out: dict[Edge, Fraction] = {}
-    for e in set(w1.weights) | set(w2.weights):
-        v = a * w1.weights.get(e, Fraction(0)) + b * w2.weights.get(e, Fraction(0))
-        if v != 0:
-            out[e] = v
-    return WeightFunction(w1.k, w1.n, out)
 
 
 def lpc(w: WeightFunction) -> Fraction:

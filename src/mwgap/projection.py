@@ -2,15 +2,15 @@
 
 The operators here connect k-way cuts of the big simplex grid to
 non-opposite cuts of the triangle.  Every lookup of a small-grid point in
-the big grid goes through `core.embed` and `core.point_index`:
+the big grid is a row of `core.face_gather`, the one embedding:
 `_face_labels` is the one restriction kernel, which reads P's labels on a
 list of faces and marks the bad points.  `restrict_triple` builds the raw
 labels and the fixed cut from one face's row, restriction along an
 injection is its fixed cut, and `check_projection_bounds` runs the kernel
 on all sorted faces at once.  `d_profile` reads the lines between
-terminal pairs through the same embedding index to get the label sets
-D_{i,j} and their mean, and the checks below verify the probability and
-cost bounds built on them by exact enumeration.
+terminal pairs through the same gather to get the label sets D_{i,j} and
+their mean, and the checks below verify the probability and cost bounds
+built on them by exact enumeration.
 """
 
 from __future__ import annotations
@@ -31,28 +31,23 @@ from .core import (
     Point,
     WeightFunction,
     cost,
-    embed,
     enumerate_points,
-    point_index,
+    face_gather,
 )
 from .weights import build_w_hat, build_w_prime, build_w_tilde
 
 
 def _face_index(k: int, n: int, faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(gather, opposite) for a list of ordered faces of [k], all of one size m.
+    """(gather, opposite) for a list of faces of [k], all of one size m.
 
-    For face f and x_j the j-th point of the m-grid, gather[f, j] is the
-    position of embed(x_j, faces[f], k) in `point_index(k, n)`, and
-    opposite[f, j, r] is faces[f][r] where x_j[r] = 0 (a corner opposite
-    x_j), else -1.
+    gather is `face_gather(k, n, faces)`.  For x_j the j-th point of the
+    m-grid, opposite[f, j, r] is faces[f][r] where x_j[r] = 0 (a corner
+    opposite x_j), else -1.
     """
-    index = point_index(k, n)
     small = enumerate_points(len(faces[0]), n)
-    gather = np.array([[index[embed(x, f, k)] for x in small] for f in faces], dtype=np.intp)
     opposite = np.where(np.array(small) == 0, np.array(faces)[:, None, :], -1)
-    gather.setflags(write=False)
     opposite.setflags(write=False)
-    return gather, opposite
+    return face_gather(k, n, faces), opposite
 
 
 @lru_cache(maxsize=16)
@@ -63,15 +58,15 @@ def _sorted_face_index(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=16)
 def _line_gather(k: int, n: int) -> np.ndarray:
-    """`_face_index` gather of the C(k, 2) terminal-pair lines, in `combinations` order."""
-    return _face_index(k, n, list(combinations(range(k), 2)))[0]
+    """`face_gather` of the C(k, 2) terminal-pair lines, in `combinations` order."""
+    return face_gather(k, n, list(combinations(range(k), 2)))
 
 
 def _face_labels(P: Cut, gather: np.ndarray, opposite: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The restriction kernel: P's labels on faces, and the bad-point mask.
 
-    Row f, column j: the label of embed(x_j, faces[f], k), and whether that
-    label is a corner of the face opposite x_j (`_face_index`).
+    Row f, column j: the label of x_j placed on faces[f] (`face_gather`),
+    and whether that label is a corner of the face opposite x_j.
     """
     labels = P.label_array[gather]
     return labels, (labels[:, :, None] == opposite).any(axis=2)
@@ -87,8 +82,8 @@ class RestrictionResult:
 def restrict_triple(P: Cut, i1: int, i2: int, i3: int) -> RestrictionResult:
     """Cut induced by P on the face spanned by terminals i1, i2, i3.
 
-    Triangle point x is looked up at embed(x, (i1, i2, i3), k), in any
-    order of the indices; labels outside the triple become the extra
+    Triangle point x is looked up with x[r] at coordinate (i1, i2, i3)[r],
+    in any order of the indices; labels outside the triple become the extra
     cluster.  Points whose induced label is a corner outside supp(x) are
     "bad" and forced to the extra cluster.
     """

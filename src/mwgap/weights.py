@@ -3,32 +3,27 @@
 Five families:
   build_w3      — the triangle gap with corner triangles and middle hexagon
   build_fk      — the classic n = 2 lower-bound instance with lpc = 7/8
-  build_w_hat   — build_w3 averaged over its embeddings into the C(k,3)
-                  faces of the k-simplex (the 3-skeleton; E_{k,n} is never
-                  enumerated)
-  build_w_prime — uniform weight on the lines between terminals, embedded
-                  directly
+  build_w_hat   — build_w3 averaged over the C(k,3) faces of the k-simplex
+                  spanned by three terminals
+  build_w_prime — uniform weight on the lines between terminals
   build_w_tilde — the convex combination of the last two that pushes every
                   k-way cut cost to at least one
+
+The k-way families are one lifted integer sum, `_lifted`, through
+`core.face_gather`; E_{k,n} is never enumerated.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 import numpy as np
 
-from .core import Edge, WeightFunction, _edges, _points, combine, embed, enumerate_edges
+from .core import Edge, WeightFunction, _edges, _points, enumerate_edges, face_gather
 from .dual import dual_topology
-
-
-def _require_divisible(n: int) -> None:
-    if n < 3 or n % 3 != 0:
-        raise ValueError(f"construction needs n >= 3 divisible by 3, got {n}")
 
 
 def build_w3(n: int) -> WeightFunction:
@@ -41,7 +36,8 @@ def build_w3(n: int) -> WeightFunction:
     The weights are numerators over 2n, computed on the edge arrays of
     `dual_topology(n)`; the dict lists the edges in `enumerate_edges` order.
     """
-    _require_divisible(n)
+    if n < 3 or n % 3 != 0:
+        raise ValueError(f"construction needs n >= 3 divisible by 3, got {n}")
     topo = dual_topology(n)
     points = np.array(_points(3, n))
     x, y = points[topo.edge_u], points[topo.edge_v]
@@ -70,22 +66,41 @@ def build_fk() -> WeightFunction:
     return WeightFunction(3, 2, weights)
 
 
-def build_w_hat(k: int, n: int) -> WeightFunction:
-    """Average of build_w3 embedded into every 3-element face of [k].
+def _line(n: int) -> WeightFunction:
+    """Weight 1 on every edge of Delta_{2,n}, the line between two terminals."""
+    return WeightFunction(2, n, dict.fromkeys(_edges(2, n), 1))
 
-    Each face is sorted, so embedding keeps every w3 edge canonical; an
-    edge on s < 3 coordinates collects one share from each face holding it.
-    """
+
+def _lifted(k: int, n: int, terms: list[tuple[Fraction, WeightFunction]]) -> WeightFunction:
+    """Sum of c * w over the terms (c, w), each w placed on every sorted face
+    of [k] of its size by `face_gather` (so edges stay canonical), as integer
+    numerators over one denominator L: one q / L per edge, in `enumerate_edges` order."""
+    points = _points(k, n)
+    L = lcm(*(c.denominator * w.integer_form()[0] for c, w in terms))
+    keys, nums, bound = [], [], 0
+    for c, w in terms:
+        D, u, v, q = w.integer_form()
+        gather = face_gather(k, n, list(combinations(range(k), w.k)))
+        scale = c.numerator * (L // (c.denominator * D))
+        bound += len(gather) * sum(q) * scale
+        if bound >= 2**63:
+            raise ValueError(f"the numerators of the ({k}, {n}) sum over denominator {L} exceed int64")
+        keys.append((gather[:, u] * len(points) + gather[:, v]).ravel())
+        nums.append(np.tile(np.array(q, np.int64) * scale, len(gather)))
+    key, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    total = np.zeros(len(key), np.int64)
+    np.add.at(total, inverse, np.concatenate(nums))
+    u, v = np.divmod(key, len(points))
+    weights = {(points[a], points[b]): Fraction(q, L) for a, b, q in zip(u.tolist(), v.tolist(), total.tolist())}
+    return WeightFunction(k, n, weights)
+
+
+def build_w_hat(k: int, n: int) -> WeightFunction:
+    """Average of build_w3 placed on every 3-element face of [k]; an edge
+    on s < 3 coordinates collects one share from each face holding it."""
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
-    _require_divisible(n)
-    w3 = build_w3(n).weights
-    share = Fraction(1, comb(k, 3))
-    weights: dict[Edge, Fraction] = defaultdict(Fraction)
-    for face in combinations(range(k), 3):
-        for (x, y), val in w3.items():
-            weights[(embed(x, face, k), embed(y, face, k))] += share * val
-    return WeightFunction(k, n, dict(weights))
+    return _lifted(k, n, [(Fraction(1, comb(k, 3)), build_w3(n))])
 
 
 def build_w_prime(k: int, n: int) -> WeightFunction:
@@ -94,25 +109,15 @@ def build_w_prime(k: int, n: int) -> WeightFunction:
         raise ValueError(f"need k >= 2, got {k}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    val = Fraction(1, comb(k, 2))
-    weights: dict[Edge, Fraction] = {}
-    for pair in combinations(range(k), 2):
-        for t in range(n):
-            weights[(embed((t, n - t), pair, k), embed((t + 1, n - t - 1), pair, k))] = val
-    return WeightFunction(k, n, weights)
+    return _lifted(k, n, [(Fraction(1, comb(k, 2)), _line(n))])
 
 
 def build_w_tilde(k: int, n: int) -> WeightFunction:
-    """((k-2)/(k-1)) * w_hat + (1/(k-1)) * w_prime."""
+    """((k-2)/(k-1)) * w_hat + (1/(k-1)) * w_prime, as one lifted sum."""
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
-    _require_divisible(n)
-    return combine(
-        Fraction(k - 2, k - 1),
-        build_w_hat(k, n),
-        Fraction(1, k - 1),
-        build_w_prime(k, n),
-    )
+    hat, prime = Fraction(k - 2, (k - 1) * comb(k, 3)), Fraction(1, (k - 1) * comb(k, 2))
+    return _lifted(k, n, [(hat, build_w3(n)), (prime, _line(n))])
 
 
 def lpc_w3_closed(n: int) -> Fraction:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mwgap import cli
 from mwgap.cli import main
 from mwgap.core import cost, random_kway_cut
 from mwgap.serialize import canonical_json, cut_to_obj, load_instance, rat_to_str
@@ -116,6 +117,24 @@ def test_project_cost_lemmas_on_the_cut_grid(tmp_path, capsys):
     lemmas = json.loads(out)["cost_lemmas"]
     assert code == 0 and lemmas["hold"] is True
     assert lemmas["cost_wtilde"] == rat_to_str(cost(P, load_instance(str(inst))))
+
+
+def test_project_exits_1_when_the_cost_lemmas_fail(tmp_path, capsys, monkeypatch):
+    inst, cutfile = tmp_path / "wtilde.json", tmp_path / "cut.json"
+    run(capsys, "build", "--weights", "wtilde", "--k", "5", "--n", "3", "--out", str(inst))
+    write_cut(random_kway_cut(5, 3, random.Random(1)), cutfile)
+    real = cli.check_cost_lemmas
+
+    def failing(P, n):
+        rep = real(P, n)
+        rep.violations.append("forced")
+        return rep
+
+    monkeypatch.setattr(cli, "check_cost_lemmas", failing)
+    code, out = run(capsys, "project", str(inst), "--cut", str(cutfile))
+    obj = json.loads(out)
+    assert obj["bounds_hold"] is True and obj["cost_lemmas"]["hold"] is False
+    assert code == 1
 
 
 def test_round_subcommand_deterministic(capsys):
@@ -263,12 +282,12 @@ def test_svg_empty_weights_all_dashed():
 
 def test_ledger_subset(tmp_path, capsys):
     report_file = tmp_path / "report.json"
-    code, out = run(capsys, "ledger", "--only", "1", "--out", str(report_file))
+    code, out = run(capsys, "ledger", "--only", "1,1", "--out", str(report_file))
     assert code == 0
-    assert "criterion 1" in out
+    assert out.count("criterion 1") == 1  # a repeated id runs once
     report = json.loads(report_file.read_text())
     assert report["pass"] is True
-    assert report["criteria"][0]["id"] == 1
+    assert [c["id"] for c in report["criteria"]] == [1]
 
 
 def test_ledger_rejects_an_unknown_criterion(capsys):

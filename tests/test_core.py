@@ -14,7 +14,6 @@ from mwgap.core import (
     NONOPPOSITE,
     WeightFunction,
     canonical_edge,
-    combine,
     cost,
     enumerate_edges,
     enumerate_points,
@@ -139,14 +138,11 @@ def test_weight_function_total_and_lpc():
     assert w.get((0, 2, 0), (1, 1, 0)) == 0
 
 
-def test_scaled_and_combine():
+def test_scaled():
     e1 = canonical_edge((2, 0, 0), (1, 1, 0))
     w1 = WeightFunction(3, 2, {e1: Fraction(1, 2)})
-    w2 = WeightFunction(3, 2, {e1: Fraction(1, 3)})
     s = w1.scaled(Fraction(4))
     assert s.get(*e1) == 2
-    c = combine(Fraction(1, 2), w1, Fraction(1, 2), w2)
-    assert c.get(*e1) == Fraction(5, 12)
 
 
 def test_cut_validation_pins_terminals():

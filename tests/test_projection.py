@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from mwgap.core import (
     Cut,
     KWAY,
-    embed,
     enumerate_points,
+    face_gather,
+    point_index,
     random_kway_cut,
     support,
     terminal,
@@ -24,6 +25,14 @@ from mwgap.projection import (
     restrict_injection,
     restrict_triple,
 )
+
+
+def embed(x, f, k):
+    """Reference embedding: the k-grid point with x[j] at coordinate f[j] and zeros elsewhere."""
+    big = [0] * k
+    for j, i in enumerate(f):
+        big[i] = x[j]
+    return tuple(big)
 
 
 def oracle_fraction_nonopposite(P):
@@ -47,6 +56,21 @@ def oracle_d_profile(P):
         for i, j in itertools.combinations(range(P.k), 2)
     }
     return per_pair, Fraction(sum(map(len, per_pair.values())), len(per_pair))
+
+
+def test_face_gather_matches_embed_oracle():
+    rng = random.Random("face_gather")
+    for k, n, m in itertools.product((3, 5, 8, 12), (1, 2, 3, 6), (2, 3)):
+        index = point_index(k, n)
+        small = enumerate_points(m, n)
+        for faces in (
+            list(itertools.combinations(range(k), m)),
+            [rng.sample(range(k), m) for _ in range(20)],
+        ):
+            gather = face_gather(k, n, faces)
+            want = [[index[embed(x, f, k)] for x in small] for f in faces]
+            assert gather.tolist() == want
+            assert not gather.flags.writeable
 
 
 def _identity_cut(k, n):

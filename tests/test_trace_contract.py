@@ -55,6 +55,24 @@ def test_tracer_records_every_wrapped_layer(bench_modules):
     assert (core.cost, projection.cost, dual.cost, core.Cut.validate, dual.dijkstra) == originals
 
 
+def test_tracer_records_the_kway_builders(bench_modules):
+    tracing, workloads = bench_modules
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workloads.kway_grid_jobs(5, 3, [0])
+    finally:
+        tracer.uninstall()
+    sums = tracer.take()
+    for name in (
+        "weights.build_w_hat.calls",
+        "weights.build_w_prime.calls",
+        "weights.build_w_tilde.calls",
+        "weights.w_tilde.nnz",
+    ):
+        assert sums[name] > 0, name
+
+
 def test_tracer_records_normalization_spans(bench_modules):
     tracing, workloads = bench_modules
     from mwgap import core, weights

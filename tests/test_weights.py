@@ -8,6 +8,7 @@ import pytest
 
 from mwgap.core import WeightFunction, enumerate_edges, lpc, support
 from mwgap.weights import (
+    _lifted,
     build_fk,
     build_w3,
     build_w_hat,
@@ -147,19 +148,32 @@ def test_fk_total():
 
 
 def test_w_hat_shortcut_matches_literal_average():
-    for k, n in ((3, 3), (4, 3), (5, 3), (4, 6), (8, 3)):
+    for k, n in ((3, 3), (4, 3), (5, 3), (4, 6), (8, 3), (8, 6), (12, 3)):
         fast = build_w_hat(k, n)
         slow = build_w_hat_literal(k, n)
         assert fast.weights == slow
+        assert list(fast.weights) == list(slow)  # enumerate_edges order
 
 
 def test_w_prime_and_w_tilde_match_literal():
-    for k, n in ((3, 3), (4, 6), (6, 3), (8, 3)):
-        assert build_w_prime(k, n).weights == build_w_prime_literal(k, n)
-        hat, prime = build_w_hat_literal(k, n), build_w_prime_literal(k, n)
+    for k, n in ((3, 3), (4, 6), (6, 3), (8, 3), (8, 6), (12, 3)):
+        prime = build_w_prime_literal(k, n)
+        fast = build_w_prime(k, n).weights
+        assert fast == prime
+        assert list(fast) == list(prime)  # enumerate_edges order
+        hat = build_w_hat_literal(k, n)
         a, b = Fraction(k - 2, k - 1), Fraction(1, k - 1)
-        literal = {e: a * hat.get(e, 0) + b * prime.get(e, 0) for e in set(hat) | set(prime)}
-        assert build_w_tilde(k, n).weights == literal
+        literal = {
+            e: a * hat.get(e, 0) + b * prime.get(e, 0) for e in enumerate_edges(k, n) if e in hat or e in prime
+        }
+        fast = build_w_tilde(k, n).weights
+        assert fast == literal
+        assert list(fast) == list(literal)
+
+
+def test_lifted_sum_rejects_numerators_beyond_int64():
+    with pytest.raises(ValueError, match="exceed int64"):
+        _lifted(4, 3, [(Fraction(2**62), build_w3(3))])
 
 
 def test_w_hat_at_k3_is_w3():
