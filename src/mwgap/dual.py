@@ -27,10 +27,22 @@ each arc, the face and outer-node ids, and the face centroids.  A
 `DualGraph` adds one list of weight numerators per edge slot, from
 `WeightFunction.integer_form()`.
 One exact shortest-path kernel, `_shortest_paths`, runs on the ids in
-Python integers and returns distance and predecessor lists by node id:
-`certify` reads them as they are, and `dijkstra` keys them by node tuples.
-The potential system's columns are edge slots and (outer node, node id)
-pairs; only returned values are node tuples and `Fraction`s.
+Python integers and returns distance and predecessor lists by node id;
+`dijkstra` keys them by node tuples.  `certify` reads the distances from
+the three outer nodes as one (3, N) array, `_outer_distances`.  While the
+weight numerators total less than FLOAT_EXACT = 2**53, every distance is
+an integer that float64 holds exactly, so they come from one call of
+scipy's compiled Dijkstra on a copy of the CSR whose arcs leaving O_i
+start at a source copy of O_i; the result is cast to int64 and checked
+exactly against the Lipschitz rows of the potential system, so a wrong
+compiled distance raises RuntimeError and never inflates a certificate.
+At or above 2**53 (the LP search's float-derived weights) the array holds
+`_shortest_paths`'s Python ints.  SciPy is imported on the first compiled
+call, so `import mwgap` does not load it.  `check_potentials` likewise
+runs in int64 when its values are small enough and in Python ints
+otherwise.  The potential system's columns are edge slots and (outer
+node, node id) pairs; only returned values are node tuples and
+`Fraction`s.
 
 The same topology is the one primal adjacency of the triangle grid:
 `normalize_cut` and `classify_cut` find a cut's components by union-find
@@ -253,6 +265,70 @@ def _shortest_paths(g: DualGraph, sources: list[int]) -> list[tuple[list, list]]
     return out
 
 
+FLOAT_EXACT = 2**53  # float64 holds every integer below it exactly
+
+
+@lru_cache(maxsize=64)
+def _source_split(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`dual_topology(n)`'s CSR `(indptr, head, slot)` over N + 3 nodes,
+    with the arcs leaving O_i moved to a source copy N + i.
+
+    O_i keeps the arcs that enter it and leaves none, so a search from
+    N + i starts along O_i's arcs and meets every outer node only at a
+    path's end, as `_shortest_paths` does.  The outer ids and their arcs
+    are contiguous, so this is a slice permutation of the arcs.
+    """
+    topo = dual_topology(n)
+    first = int(topo.outer[0])
+    lo, hi = topo.indptr[first], topo.indptr[first + 3]
+    count = np.diff(topo.indptr)
+    count = np.concatenate((count[:first], [0, 0, 0], count[first + 3 :], count[first : first + 3]))
+    arcs = np.r_[0:lo, hi : len(topo.head), lo:hi]
+    indptr = np.concatenate(([0], np.cumsum(count)))
+    return _frozen(indptr), _frozen(topo.head[arcs]), _frozen(topo.slot[arcs])
+
+
+def _outer_distances(g: DualGraph) -> np.ndarray:
+    """Exact distances from O_0, O_1, O_2: a (3, N) array of numerators
+    over g.denominator by node id, as `_shortest_paths` finds them.
+
+    When the weight numerators total less than FLOAT_EXACT, scipy's
+    Dijkstra runs once on `_source_split(n)` from the three source
+    copies: every distance is the length of a path that crosses each edge
+    at most once, so an integer below 2**53 that float64 holds exactly.
+    The result is cast to int64 and checked exactly before use: every
+    node is reached, each source is at 0, and d_i(v) <= d_i(u) + w(e) on
+    every Lipschitz row of `potential_system(n)`.  Distances that pass are
+    feasible potentials, lower bounds on the true distances, so a wrong
+    compiled result cannot inflate a certificate; a failure raises
+    RuntimeError.  SciPy is imported here, so `import mwgap` does not
+    load it.  At or above FLOAT_EXACT the array is `_shortest_paths`'s
+    Python ints, of object dtype.
+    """
+    topo = g.topology
+    outer = topo.outer.tolist()
+    if sum(g.weights) >= FLOAT_EXACT:
+        return np.array([dist for dist, _ in _shortest_paths(g, outer)], dtype=object)
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+
+    N = len(topo.indptr) - 1
+    indptr, head, slot = _source_split(g.n)
+    weights = np.array(g.weights, dtype=np.int64)
+    graph = csr_array((weights[slot].astype(np.float64), head, indptr), shape=(N + 3, N + 3))
+    raw = csgraph_dijkstra(graph, indices=[N, N + 1, N + 2])
+    sources = raw[[0, 1, 2], [N, N + 1, N + 2]]
+    dist = raw[:, :N]
+    if not (np.isfinite(dist).all() and (sources == 0).all()):
+        raise RuntimeError("compiled Dijkstra left a node unreached or a source off 0")
+    dist = dist.astype(np.int64)
+    dist[[0, 1, 2], outer] = 0  # O_i is the source itself, as in `_shortest_paths`
+    lhs, rhs = _row_values(g.n, np.concatenate((weights, dist.ravel())))
+    if (lhs[rhs == 0] < 0).any():  # the Lipschitz rows are the rows with rhs 0
+        raise RuntimeError("compiled Dijkstra distances break a Lipschitz row")
+    return dist
+
+
 def dijkstra(
     g: DualGraph, source: DualNodeT
 ) -> tuple[dict[DualNodeT, int], dict[DualNodeT, tuple[DualNodeT, Edge]]]:
@@ -317,6 +393,13 @@ def potential_system(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rhs = np.zeros(len(col), np.int32)
     rhs[-len(topo.faces) - 1 :] = 1
     return _frozen(col), _frozen(np.concatenate(coefs)), _frozen(rhs)
+
+
+def _row_values(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A x, b) for `potential_system(n)`, in x's dtype."""
+    col, coef, rhs = potential_system(n)
+    # term by term, so the temporaries are one column, not all three
+    return sum(k * x[j] for k, j in zip(coef.T, col.T)), rhs
 
 
 def potential_rows(n: int) -> Iterator[tuple[dict[Hashable, int], int]]:
@@ -416,15 +499,13 @@ def certify(n: int, w: WeightFunction, family: str, target: Fraction) -> Certifi
     target = Fraction(target)
     g = build_dual(n, w)
     topo = g.topology
+    dist = _outer_distances(g)
     outer = topo.outer.tolist()
-    dists = [dist for dist, _ in _shortest_paths(g, outer)]
-    d0, d1, d2 = dists
-    pairwise = {(i, j): dists[i][outer[j]] for i in range(3) for j in range(i + 1, 3)}
-    faces = topo.faces.tolist()
-    sums = [d0[f] + d1[f] + d2[f] for f in faces]
-    ball = min(sums)
-    # the first face of least distance sum, in face order
-    witness = topo.nodes()[faces[sums.index(ball)]]
+    pairwise = {(i, j): int(dist[i, outer[j]]) for i in range(3) for j in range(i + 1, 3)}
+    sums = dist[:, topo.faces].sum(axis=0)
+    f = int(np.argmin(sums))  # the first face of least distance sum, in face order
+    ball = int(sums[f])
+    witness = topo.nodes()[topo.faces[f]]
     corner = sum(pairwise.values())
     two_corner = sum(sorted(pairwise.values())[:2])
     overall = min(ball, corner) if family == NONOPPOSITE else min(ball, two_corner)
@@ -442,6 +523,9 @@ def certify(n: int, w: WeightFunction, family: str, target: Fraction) -> Certifi
     )
 
 
+INT64_TERMS = 2**60  # three terms of absolute value below it sum inside int64
+
+
 @dataclass
 class PotentialReport:
     ok: bool
@@ -453,27 +537,26 @@ def check_potentials(n: int, w: WeightFunction) -> PotentialReport:
 
     Every value is a multiple of 1/L, L = lcm(D, 6n) and D the denominator
     of `w.integer_form()`, so the check is A x >= b L on x, the edge
-    weights and then the potentials as Python-int numerators over L.  The
-    first violated row is reported through `potential_rows`.
+    weights and then the potentials as numerators over L.  They are int64
+    when L and every entry of x are below INT64_TERMS, so that a row's
+    three terms cannot overflow, and Python ints (object dtype) otherwise.
+    The first violated row is reported through `potential_rows`.
     """
     g = build_dual(n, w)
     D = g.denominator
     L = lcm(D, 6 * n)
-    x = np.concatenate(
-        (
-            np.array(g.weights, dtype=object) * (L // D),
-            paper_potentials(n).ravel().astype(object) * (L // (6 * n)),
-        )
-    )
-    col, coef, rhs = potential_system(n)
-    # term by term, so the object temporaries are one column, not all three
-    lhs = sum(k * x[j] for k, j in zip(coef.T, col.T))
-    violated = np.flatnonzero(lhs < rhs.astype(object) * L)
+    wscale, phiscale = L // D, L // (6 * n)
+    phi = paper_potentials(n).ravel()
+    small = max(max(g.weights, default=0) * wscale, int(phi.max()) * phiscale, L) < INT64_TERMS
+    dtype = np.int64 if small else object
+    x = np.concatenate((np.array(g.weights, dtype=dtype) * wscale, phi.astype(dtype) * phiscale))
+    lhs, rhs = _row_values(n, x)
+    violated = np.flatnonzero(lhs < rhs.astype(dtype) * L)
     if not violated.size:
         return PotentialReport(True)
     r = int(violated[0])
     row, b = next(islice(potential_rows(n), r, None))
-    return PotentialReport(False, (row, Fraction(lhs[r], L), b))
+    return PotentialReport(False, (row, Fraction(int(lhs[r]), L), b))
 
 
 # ---------------------------------------------------------------------------

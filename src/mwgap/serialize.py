@@ -3,8 +3,8 @@
 Rationals are serialized as exact "p/q" strings with gcd(p, q) = 1 and
 q > 0, never as floats.  Canonical form (sorted keys, fixed edge order,
 compact separators) makes instance digests byte-stable across platforms.
-`obj_to_instance` and `obj_to_cut` read untrusted JSON, so a wrong shape
-or a non-integer coordinate raises ValueError there.
+`obj_to_instance` and `obj_to_cut` read untrusted JSON, so a wrong shape,
+a non-integer coordinate or a record listed twice raises ValueError there.
 """
 
 from __future__ import annotations
@@ -64,15 +64,21 @@ def _records(obj: Any, key: str) -> list[dict[str, Any]]:
 
 def obj_to_instance(obj: dict[str, Any]) -> WeightFunction:
     """Instance from its JSON object; every edge, zero-weight ones too, must
-    pass `core.check_edges`."""
+    pass `core.check_edges`, and no edge may be listed twice, in either
+    orientation."""
     recs = _records(obj, "weights")
     k, n = _int(obj["k"]), _int(obj["n"])
     weights = {}
+    seen = set()
     for rec in recs:
         u, v = _point(rec["u"], k, n), _point(rec["v"], k, n)
         val = str_to_rat(rec["w"])
+        e = canonical_edge(u, v)
+        if e in seen:
+            raise ValueError(f"edge {list(e[0])}-{list(e[1])} is listed twice")
+        seen.add(e)
         if val != 0:
-            weights[canonical_edge(u, v)] = val
+            weights[e] = val
         else:
             check_edges(k, n, [(u, v)])  # a zero weight is dropped, not stored
     return WeightFunction(k, n, weights)
@@ -88,9 +94,15 @@ def cut_to_obj(P: Cut) -> dict[str, Any]:
 
 
 def obj_to_cut(obj: dict[str, Any]) -> Cut:
+    """Cut from its JSON object; no point may be listed twice."""
     recs = _records(obj, "labels")
     k, n = _int(obj["k"]), _int(obj["n"])
-    labels = {_point(rec["x"], k, n): _int(rec["c"]) for rec in recs}
+    labels = {}
+    for rec in recs:
+        x = _point(rec["x"], k, n)
+        if x in labels:
+            raise ValueError(f"point {list(x)} is listed twice")
+        labels[x] = _int(rec["c"])
     return Cut(k, n, labels, obj.get("family", "kway"))
 
 

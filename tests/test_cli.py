@@ -193,6 +193,15 @@ def test_instance_edge_with_a_foreign_endpoint_exits_2(tmp_path, capsys):
     assert run(capsys, "certify", inst, "--family", "nonopposite", "--target", "1/1")[0] == 2
 
 
+def test_instance_with_an_edge_listed_twice_exits_2(tmp_path, capsys):
+    recs = [{"u": [0, 0, 2], "v": [0, 1, 1], "w": "1/2"}, {"u": [0, 1, 1], "v": [0, 0, 2], "w": "1/3"}]
+    inst = tmp_path / "twice.json"
+    inst.write_text(json.dumps({"k": 3, "n": 2, "weights": recs}))
+    assert main(["lpc", str(inst)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "edge [0, 0, 2]-[0, 1, 1] is listed twice" in err
+
+
 @pytest.mark.parametrize(
     "obj, message",
     [
@@ -221,6 +230,7 @@ def test_malformed_instance_exits_2(tmp_path, capsys, obj, message):
         (lambda obj: obj["labels"][0].update(c=True), "expected an integer, got True"),
         (lambda obj: obj.update(n=3.0), "expected an integer, got 3.0"),
         (lambda obj: obj.update(labels={}), "'labels' is a list of objects"),
+        (lambda obj: obj["labels"].append(dict(obj["labels"][0], c=0)), "point [0, 0, 3] is listed twice"),
     ],
 )
 def test_malformed_cut_exits_2(tmp_path, capsys, edit, message):

@@ -382,6 +382,86 @@ def test_certify_matches_oracle_dijkstra():
             assert certify(w.n, w, family, target) == oracle_certify(w, family, target)
 
 
+def _python_outer_distances(g):
+    return [dist for dist, _ in dual_module._shortest_paths(g, g.topology.outer.tolist())]
+
+
+def _compiled_cases():
+    """w3 at n = 3..45, fk, `search(3..6)` weights rounded to denominators
+    of at most 1000, and 50 seeded integer weights with zeros at n = 3..12."""
+    cases = [build_w3(n) for n in range(3, 46, 3)] + [build_fk()]
+    for n in range(3, 7):
+        w = search(n).weights
+        cases.append(WeightFunction(3, n, {e: v.limit_denominator(1000) for e, v in w.weights.items()}))
+    rng = random.Random(17)
+    for _ in range(50):
+        n = rng.randrange(3, 13)
+        edges = enumerate_edges(3, n)
+        values = [rng.choice((0, 0, 1, 2, rng.randrange(100), rng.randrange(10**6))) for _ in edges]
+        cases.append(WeightFunction(3, n, {e: Fraction(v) for e, v in zip(edges, values) if v}))
+    return cases
+
+
+def test_compiled_distances_match_the_python_kernel():
+    for w in _compiled_cases():
+        g = build_dual(w.n, w)
+        assert sum(g.weights) < dual_module.FLOAT_EXACT
+        dist = dual_module._outer_distances(g)
+        assert dist.dtype == np.int64 and dist.shape == (3, len(g.topology.indptr) - 1)
+        assert dist.tolist() == _python_outer_distances(g)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d, face, N: d.__setitem__((0, face), d[0, face] + 1),
+        lambda d, face, N: d.__setitem__((2, face), d[2, face] + 1),
+        lambda d, face, N: d.__setitem__((1, face), np.inf),
+        lambda d, face, N: d.__setitem__((1, N + 1), 1),
+    ],
+    ids=["face+1 from O_0", "face+1 from O_2", "unreached", "source off 0"],
+)
+def test_certify_rejects_compiled_distances_that_fail_the_exact_check(monkeypatch, edit):
+    import scipy.sparse.csgraph
+
+    compiled = scipy.sparse.csgraph.dijkstra
+    topo = dual_module.dual_topology(6)
+
+    def wrong(graph, indices):
+        d = compiled(graph, indices=indices)
+        edit(d, int(topo.faces[7]), len(topo.indptr) - 1)
+        return d
+
+    w = build_w3(6)
+    certify(6, w, NONOPPOSITE, Fraction(1))  # passes unpatched
+    monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", wrong)
+    with pytest.raises(RuntimeError, match="compiled Dijkstra"):
+        certify(6, w, NONOPPOSITE, Fraction(1))
+
+
+def test_certify_takes_the_python_kernel_from_float_exact_on(monkeypatch):
+    calls = []
+    kernel = dual_module._shortest_paths
+
+    def spy(g, sources):
+        calls.append(sources)
+        return kernel(g, sources)
+
+    monkeypatch.setattr(dual_module, "_shortest_paths", spy)
+    edges = enumerate_edges(3, 3)
+    rng = random.Random(3)
+    for total, python_calls in ((dual_module.FLOAT_EXACT - 1, 0), (dual_module.FLOAT_EXACT, 1)):
+        light = {e: Fraction(rng.randrange(1, 1000)) for e in edges}
+        for heavy in (edges[0], edges[9]):
+            rest = {e: v for e, v in light.items() if e != heavy}
+            w = WeightFunction(3, 3, {**rest, heavy: total - sum(rest.values())})
+            assert sum(build_dual(3, w).weights) == total
+            calls.clear()
+            for family, target in ((NONOPPOSITE, Fraction(1)), (THREEWAY, Fraction(2, 3))):
+                assert certify(3, w, family, target) == oracle_certify(w, family, target)
+            assert len(calls) == 2 * python_calls
+
+
 def test_certificate_round_trip_fields():
     cert = certify(3, build_w3(3), NONOPPOSITE, Fraction(1))
     obj = cert.to_obj()
@@ -526,6 +606,35 @@ def test_check_potentials_is_exact_beyond_int64():
         rep = check_potentials(w.n, w)
         assert (rep.ok, rep.violation) == oracle_check_potentials(w.n, w)
         outcomes.add(rep.ok)
+    assert outcomes == {True, False}
+
+
+def test_check_potentials_agrees_across_the_int64_boundary(monkeypatch):
+    # w3 scaled so that the largest weight numerator over L = lcm(D, 6n)
+    # falls just below and just above 2**60, intact and with one edge dropped
+    dtypes = []
+    row_values = dual_module._row_values
+
+    def spy(n, x):
+        dtypes.append(x.dtype)
+        return row_values(n, x)
+
+    monkeypatch.setattr(dual_module, "_row_values", spy)
+    outcomes = set()
+    for n in (3, 6):
+        w = build_w3(n)
+        D, _, _, nums = w.integer_form()
+        assert (6 * n) % D == 0  # so L = 6n, before and after scaling by an integer
+        below = (dual_module.INT64_TERMS - 1) // (max(nums) * (6 * n // D))
+        for c, dtype in ((below, np.int64), (below + 1, object)):
+            scaled = w.scaled(Fraction(c))
+            dropped = WeightFunction(3, n, {e: v for e, v in scaled.weights.items() if e != min(w.weights)})
+            for v in (scaled, dropped):
+                dtypes.clear()
+                rep = check_potentials(n, v)
+                assert dtypes == [np.dtype(dtype)]
+                assert (rep.ok, rep.violation) == oracle_check_potentials(n, v)
+                outcomes.add(rep.ok)
     assert outcomes == {True, False}
 
 

@@ -86,3 +86,16 @@ def test_zero_weight_records_are_checked_then_dropped():
     with pytest.raises(ValueError, match="is not a point of"):
         obj_to_instance(dict(obj, weights=[dict(rec, v=[0, 0, 5])]))
     assert obj_to_instance(dict(obj, weights=[dict(obj["weights"][0], w="0/1")])).weights == {}
+
+
+def test_duplicate_records_are_rejected():
+    rec = {"u": [0, 0, 2], "v": [0, 1, 1], "w": "1/2"}
+    flipped = {"u": [0, 1, 1], "v": [0, 0, 2], "w": "1/3"}
+    for second in (dict(rec, w="1/3"), flipped, dict(flipped, w="0/1")):
+        for recs in ([rec, second], [second, rec]):
+            with pytest.raises(ValueError, match=r"edge \[0, 0, 2\]-\[0, 1, 1\] is listed twice"):
+                obj_to_instance({"k": 3, "n": 2, "weights": recs})
+    obj = cut_to_obj(random_nonopposite_cut(4, random.Random(3)))
+    for c in (obj["labels"][5]["c"], 3):
+        with pytest.raises(ValueError, match=r"is listed twice"):
+            obj_to_cut(dict(obj, labels=obj["labels"] + [dict(obj["labels"][5], c=c)]))
