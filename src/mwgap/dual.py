@@ -14,11 +14,12 @@ weight, so:
 
 and exact shortest-path distances give machine-checkable lower bounds on
 cut costs.  `potential_system(n)` states that bound once, as one linear
-system in integer arrays of at most three terms a row.  `potential_rows`
-reads it as dict rows, which `lpsearch` solves; `check_potentials`
-evaluates it as one exact A x >= b on the weights and the paper's
-potentials, `paper_potentials(n)`; a brute-force enumerator provides an
-oracle at tiny n.
+system in integer arrays of at most three terms a row.  `lpsearch` solves
+it on the orbits of its columns under the six permutations of the
+coordinates, `symmetry_orbits(n)`; `check_potentials` evaluates it as one
+exact A x >= b on the weights and the paper's potentials,
+`paper_potentials(n)`, and names its first violated row through
+`potential_rows`; a brute-force enumerator provides an oracle at tiny n.
 
 The weight-free part of the dual, `dual_topology(n)`, is built once per n
 and cached as read-only integer arrays: a CSR adjacency over node ids in
@@ -59,7 +60,7 @@ from collections.abc import Hashable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import islice, permutations, repeat
 from math import lcm
 from typing import Optional
 
@@ -73,6 +74,7 @@ from .core import (
     Point,
     WeightFunction,
     _edges,
+    _points,
     canonical_edge,
     cost,
     enumerate_edges,
@@ -395,6 +397,58 @@ def potential_system(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(col), _frozen(np.concatenate(coefs)), _frozen(rhs)
 
 
+PERMUTATIONS = tuple(permutations(range(3)))  # sigma sends coordinate i to sigma[i]; the identity first
+
+
+@dataclass(frozen=True)
+class SymmetryOrbits:
+    """The six coordinate permutations acting on the columns of
+    `potential_system(n)`.  Every field is a read-only integer array."""
+
+    images: np.ndarray  # (6, columns): images[s, c] is column c's image under PERMUTATIONS[s]
+    orbit: np.ndarray  # orbit id of each column, orbits numbered by their least column: edge orbits first
+    size: np.ndarray  # number of columns in each orbit
+
+
+@lru_cache(maxsize=64)
+def symmetry_orbits(n: int) -> SymmetryOrbits:
+    """The S3 orbits of `potential_system(n)`'s columns, built once per n.
+
+    A permutation sigma maps the point x to y with y[sigma[i]] = x[i].  So
+    it maps the side x_i = 0 to the side y_sigma(i) = 0, and O_i to
+    O_sigma(i); the edge slot of (x, x') to that of (y, y'); a face to
+    the face at the permuted centroid, of the same kind; and the column
+    pi_i(v) to pi_sigma(i)(sigma v).  Every Lipschitz row maps to a
+    Lipschitz row and every ball row to a ball row.  The corner row's
+    images are not rows of the system, but on S3-invariant points it
+    reads 3 pi_0(O_1) >= 1.
+    """
+    topo = dual_topology(n)
+    m, N = len(topo.edge_u), len(topo.indptr) - 1
+    points = np.array(_points(3, n))
+    # a point, or a face, is found by its first two coordinates, or centroid numerators
+    point_at = np.zeros((n + 1, n + 1), np.int32)
+    point_at[points[:, 0], points[:, 1]] = np.arange(len(points))
+    face_at = np.zeros((3 * n + 1, 3 * n + 1), np.int32)
+    face_at[topo.centroids[:, 0], topo.centroids[:, 1]] = topo.faces
+    keys = topo.edge_u.astype(np.intp) * len(points) + topo.edge_v  # ascending, as in `build_dual`
+    images = []
+    for sigma in PERMUTATIONS:
+        inv = np.argsort(sigma)  # y = x[inv]
+        y = points[:, inv]
+        p = point_at[y[:, 0], y[:, 1]]
+        u, v = p[topo.edge_u], p[topo.edge_v]
+        slot = np.searchsorted(keys, np.minimum(u, v) * len(points) + np.maximum(u, v))
+        node = np.empty(N, np.intp)
+        node[topo.outer] = topo.outer[list(sigma)]
+        c = topo.centroids[:, inv]
+        node[topo.faces] = face_at[c[:, 0], c[:, 1]]
+        images.append(np.concatenate((slot, m + (np.array(sigma)[:, None] * N + node).ravel())))
+    images = np.stack(images)
+    _, orbit = np.unique(images.min(axis=0), return_inverse=True)
+    return SymmetryOrbits(images=_frozen(images), orbit=_frozen(orbit), size=_frozen(np.bincount(orbit)))
+
+
 def _row_values(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A x, b) for `potential_system(n)`, in x's dtype."""
     col, coef, rhs = potential_system(n)
@@ -403,11 +457,12 @@ def _row_values(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def potential_rows(n: int) -> Iterator[tuple[dict[Hashable, int], int]]:
-    """`potential_system(n)`, one `(row, rhs)` at a time.
+    """`potential_system(n)`, one `(row, rhs)` at a time, by name.
 
     A row maps the variable of each nonzero term, in term order, to its
     coefficient: a primal edge e, standing for its weight w(e), or a pair
-    (i, v), standing for the potential pi_i at dual node v.
+    (i, v), standing for the potential pi_i at dual node v.  Only
+    `check_potentials` reads it, to name its first violated row.
     """
     nodes = dual_topology(n).nodes()
     names = [*_edges(3, n), *((i, v) for i in range(3) for v in nodes)]

@@ -2,22 +2,35 @@
 
 A weight function on E_{3,n} makes every ball and 3-corner dual path
 system cost at least one exactly when it admits potentials satisfying
-`dual.potential_rows`, so minimizing sum(w)/n over those rows gives the
-least lpc among certified weights.  The LP runs once, in floating point;
-every final claim is re-established by an exact rational recheck after
-rescaling, so numeric drift cannot corrupt a certificate.
+`dual.potential_system(n)`, so minimizing sum(w)/n over that system gives
+the least lpc among certified weights.
+
+The LP is solved on the S3 symmetry orbits of its columns,
+`dual.symmetry_orbits(n)`: one variable per orbit, which restricts it to
+weights and potentials that do not change when the three terminals are
+permuted.  Every Lipschitz and ball row keeps its form there, and the
+corner row pi_0(O_1) + pi_0(O_2) + pi_1(O_2) >= 1 reads 3 pi_0(O_1) >= 1:
+the reduced LP is the symmetric form of the six margin rows
+pi_i(O_j) >= 1/3, the shape of the paper's own potentials.  Its optimum
+equals the full system's at every n tested (`tests/test_lpsearch.py`
+keeps the full LP as an oracle), with about a sixth of the variables and
+rows.
+
+The LP runs once, in floating point; every final claim is re-established
+by an exact rational recheck of the expanded weights after rescaling, so
+neither numeric drift nor the reduction can corrupt a certificate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .core import Edge, WeightFunction, enumerate_edges
-from .dual import NONOPPOSITE, Certificate, certify, potential_rows
+from .dual import NONOPPOSITE, Certificate, certify, potential_system, symmetry_orbits
 
 # Nothing here calls `dijkstra`: the recheck's `certify` runs the id-level
 # kernel.  The re-export only serves bench/selftest.py, which checks that
@@ -35,42 +48,64 @@ class SearchState:
     certificate: Certificate
 
 
-def solve_lp(
-    constraints: Sequence[dict[Hashable, float]], rhs: Sequence[float], n: int, edges: list[Edge]
-) -> np.ndarray:
-    """Minimize sum(w)/n subject to w >= 0 and each sparse row's weighted
-    sum being at least its right-hand side.
+def solve_lp(constraints: Sequence[dict[int, float]], rhs: Sequence[float], n: int, m: int) -> np.ndarray:
+    """Minimize (x_0 + ... + x_{m-1})/n subject to x_j >= 0 for j < m and
+    each sparse row's weighted sum being at least its right-hand side.
 
-    A row maps variables to coefficients: an edge of `edges` stands for
-    its weight w(e), any other key for a free variable.  Returns the
-    optimal weights in edge order.  Deterministic for fixed inputs.
-    SciPy is imported here, on the first solve, so that `import mwgap`
-    does not load it.
+    A row maps column ids to coefficients; columns m and above are free
+    and cost nothing.  Returns x_0 ... x_{m-1}.  Deterministic for fixed
+    inputs.  SciPy is imported here, on the first solve, so that
+    `import mwgap` does not load it.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
 
-    m = len(edges)
     if not constraints:
         return np.zeros(m)
-    col = {e: i for i, e in enumerate(edges)}
-    indptr, indices, data = [0], [], []
-    for row in constraints:
-        for var, coef in row.items():
-            indices.append(col.setdefault(var, len(col)))
-            data.append(-coef)
-        indptr.append(len(indices))
-    A = csr_array((data, indices, indptr), shape=(len(constraints), len(col)))
+    indptr = np.cumsum([0, *map(len, constraints)])
+    indices = [j for row in constraints for j in row]
+    data = [-q for row in constraints for q in row.values()]
+    columns = max(m, max(indices) + 1)
     res = linprog(
-        c=np.concatenate([np.full(m, 1.0 / n), np.zeros(len(col) - m)]),
-        A_ub=A,
+        c=np.concatenate([np.full(m, 1.0 / n), np.zeros(columns - m)]),
+        A_ub=csr_array((data, indices, indptr), shape=(len(constraints), columns)),
         b_ub=-np.asarray(rhs, dtype=float),
-        bounds=[(0, None)] * m + [(None, None)] * (len(col) - m),
+        bounds=[(0, None)] * m + [(None, None)] * (columns - m),
         method="highs",
     )
     if not res.success:
         raise RuntimeError(f"potential LP failed: {res.message}")
     return np.maximum(res.x[:m], 0.0)
+
+
+def _orbit_rows(n: int) -> tuple[list[dict[int, float]], list[int], int]:
+    """`potential_system(n)` on S3-invariant points: `(rows, rhs, m)` for
+    `solve_lp`, m the number of edge orbits.
+
+    Column o < m is the orbit total y_o = |o| w_o of an edge orbit, so a
+    weight term's coefficient is divided by |o| and sum(y)/n = sum(w)/n;
+    every other column is one potential orbit.  Each row's terms on one
+    orbit are merged, zero terms dropped, and repeated rows kept once.
+    """
+    col, coef, rhs = potential_system(n)
+    orbits = symmetry_orbits(n)
+    m = int(orbits.orbit[: len(enumerate_edges(3, n))].max()) + 1
+    c = orbits.orbit[col]
+    order = np.argsort(c, axis=1, kind="stable")
+    c = np.take_along_axis(c, order, axis=1)
+    k = np.take_along_axis(coef, order, axis=1).astype(np.int64)
+    for t in (2, 1):  # the terms are sorted by orbit, so a repeat follows its first
+        same = c[:, t] == c[:, t - 1]
+        k[same, t - 1] += k[same, t]
+        k[same, t] = 0
+    # a row keeps a nonzero term: its weight, or the sum of its ball or corner terms
+    unique = np.unique(np.column_stack((np.where(k != 0, c, -1), k, rhs)), axis=0)
+    scale = np.where(np.arange(len(orbits.size)) < m, 1 / orbits.size, 1.0).tolist()
+    rows = [
+        {j: q * scale[j] for j, q in zip(cs, ks) if q}
+        for cs, ks in zip(unique[:, :3].tolist(), unique[:, 3:6].tolist())
+    ]
+    return rows, unique[:, 6].tolist(), m
 
 
 def _to_weight_function(n: int, edges: list[Edge], x: np.ndarray) -> WeightFunction:
@@ -81,17 +116,21 @@ def _to_weight_function(n: int, edges: list[Edge], x: np.ndarray) -> WeightFunct
 def search(n: int) -> SearchState:
     """Least-lpc weights whose non-opposite cuts provably cost at least one.
 
-    Solves the compact potential LP once, converts its weights to exact
-    rationals, and rescales them by their exact `certify` bound; the
-    result is certified only if the rescaled weights pass `certify` at 1.
+    Solves the potential LP once on its symmetry orbits, expands the
+    orbit totals to one float weight per edge (each orbit's edges share
+    it exactly), converts them to exact rationals, and rescales them by
+    their exact `certify` bound; the result is certified only if the
+    rescaled weights pass `certify` at 1.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     edges = enumerate_edges(3, n)
-    rows, rhs = zip(*potential_rows(n))
-    x = solve_lp(rows, rhs, n, edges)
+    rows, rhs, m = _orbit_rows(n)
+    y = solve_lp(rows, rhs, n, m)
+    orbits = symmetry_orbits(n)
+    orbit = orbits.orbit[: len(edges)]
 
-    w = _to_weight_function(n, edges, x)
+    w = _to_weight_function(n, edges, y[orbit] / orbits.size[orbit])
     cert = certify(n, w, NONOPPOSITE, Fraction(1))
     bound = cert.overall
     if bound > 0:

@@ -29,6 +29,7 @@ from mwgap.core import (
 )
 from mwgap.dual import (
     OUTER,
+    PERMUTATIONS,
     THREEWAY,
     Certificate,
     NormalizationError,
@@ -45,6 +46,7 @@ from mwgap.dual import (
     paper_potentials,
     potential_rows,
     potential_system,
+    symmetry_orbits,
     uncut_edges,
 )
 from mwgap.lpsearch import search
@@ -241,6 +243,53 @@ def test_potential_system_holds_three_terms_per_row():
         # a zero coefficient marks pi_i(O_i), in the Lipschitz rows leaving O_i
         i, v = np.divmod(col[coef == 0] - m, N)
         assert len(i) == 3 * n and (v == topo.outer[i]).all()
+
+
+def _permuted(sigma, x):
+    """The point y with y[sigma[i]] = x[i]."""
+    y = [0, 0, 0]
+    for i, v in zip(sigma, x):
+        y[i] = v
+    return tuple(y)
+
+
+def _row_set(col, coef, rhs):
+    """Rows as sets of (column, coefficient) terms: a permuted ball row
+    lists its three potentials in another order."""
+    return {(frozenset(zip(c, k)), b) for c, k, b in zip(col.tolist(), coef.tolist(), rhs.tolist())}
+
+
+def test_symmetry_orbits_permute_the_potential_system():
+    for n in range(1, 13):
+        topo = dual_topology(n)
+        orbits = symmetry_orbits(n)
+        m, N = len(topo.edge_u), len(topo.indptr) - 1
+        edges = enumerate_edges(3, n)
+        slot = {e: s for s, e in enumerate(edges)}
+        nodes = topo.nodes()
+        col, coef, rhs = potential_system(n)
+        assert orbits.images.shape == (6, m + 3 * N)
+        for sigma, image in zip(PERMUTATIONS, orbits.images.tolist()):
+            assert sorted(image) == list(range(m + 3 * N))  # a bijection of the columns
+            # an edge goes to the canonical edge of its permuted endpoints
+            assert image[:m] == [slot[canonical_edge(_permuted(sigma, x), _permuted(sigma, y))] for x, y in edges]
+            # a face goes to the face of its kind at the permuted base, O_i to O_sigma(i), pi_i to pi_sigma(i)
+            want = [("O", sigma[x[1]]) if x[0] == "O" else (x[0], *_permuted(sigma, x[1:])) for x in nodes]
+            for i in range(3):
+                block = image[m + i * N : m + (i + 1) * N]
+                assert [nodes[c - m - sigma[i] * N] for c in block] == want
+            # the Lipschitz and ball rows, all but the corner row, map onto themselves
+            image = np.array(image)
+            assert _row_set(image[col[:-1]], coef[:-1], rhs[:-1]) == _row_set(col[:-1], coef[:-1], rhs[:-1])
+        # orbit ids: the columns one column maps to, numbered by least column
+        for c, images in enumerate(orbits.images.T.tolist()):
+            o = orbits.orbit[c]
+            assert set(orbits.orbit[images].tolist()) == {o} and len(set(images)) == orbits.size[o]
+        first = np.unique(orbits.orbit, return_index=True)[1]
+        assert (np.diff(first) > 0).all() and orbits.size.sum() == m + 3 * N
+        assert orbits.orbit[:m].max() < orbits.orbit[m:].min()
+        for a in (orbits.images, orbits.orbit, orbits.size):
+            assert a.dtype.kind == "i" and not a.flags.writeable
 
 
 def _phi(i, node, n):

@@ -11,8 +11,8 @@ import pytest
 
 import mwgap
 from mwgap import cli, lpsearch
-from mwgap.core import NONOPPOSITE, enumerate_edges
-from mwgap.dual import brute_force_min_cut, certify
+from mwgap.core import NONOPPOSITE, canonical_edge, enumerate_edges
+from mwgap.dual import PERMUTATIONS, brute_force_min_cut, certify, potential_system
 from mwgap.lpsearch import _to_weight_function, search, solve_lp
 from mwgap.weights import lpc_w3_closed
 
@@ -29,17 +29,20 @@ CUTTING_PLANE_LPC = {
 
 
 def test_solve_lp_unconstrained_is_zero():
-    edges = enumerate_edges(3, 3)
-    x = solve_lp([], [], 3, edges)
-    assert np.allclose(x, 0)
+    x = solve_lp([], [], 3, 18)
+    assert x.shape == (18,) and np.allclose(x, 0)
 
 
 def test_solve_lp_single_constraint():
-    edges = enumerate_edges(3, 3)
-    con = {edges[0]: 2, edges[1]: 1}
-    x = solve_lp([con], [1], 3, edges)
-    # cheapest way to push the row to 1 uses the doubled edge
-    assert abs(sum(x) - 0.5) < 1e-7
+    x = solve_lp([{0: 2, 1: 1}], [1], 3, 18)
+    # cheapest way to push the row to 1 uses the doubled column
+    assert x.shape == (18,) and abs(sum(x) - 0.5) < 1e-7
+
+
+def test_solve_lp_columns_past_m_are_free():
+    # x_0 - p >= 1 and p >= -2, p free and costless: x_0 = 0 is the optimum
+    x = solve_lp([{0: 1, 2: -1}, {2: 1}], [1, -2], 1, 2)
+    assert x.shape == (2,) and np.allclose(x, 0)
 
 
 def test_to_weight_function_is_exact_on_floats():
@@ -79,8 +82,57 @@ def test_search_matches_cutting_plane_optimum(n):
         assert brute_force_min_cut(n, st.weights, NONOPPOSITE)[0] >= 1
 
 
+def full_lp_optimum(n):
+    """The unreduced potential LP: min sum(w)/n over `potential_system(n)`,
+    one variable per column and the corner row as stated."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
+
+    col, coef, rhs = potential_system(n)
+    m, columns = len(enumerate_edges(3, n)), int(col.max()) + 1
+    rows = np.repeat(np.arange(len(col)), 3)
+    A = csr_array((-coef.ravel().astype(float), (rows, col.ravel())), shape=(len(col), columns))
+    res = linprog(
+        c=np.concatenate([np.full(m, 1.0 / n), np.zeros(columns - m)]),
+        A_ub=A,
+        b_ub=-rhs.astype(float),
+        bounds=[(0, None)] * m + [(None, None)] * (columns - m),
+        method="highs",
+    )
+    assert res.success, res.message
+    return res.fun
+
+
+def _permuted(sigma, x):
+    """The point y with y[sigma[i]] = x[i]."""
+    y = [0, 0, 0]
+    for i, v in zip(sigma, x):
+        y[i] = v
+    return tuple(y)
+
+
+@pytest.mark.parametrize("n", range(3, 16))
+def test_orbit_lp_matches_the_full_lp(n):
+    st = search(n)
+    assert st.certified
+    assert abs(st.lpc_exact - Fraction(full_lp_optimum(n))) < 1e-9
+    # the weights are S3-invariant, exactly
+    w = st.weights.weights
+    for sigma in PERMUTATIONS:
+        assert {canonical_edge(_permuted(sigma, x), _permuted(sigma, y)): q for (x, y), q in w.items()} == w
+    # so they meet the margin rows: every outer pair is at least 1/3 apart
+    distances = set(st.certificate.pairwise.values())
+    assert len(distances) == 1 and min(distances) >= Fraction(1, 3)
+
+
+def test_search_n30_matches_the_lpc_table():
+    st = search(30)
+    assert st.certified
+    assert abs(st.lpc_exact - Fraction(26, 31)) < 1e-9
+
+
 def test_search_uncertified_when_lp_weights_fail(monkeypatch):
-    monkeypatch.setattr(lpsearch, "solve_lp", lambda constraints, rhs, n, edges: np.zeros(len(edges)))
+    monkeypatch.setattr(lpsearch, "solve_lp", lambda constraints, rhs, n, m: np.zeros(m))
     st = search(4)
     assert not st.certified
     assert st.lpc_exact == 0
