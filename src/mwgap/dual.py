@@ -18,8 +18,9 @@ system in integer arrays of at most three terms a row.  `lpsearch` solves
 it on the orbits of its columns under the six permutations of the
 coordinates, `symmetry_orbits(n)`; `check_potentials` evaluates it as one
 exact A x >= b on the weights and the paper's potentials,
-`paper_potentials(n)`, and names its first violated row through
-`potential_rows`; a brute-force enumerator provides an oracle at tiny n.
+`paper_potentials(n)`, and names its first violated row by its edges
+and (outer node, node) pairs; a brute-force enumerator provides an oracle
+at tiny n.
 
 The weight-free part of the dual, `dual_topology(n)`, is built once per n
 and cached as read-only integer arrays: a CSR adjacency over node ids in
@@ -56,11 +57,10 @@ relabelled component into its neighbours of the new label.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Hashable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations, repeat
+from itertools import permutations, repeat
 from math import lcm
 from typing import Optional
 
@@ -348,6 +348,7 @@ def dijkstra(
     )
 
 
+@lru_cache(maxsize=64)
 def potential_system(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The potential system on the dual of Delta_{3,n}, as read-only int32
     arrays `(col, coef, rhs)`.
@@ -373,7 +374,7 @@ def potential_system(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of the arcs leaving each face (in `enumerate_faces` order) and then
     O_i, each node's arcs in (head, edge) order, with terms (w(e),
     pi_i(v), pi_i(u)); then the ball rows in face order; then the corner
-    row.  Built per call from `dual_topology(n)`.
+    row.  Built once per n from `dual_topology(n)`.
     """
     topo = dual_topology(n)
     m, N = len(topo.edge_u), len(topo.indptr) - 1
@@ -454,21 +455,6 @@ def _row_values(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     col, coef, rhs = potential_system(n)
     # term by term, so the temporaries are one column, not all three
     return sum(k * x[j] for k, j in zip(coef.T, col.T)), rhs
-
-
-def potential_rows(n: int) -> Iterator[tuple[dict[Hashable, int], int]]:
-    """`potential_system(n)`, one `(row, rhs)` at a time, by name.
-
-    A row maps the variable of each nonzero term, in term order, to its
-    coefficient: a primal edge e, standing for its weight w(e), or a pair
-    (i, v), standing for the potential pi_i at dual node v.  Only
-    `check_potentials` reads it, to name its first violated row.
-    """
-    nodes = dual_topology(n).nodes()
-    names = [*_edges(3, n), *((i, v) for i in range(3) for v in nodes)]
-    col, coef, rhs = potential_system(n)
-    for c, k, b in zip(col.tolist(), coef.tolist(), rhs.tolist()):
-        yield {names[j]: q for j, q in zip(c, k) if q}, b
 
 
 def potential_numerators(i: int, num: np.ndarray, n: int) -> np.ndarray:
@@ -595,7 +581,10 @@ def check_potentials(n: int, w: WeightFunction) -> PotentialReport:
     weights and then the potentials as numerators over L.  They are int64
     when L and every entry of x are below INT64_TERMS, so that a row's
     three terms cannot overflow, and Python ints (object dtype) otherwise.
-    The first violated row is reported through `potential_rows`.
+    The first violated row is reported by name: it maps each nonzero
+    term's variable, in term order, to its coefficient, a primal edge e
+    standing for its weight w(e) and a pair (i, v) for the potential pi_i
+    at dual node v.
     """
     g = build_dual(n, w)
     D = g.denominator
@@ -610,8 +599,14 @@ def check_potentials(n: int, w: WeightFunction) -> PotentialReport:
     if not violated.size:
         return PotentialReport(True)
     r = int(violated[0])
-    row, b = next(islice(potential_rows(n), r, None))
-    return PotentialReport(False, (row, Fraction(int(lhs[r]), L), b))
+    col, coef, _ = potential_system(n)
+    nodes, edges, m = g.topology.nodes(), _edges(3, n), len(g.weights)
+    row = {}
+    for j, q in zip(col[r].tolist(), coef[r].tolist()):
+        if q:
+            i, v = divmod(j - m, len(nodes))
+            row[edges[j] if j < m else (i, nodes[v])] = q
+    return PotentialReport(False, (row, Fraction(int(lhs[r]), L), int(rhs[r])))
 
 
 # ---------------------------------------------------------------------------

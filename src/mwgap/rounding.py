@@ -34,8 +34,9 @@ memory: one draw's label row must fit LABEL_BYTES.
 So a draw's labels on the n-grid are fixed by its class: the three
 floors floor(n r_i), its three chord lines, and whether it is a corner
 cut (a corner cut never reads its chord lines, so all corner cuts with
-one threshold floor share a class).  `estimate_density` counts the draws
-of each class and labels one representative per class.
+one threshold floor share a class).  `estimate_density` keeps only each
+draw's class key, `_class_keys`, counts the draws of each key and labels
+each class from its key.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ PARAM_CELLS = 1 << 20
 
 EXTRA = 3  # label of the unassigned middle cluster of a corner cut
 
-# Cap on the largest array of one batch: the int8 label matrix (draws or
-# classes x grid points) and the compare matrix of one chunk of edges.
+# Cap on the largest array of one batch: the int8 label matrix (classes x
+# grid points, with never more classes than draws) and the compare matrix
+# of one chunk of edges.
 LABEL_BYTES = 1 << 25
 
 # Largest n whose label row, comb(n + 2, 2) bytes, fits LABEL_BYTES: 8190.
@@ -121,32 +123,6 @@ def _thresholds(params: dict, n: int) -> tuple[np.ndarray, list[np.ndarray], np.
     return floor_nr, lines, degenerate
 
 
-def _batch_labels(params: dict, points: list[Point], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Labels of every grid point under every parametrized cut.
-
-    Returns (labels, degenerate): labels has shape (count, len(points)) with
-    values in {0, 1, 2, EXTRA}, each point's column contiguous; rows flagged
-    degenerate (see `_thresholds`) carry no meaning and must be redrawn.
-
-    This is the module docstring's rule on the grid: x_i > r_i iff
-    p_i > floor(n r_i), and one table per draw maps the three comparisons
-    to a label.
-    """
-    floor_nr, lines, degenerate = _thresholds(params, n)
-    count = degenerate.size
-    # table[row, code] with bit i of code set iff x_i > r_i; two bits set
-    # (codes 6, 5, 3 have side 0, 1, 2 below) occur only for ball cuts
-    table = np.empty((count, 8), np.int8)
-    table[:] = (EXTRA, 0, 1, -1, 2, -1, -1, -1)
-    table[:, 6], table[:, 5], table[:, 3] = lines
-    table, base = table.ravel(), 8 * np.arange(count)
-    labels = np.empty((len(points), count), np.int8)
-    for j, p in enumerate(points):
-        code = (floor_nr[0] < p[0]) | ((floor_nr[1] < p[1]) << 1) | ((floor_nr[2] < p[2]) << 2)
-        labels[j] = table[base + code]
-    return labels.T, degenerate
-
-
 def _class_keys(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(key, degenerate): one int64 per cut naming its class (module
     docstring), so that cuts with equal keys label the n-grid alike.
@@ -161,23 +137,42 @@ def _class_keys(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     return key * 27 + np.where(params["is_corner"], 0, chords), degenerate
 
 
-def _classes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(members, counts): one draw of each distinct key, and how many draws
-    share it.  Any member represents its class, so an unstable sort does."""
-    order = np.argsort(key)
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))  # keys are >= 0
-    return order[starts], np.diff(starts, append=key.size)
+def _class_labels(classes: np.ndarray, points: list[Point], n: int) -> np.ndarray:
+    """Labels of every grid point under every class key (`_class_keys`), of
+    shape (len(classes), len(points)) with values in {0, 1, 2, EXTRA}, each
+    point's column contiguous.
+
+    This is the module docstring's rule on the grid: x_i > r_i iff
+    p_i > floor(n r_i), and one table per class maps the three comparisons
+    to a label.  The floors are the key's base-n digits above its base-3
+    chord digit; a corner cut's digit 0 leaves the table's chord entries
+    unread.
+    """
+    floors, chords = np.divmod(classes, 27)
+    floor_nr = (floors // (n * n), floors // n % n, floors % n)
+    count = len(classes)
+    # table[row, code] with bit i of code set iff x_i > r_i; two bits set
+    # (codes 6, 5, 3 have side 0, 1, 2 below) occur only for ball cuts
+    table = np.empty((count, 8), np.int8)
+    table[:] = (EXTRA, 0, 1, -1, 2, -1, -1, -1)
+    table[:, 6], table[:, 5], table[:, 3] = chords // 9, chords // 3 % 3, chords % 3
+    table, base = table.ravel(), 8 * np.arange(count)
+    labels = np.empty((len(points), count), np.int8)
+    for j, p in enumerate(points):
+        code = (floor_nr[0] < p[0]) | ((floor_nr[1] < p[1]) << 1) | ((floor_nr[2] < p[2]) << 2)
+        labels[j] = table[base + code]
+    return labels.T
 
 
 def _edge_chunk(classes: int) -> int:
-    """Edges scored at once against `classes` representatives: their compare
+    """Edges scored at once against `classes` labelled classes: their compare
     matrix, widened to int64 for the weighted sum, fits LABEL_BYTES."""
     return max(1, LABEL_BYTES // (8 * classes))
 
 
 def _separations(labels: np.ndarray, counts: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """For each edge (eu[e], ev[e]), the sum of counts over the
-    representatives whose labels (one row each) differ on its endpoints."""
+    """For each edge (eu[e], ev[e]), the sum of counts over the classes
+    whose labels (one row each) differ on its endpoints."""
     by_point = labels.T  # one contiguous row per point
     step = _edge_chunk(counts.size)
     out = np.empty(eu.size, np.int64)
@@ -215,9 +210,9 @@ def estimate_density(n: int, samples: int, seed: int) -> DensityEstimate:
     Only adjacent grid pairs are scored: any grid pair is joined by an
     L1-geodesic grid path and separation probability is subadditive along
     it, so adjacent pairs attain the maximum density on the grid.  Draws
-    come `_batch_size(n)` at a time, degenerate ones redrawn; each batch
-    labels one representative per class (module docstring) and adds its
-    class's draw count to every edge that representative separates.
+    come `_batch_size(n)` at a time and are kept as their class keys,
+    degenerate ones redrawn; each batch labels every class from its key
+    (module docstring) and adds its draw count to every edge it separates.
     """
     _check_n(n)
     if samples < 1000:
@@ -234,21 +229,14 @@ def estimate_density(n: int, samples: int, seed: int) -> DensityEstimate:
     done = 0
     while done < samples:
         want = min(batch, samples - done)
-        params = _draw_params(rng, want)
-        key, degenerate = _class_keys(params, n)
+        key, degenerate = _class_keys(_draw_params(rng, want), n)
         while degenerate.any():
             redo = np.flatnonzero(degenerate)
             resampled += redo.size
-            fresh = _draw_params(rng, redo.size)
-            key[redo], sub_deg = _class_keys(fresh, n)
-            for name in params:
-                params[name][redo] = fresh[name]
-            degenerate[:] = False
-            degenerate[redo] = sub_deg
-        corner_count += int(params["is_corner"].sum())
-        members, counts = _classes(key)
-        labels, _ = _batch_labels({name: v[members] for name, v in params.items()}, points, n)
-        sep += _separations(labels, counts, topo.edge_u, topo.edge_v)
+            key[redo], degenerate[redo] = _class_keys(_draw_params(rng, redo.size), n)
+        classes, counts = np.unique(key, return_counts=True)
+        corner_count += int(counts[classes % 27 == 0].sum())
+        sep += _separations(_class_labels(classes, points, n), counts, topo.edge_u, topo.edge_v)
         done += want
 
     stats = []

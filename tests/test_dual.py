@@ -44,7 +44,6 @@ from mwgap.dual import (
     face_vertices,
     normalize_cut,
     paper_potentials,
-    potential_rows,
     potential_system,
     symmetry_orbits,
     uncut_edges,
@@ -103,6 +102,18 @@ def oracle_potential_rows(g):
     for f in g.faces:
         yield {(i, f): 1 for i in range(3)}, 1
     yield {(0, OUTER[1]): 1, (0, OUTER[2]): 1, (1, OUTER[2]): 1}, 1
+
+
+def named_rows(n):
+    """`potential_system(n)` read by name, one `(row, rhs)` at a time: a
+    row maps the variable of each nonzero term, in term order, to its
+    coefficient, a primal edge e for its weight w(e) or a pair (i, v) for
+    the potential pi_i at dual node v."""
+    nodes = dual_topology(n).nodes()
+    names = [*enumerate_edges(3, n), *((i, v) for i in range(3) for v in nodes)]
+    col, coef, rhs = potential_system(n)
+    for c, k, b in zip(col.tolist(), coef.tolist(), rhs.tolist()):
+        yield {names[j]: q for j, q in zip(c, k) if q}, b
 
 
 def oracle_potential(i, node, n):
@@ -226,7 +237,7 @@ def test_topology_matches_oracle_adjacency():
 
 def test_potential_rows_match_oracle():
     for n in range(1, 13):
-        rows = list(potential_rows(n))
+        rows = list(named_rows(n))
         want = list(oracle_potential_rows(oracle_build_dual(n, WeightFunction(3, n, {}))))
         # the same dicts, in the same order and with the same key order (the LP's columns)
         assert [(list(row.items()), rhs) for row, rhs in rows] == [(list(row.items()), rhs) for row, rhs in want]
@@ -237,7 +248,7 @@ def test_potential_system_holds_three_terms_per_row():
         topo = dual_topology(n)
         m, N = len(topo.edge_u), len(topo.indptr) - 1
         col, coef, rhs = potential_system(n)
-        assert col.shape == coef.shape == (len(list(potential_rows(n))), 3) and rhs.shape == col.shape[:1]
+        assert col.shape == coef.shape == (len(list(named_rows(n))), 3) and rhs.shape == col.shape[:1]
         for a in (col, coef, rhs):
             assert a.dtype == np.int32 and not a.flags.writeable
         # a zero coefficient marks pi_i(O_i), in the Lipschitz rows leaving O_i
@@ -690,7 +701,7 @@ def test_check_potentials_agrees_across_the_int64_boundary(monkeypatch):
 def _rows_hold(g, value):
     return all(
         sum(coef * value.get(var, 0) for var, coef in row.items()) >= rhs
-        for row, rhs in potential_rows(g.n)
+        for row, rhs in named_rows(g.n)
     )
 
 

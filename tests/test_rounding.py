@@ -18,11 +18,13 @@ from mwgap.rounding import (
     MAX_N,
     PARAM_CELLS,
     P_CORNER,
-    _batch_labels,
     _batch_size,
+    _class_keys,
+    _class_labels,
     _draw_params,
     _edge_chunk,
     _separations,
+    _thresholds,
     estimate_density,
 )
 
@@ -105,6 +107,14 @@ def _ball_at(diag, t, side_choice=(False, False, False)):
     A, B = DIAGONALS[diag]
     r = tuple((1 - t) * A[i] + t * B[i] for i in range(3))
     return BallCut(r=r, side_choice=side_choice)
+
+
+def batch_labels(params, points, n):
+    """(labels, degenerate) of every parametrized cut at every point, as the
+    estimator labels them: through each cut's class key.  Rows flagged
+    degenerate carry no meaning."""
+    key, degenerate = _class_keys(params, n)
+    return _class_labels(key, points, n), degenerate
 
 
 def _params_to_cut(params, i):
@@ -292,7 +302,7 @@ def test_batch_labels_match_reference_evaluator():
     pts = enumerate_points(3, n)
     rng = np.random.default_rng(42)
     params = _draw_params(rng, 300)
-    labels, degenerate = _batch_labels(params, pts, n)
+    labels, degenerate = batch_labels(params, pts, n)
     for i in range(300):
         if degenerate[i]:
             continue
@@ -300,6 +310,24 @@ def test_batch_labels_match_reference_evaluator():
         for j, p in enumerate(pts):
             ref = evaluate(cut, tuple(Fraction(a, n) for a in p))
             assert labels[i, j] == ref
+
+
+def test_class_key_decodes_to_thresholds():
+    # the key's base-n digits are the floors; its base-3 digit is a ball
+    # cut's chord lines, and 0 exactly for a corner cut
+    for seed, n in enumerate((2, 3, 6, 12, 17, MAX_N)):
+        params = _draw_params(np.random.default_rng(seed), 5000)
+        key, degenerate = _class_keys(params, n)
+        floor_nr, lines, want_degenerate = _thresholds(params, n)
+        floors, chords = key // 27, key % 27
+        assert ((0 <= floor_nr) & (floor_nr < n)).all()
+        assert np.array_equal(np.stack([floors // (n * n), floors // n % n, floors % n]), floor_nr)
+        corner = params["is_corner"]
+        assert corner.any() and not corner.all()
+        assert np.array_equal(key % 27 == 0, corner)
+        decoded = np.stack([chords // 9, chords // 3 % 3, chords % 3])
+        assert np.array_equal(decoded[:, ~corner], np.stack(lines)[:, ~corner])
+        assert np.array_equal(degenerate, want_degenerate)
 
 
 def test_estimate_density_deterministic():
@@ -353,7 +381,7 @@ def test_batch_labels_exact_at_max_n():
         "jt": np.array([j for _, j, _ in combos]),
         "choice": np.array([[(c >> b) & 1 for b in range(3)] for _, _, c in combos]),
     }
-    labels, degenerate = _batch_labels(params, pts, n)
+    labels, degenerate = batch_labels(params, pts, n)
     assert not degenerate.any()
     for i in range(len(combos)):
         cut = _params_to_cut(params, i)
@@ -370,7 +398,7 @@ def test_estimate_density_rejects_n_past_memory_bound(monkeypatch):
     with pytest.raises(ValueError, match="LABEL_BYTES"):
         estimate_density(MAX_N + 1, 1000, 1)
     with pytest.raises(ValueError, match="LABEL_BYTES"):
-        _batch_labels(_draw_params(np.random.default_rng(0), 1), [], MAX_N + 1)
+        batch_labels(_draw_params(np.random.default_rng(0), 1), [], MAX_N + 1)
     assert cli.main(["round", "--n", str(MAX_N + 1), "--samples", "1000", "--seed", "1"]) == 2
 
 
@@ -464,7 +492,7 @@ def test_batch_labels_match_oracle_on_aligned_centres():
     seen_degenerate = 0
     for n in (2, 3, 4, 6):
         pts = enumerate_points(3, n)
-        labels, degenerate = _batch_labels(params, pts, n)
+        labels, degenerate = batch_labels(params, pts, n)
         for i in range(len(rows)):
             cut = _params_to_cut(params, i)
             want = [_outcome(oracle_label, cut, tuple(F(a, n) for a in p)) for p in pts]
@@ -495,12 +523,12 @@ def oracle_density(n, samples, seed):
     while done < samples:
         want = min(_batch_size(n), samples - done)
         params = rounding._draw_params(rng, want)
-        labels, degenerate = _batch_labels(params, points, n)
+        labels, degenerate = batch_labels(params, points, n)
         while degenerate.any():
             redo = np.flatnonzero(degenerate)
             resampled += redo.size
             fresh = rounding._draw_params(rng, redo.size)
-            sub_labels, sub_deg = _batch_labels(fresh, points, n)
+            sub_labels, sub_deg = batch_labels(fresh, points, n)
             labels[redo] = sub_labels
             for key in params:
                 params[key][redo] = fresh[key]
@@ -568,7 +596,7 @@ def test_separations_in_edge_chunks_match_one_chunk(monkeypatch):
     eu = np.array([index[x] for x, _ in enumerate_edges(3, n)])
     ev = np.array([index[y] for _, y in enumerate_edges(3, n)])
     params = _draw_params(np.random.default_rng(9), 40)
-    labels, _ = _batch_labels(params, points, n)
+    labels, _ = batch_labels(params, points, n)
     counts = np.arange(1, 41)
     want = [int(counts[labels[:, u] != labels[:, v]].sum()) for u, v in zip(eu, ev)]
     for cap in (8 * 40 * 7, 8 * 40, 1):  # 7 edges, one edge, and below one edge per chunk
