@@ -31,14 +31,18 @@ from .svg import emit_svg
 from .weights import BUILDERS
 
 
-def _emit(obj, out=None) -> None:
-    """Canonical JSON to the file at out, or to stdout."""
-    text = canonical_json(obj)
+def _write(text: str, out=None) -> None:
+    """text and a newline to the file at out, or to stdout."""
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(obj, out=None) -> None:
+    """Canonical JSON to the file at out, or to stdout."""
+    _write(canonical_json(obj), out)
 
 
 def cmd_build(args) -> int:
@@ -125,12 +129,7 @@ def cmd_lpsearch(args) -> int:
 def cmd_svg(args) -> int:
     w = load_instance(args.instance)
     cut = load_cut(args.cut) if args.cut else None
-    text = emit_svg(w, cut=cut, potential_index=args.potential)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text)
+    _write(emit_svg(w, cut=cut, potential_index=args.potential), args.out)
     return 0
 
 

@@ -18,7 +18,7 @@ from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from math import lcm
 from operator import sub
 from types import MappingProxyType
@@ -93,6 +93,12 @@ def face_gather(k: int, n: int, faces: Sequence[Sequence[int]]) -> np.ndarray:
     gather = np.array(rows, dtype=np.intp).reshape(len(faces), len(small))
     gather.setflags(write=False)
     return gather
+
+
+@lru_cache(maxsize=64)
+def sorted_face_gather(k: int, n: int, m: int) -> np.ndarray:
+    """`face_gather` of the C(k, m) sorted m-faces of [k], in `combinations` order."""
+    return face_gather(k, n, list(combinations(range(k), m)))
 
 
 def canonical_edge(x: Point, y: Point) -> Edge:
@@ -200,9 +206,7 @@ class WeightFunction:
 
     def scaled(self, a: Fraction) -> "WeightFunction":
         a = Fraction(a)
-        return WeightFunction(
-            self.k, self.n, {e: a * w for e, w in self.weights.items() if a * w != 0}
-        )
+        return WeightFunction(self.k, self.n, {e: aw for e, w in self.weights.items() if (aw := a * w) != 0})
 
 
 def lpc(w: WeightFunction) -> Fraction:

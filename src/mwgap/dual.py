@@ -708,10 +708,7 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
         for r in list(comps):
             if lab[r] != 3 or sides[r] == ALL_SIDES:
                 continue
-            candidates = [l for l in range(3) if not sides[r] >> l & 1]
-            if not candidates:
-                raise NormalizationError(f"no legal label for extra component at {points[r]}")
-            relabel(r, candidates[0])
+            relabel(r, next(l for l in range(3) if not sides[r] >> l & 1))
         # rule (b): a component missing its terminal adopts a neighbor's label.
         # Process the first violating component that has a legal neighbor
         # label; a violator can be temporarily stuck until another one is
@@ -797,11 +794,9 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
     if len(points) > BRUTE_MAX_POINTS:
         raise ValueError(f"{len(points)} points exceed the exhaustive bound {BRUTE_MAX_POINTS}")
     D, u, v, nums = w.integer_form()
-    # edges to already-assigned (lower-index) points, per point
+    # edges to already-assigned points, per point: a canonical edge has u < v
     back_edges: list[list[tuple[int, int]]] = [[] for _ in points]
     for i, j, num in zip(u.tolist(), v.tolist(), nums):
-        if i > j:
-            i, j = j, i
         back_edges[j].append((i, num))
 
     choices: list[list[int]] = []

@@ -2,23 +2,22 @@
 
 The operators here connect k-way cuts of the big simplex grid to
 non-opposite cuts of the triangle.  Every lookup of a small-grid point in
-the big grid is a row of `core.face_gather`, the one embedding:
-`_face_labels` is the one restriction kernel, which reads P's labels on a
-list of faces and marks the bad points.  `restrict_triple` builds the raw
-labels and the fixed cut from one face's row, restriction along an
-injection is its fixed cut, and `check_projection_bounds` runs the kernel
-on all sorted faces at once.  `d_profile` reads the lines between
-terminal pairs through the same gather to get the label sets D_{i,j} and
-their mean, and the checks below verify the probability and cost bounds
-built on them by exact enumeration.
+the big grid is a row of `core.face_gather`, the one embedding, cached for
+the sorted faces by `core.sorted_face_gather`.  `_face_labels` is the one
+restriction kernel: it returns the cut P induces on a list of 3-faces, as
+raw labels and bad points.  `restrict_triple` reads it on one face and
+fixes the bad points, restriction along an injection is its fixed cut, and
+`check_projection_bounds` runs it on all sorted 3-faces at once.
+`d_profile` reads the terminal-pair lines through the sorted 2-face gather
+to get the label sets D_{i,j} and their mean, and the checks below verify
+the probability and cost bounds built on them by exact enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import Optional, Sequence
 
@@ -33,43 +32,30 @@ from .core import (
     cost,
     enumerate_points,
     face_gather,
+    sorted_face_gather,
 )
+from .dual import dual_topology
 from .weights import build_w_hat, build_w_prime, build_w_tilde
 
 
-def _face_index(k: int, n: int, faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(gather, opposite) for a list of faces of [k], all of one size m.
+def _face_labels(P: Cut, gather: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The restriction kernel: (raw, bad), the cut P induces on 3-faces.
 
-    gather is `face_gather(k, n, faces)`.  For x_j the j-th point of the
-    m-grid, opposite[f, j, r] is faces[f][r] where x_j[r] = 0 (a corner
-    opposite x_j), else -1.
-    """
-    small = enumerate_points(len(faces[0]), n)
-    opposite = np.where(np.array(small) == 0, np.array(faces)[:, None, :], -1)
-    opposite.setflags(write=False)
-    return face_gather(k, n, faces), opposite
-
-
-@lru_cache(maxsize=16)
-def _sorted_face_index(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_face_index` of the C(k, 3) sorted faces, in `combinations` order."""
-    return _face_index(k, n, list(combinations(range(k), 3)))
-
-
-@lru_cache(maxsize=16)
-def _line_gather(k: int, n: int) -> np.ndarray:
-    """`face_gather` of the C(k, 2) terminal-pair lines, in `combinations` order."""
-    return face_gather(k, n, list(combinations(range(k), 2)))
-
-
-def _face_labels(P: Cut, gather: np.ndarray, opposite: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The restriction kernel: P's labels on faces, and the bad-point mask.
-
-    Row f, column j: the label of x_j placed on faces[f] (`face_gather`),
-    and whether that label is a corner of the face opposite x_j.
+    gather is a `face_gather` of 3-faces.  Row f, column j: raw is the
+    position r of x_j's label among the corners of faces[f], or 3 when the
+    label lies outside the face, and bad is whether r is a corner opposite
+    x_j (bit r of `dual_topology(n).point_sides`).  The corners' labels
+    are read at the face's terminal columns, as a valid cut labels terminal
+    i with i.
     """
     labels = P.label_array[gather]
-    return labels, (labels[:, :, None] == opposite).any(axis=2)
+    # in lexicographic order, the terminals e^0, e^1, e^2 of Delta_{3,n}
+    # are its last, n-th and first points
+    corners = labels[:, [-1, P.n, 0]]
+    raw = 3
+    for r in range(3):
+        raw = np.where(labels == corners[:, r, None], r, raw)
+    return raw, (dual_topology(P.n).point_sides >> raw & 1).astype(bool)
 
 
 @dataclass
@@ -90,19 +76,14 @@ def restrict_triple(P: Cut, i1: int, i2: int, i3: int) -> RestrictionResult:
     triple = (i1, i2, i3)
     if len(set(triple)) != 3 or not all(0 <= i < P.k for i in triple):
         raise ValueError(f"indices must be distinct and in range, got {triple}")
-    labels, bad_mask = _face_labels(P, *_face_index(P.k, P.n, [triple]))
-    raw: dict[Point, int] = {}
-    fixed_labels: dict[Point, int] = {}
-    bad = []
-    for x, lab, is_bad in zip(enumerate_points(3, P.n), labels[0].tolist(), bad_mask[0].tolist()):
-        r = triple.index(lab) if lab in triple else 3
-        raw[x] = r
-        if is_bad:
-            bad.append(x)
-            r = 3
-        fixed_labels[x] = r
-    fixed = Cut(3, P.n, fixed_labels, NONOPPOSITE)
-    return RestrictionResult(raw=raw, fixed=fixed, bad_points=frozenset(bad))
+    (raw,), (bad,) = _face_labels(P, face_gather(P.k, P.n, [triple]))
+    points = enumerate_points(3, P.n)
+    fixed = Cut(3, P.n, dict(zip(points, np.where(bad, 3, raw).tolist())), NONOPPOSITE)
+    return RestrictionResult(
+        raw=dict(zip(points, raw.tolist())),
+        fixed=fixed,
+        bad_points=frozenset(compress(points, bad.tolist())),
+    )
 
 
 def restrict_injection(P: Cut, f: Sequence[int], k: int) -> Cut:
@@ -128,7 +109,7 @@ def d_profile(P: Cut) -> DProfile:
     """Label sets used on the lines between terminal pairs, and their mean size."""
     if P.family != KWAY:
         raise ValueError("d_profile expects a k-way cut")
-    lines = P.label_array[_line_gather(P.k, P.n)].tolist()
+    lines = P.label_array[sorted_face_gather(P.k, P.n, 2)].tolist()
     per_pair = dict(zip(combinations(range(P.k), 2), map(frozenset, lines)))
     total = sum(len(s) for s in per_pair.values())
     return DProfile(per_pair=per_pair, mean=Fraction(total, comb(P.k, 2)))
@@ -146,7 +127,7 @@ def check_projection_bounds(P: Cut) -> ProjectionReport:
     """Exact fraction of faces with non-opposite restriction vs both bounds."""
     if P.k < 3:
         raise ValueError("need k >= 3")
-    _, bad = _face_labels(P, *_sorted_face_index(P.k, P.n))
+    _, bad = _face_labels(P, sorted_face_gather(P.k, P.n, 3))
     frac = Fraction(int(np.count_nonzero(~bad.any(axis=1))), len(bad))
     D = d_profile(P).mean
     refined = max(Fraction(0), 1 - Fraction(3) * (D - 2) / (P.k - 2))

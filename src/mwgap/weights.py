@@ -9,20 +9,19 @@ Five families:
   build_w_tilde — the convex combination of the last two that pushes every
                   k-way cut cost to at least one
 
-The k-way families are one lifted integer sum, `_lifted`, through
-`core.face_gather`; E_{k,n} is never enumerated.
+The k-way families are one lifted integer sum, `_lifted`, over the
+cached `core.sorted_face_gather`; E_{k,n} is never enumerated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb, lcm
 from typing import Optional
 
 import numpy as np
 
-from .core import Edge, WeightFunction, _edges, _points, enumerate_edges, face_gather
+from .core import Edge, WeightFunction, _edges, _points, enumerate_edges, sorted_face_gather
 from .dual import dual_topology
 
 
@@ -73,14 +72,14 @@ def _line(n: int) -> WeightFunction:
 
 def _lifted(k: int, n: int, terms: list[tuple[Fraction, WeightFunction]]) -> WeightFunction:
     """Sum of c * w over the terms (c, w), each w placed on every sorted face
-    of [k] of its size by `face_gather` (so edges stay canonical), as integer
-    numerators over one denominator L: one q / L per edge, in `enumerate_edges` order."""
+    of [k] of its size by `sorted_face_gather` (so edges stay canonical), as
+    integer numerators over one denominator L: one q / L per edge, in `enumerate_edges` order."""
     points = _points(k, n)
     L = lcm(*(c.denominator * w.integer_form()[0] for c, w in terms))
     keys, nums, bound = [], [], 0
     for c, w in terms:
         D, u, v, q = w.integer_form()
-        gather = face_gather(k, n, list(combinations(range(k), w.k)))
+        gather = sorted_face_gather(k, n, w.k)
         scale = c.numerator * (L // (c.denominator * D))
         bound += len(gather) * sum(q) * scale
         if bound >= 2**63:

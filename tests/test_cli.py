@@ -268,6 +268,14 @@ def test_svg_subcommand(tmp_path, capsys):
     assert out == out2
 
 
+def test_svg_out_writes_the_stdout_bytes(tmp_path, capsys):
+    inst, svg = tmp_path / "w3.json", tmp_path / "w3.svg"
+    run(capsys, "build", "--weights", "w3", "--n", "6", "--out", str(inst))
+    _, out = run(capsys, "svg", str(inst), "--potential", "2")
+    assert run(capsys, "svg", str(inst), "--potential", "2", "--out", str(svg)) == (0, "")
+    assert svg.read_bytes() == out.encode()
+
+
 @pytest.mark.parametrize("k, n", [(3, 6), (5, 3)])
 def test_svg_rejects_a_cut_on_another_grid(tmp_path, capsys, k, n):
     inst, cutfile = tmp_path / "w3.json", tmp_path / "cut.json"

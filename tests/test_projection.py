@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 from mwgap.core import (
     Cut,
     KWAY,
+    WeightFunction,
     enumerate_points,
     face_gather,
     point_index,
     random_kway_cut,
+    random_nonopposite_cut,
+    sorted_face_gather,
     support,
     terminal,
 )
@@ -63,11 +66,11 @@ def test_face_gather_matches_embed_oracle():
     for k, n, m in itertools.product((3, 5, 8, 12), (1, 2, 3, 6), (2, 3)):
         index = point_index(k, n)
         small = enumerate_points(m, n)
-        for faces in (
-            list(itertools.combinations(range(k), m)),
-            [rng.sample(range(k), m) for _ in range(20)],
+        sampled = [rng.sample(range(k), m) for _ in range(20)]
+        for faces, gather in (
+            (list(itertools.combinations(range(k), m)), sorted_face_gather(k, n, m)),
+            (sampled, face_gather(k, n, sampled)),
         ):
-            gather = face_gather(k, n, faces)
             want = [[index[embed(x, f, k)] for x in small] for f in faces]
             assert gather.tolist() == want
             assert not gather.flags.writeable
@@ -188,12 +191,16 @@ def test_injection_bad_points_definition():
 
 @st.composite
 def _cut_and_injection(draw):
-    k = draw(st.integers(3, 10))
-    labels = {}
-    for x in enumerate_points(k, 3):
-        labels[x] = x.index(3) if max(x) == 3 else draw(st.integers(0, k - 1))
-    f = draw(st.permutations(range(k)))[:3]
-    return Cut(k, 3, labels, KWAY), f
+    """A random cut on n in {1, 2, 3, 6} and three of its indices in any
+    order: a k-way cut (3 <= k <= 10), or a non-opposite cut of the
+    triangle, whose extra label 3 lies outside every face."""
+    n = draw(st.sampled_from((1, 2, 3, 6)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        P = random_nonopposite_cut(n, rng)
+    else:
+        P = random_kway_cut(draw(st.integers(3, 10)), n, rng)
+    return P, draw(st.permutations(range(P.k)))[:3]
 
 
 @given(_cut_and_injection())
@@ -201,7 +208,7 @@ def test_restriction_is_nonopposite_with_defined_bad_points(case):
     P, f = case
     res = restrict_triple(P, *f)
     assert restrict_injection(P, f, 3).labels == res.fixed.labels
-    for x in enumerate_points(3, 3):
+    for x in enumerate_points(3, P.n):
         big = tuple(x[f.index(i)] if i in f else 0 for i in range(P.k))
         lab = P.labels[big]
         bad = lab in set(f) - {f[j] for j in support(x)}
@@ -218,6 +225,19 @@ def test_cost_lemmas_on_random_cuts():
         rep = check_cost_lemmas(P, 3)
         assert rep.ok
         assert rep.cost_tilde >= 1
+
+
+def test_cost_lemmas_report_every_violation():
+    # zero weights cost 0, below all three bounds once D(P) < k
+    P = _identity_cut(5, 3)
+    rep = check_cost_lemmas(P, 3, (WeightFunction(5, 3, {}),) * 3)
+    assert rep.d_mean == 2
+    assert rep.violations == [
+        "cost(P, w_hat) = 0 < 1",
+        "cost(P, w_prime) = 0 < 1",
+        "cost(P, w_tilde) = 0 < 1",
+    ]
+    assert not rep.ok
 
 
 def test_cost_lemma_tightness_direction():
