@@ -280,14 +280,15 @@ CRITERIA = {
 
 
 def run_ledger(ids=None) -> list[CriterionResult]:
-    """Run the given criteria (all by default) once each, in id order,
-    printing each result's line and details as it finishes."""
-    unknown = sorted(set(ids or ()) - set(CRITERIA))
+    """Run the given criteria (all when ids is None) once each, in id
+    order, printing each result's line and details as it finishes."""
+    ids = set(CRITERIA if ids is None else ids)
+    unknown = sorted(ids - set(CRITERIA))
     if unknown:
         valid = f"{min(CRITERIA)}-{max(CRITERIA)}"
         raise ValueError(f"unknown criterion id(s) {', '.join(map(str, unknown))}; valid ids are {valid}")
     results = []
-    for cid in sorted(set(ids or CRITERIA)):
+    for cid in sorted(ids):
         name, criterion = CRITERIA[cid]
         res = CriterionResult(cid, name)
         t0 = time.perf_counter()

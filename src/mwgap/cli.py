@@ -134,7 +134,7 @@ def cmd_svg(args) -> int:
 
 
 def cmd_ledger(args) -> int:
-    ids = [int(t) for t in args.only.split(",")] if args.only else None
+    ids = None if args.only is None else [int(t) for t in args.only.split(",")]
     results = run_ledger(ids)
     report = {
         "version": __version__,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, compress, repeat
-from math import lcm
+from math import comb, lcm
 from operator import sub
 from types import MappingProxyType
 from typing import Optional
@@ -28,6 +28,7 @@ import numpy as np
 
 Point = tuple[int, ...]
 Edge = tuple[Point, Point]
+MAX_POINTS = 2**19  # the largest grid enumerated: at about 2 KB a triangle point, 1 GiB
 
 
 def support(x: Point) -> frozenset[int]:
@@ -54,6 +55,8 @@ def _points(k: int, n: int) -> tuple[Point, ...]:
         raise ValueError(f"need k >= 2, got {k}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if (count := comb(n + k - 1, k - 1)) > MAX_POINTS:
+        raise ValueError(f"Delta_{{k={k},n={n}}} has {count} points, more than MAX_POINTS = {MAX_POINTS}")
 
     def rec(remaining: int, slots: int):
         if slots == 1:

@@ -28,19 +28,18 @@ sorted node-tuple order, the edge slot (`enumerate_edges` position) of
 each arc, the face and outer-node ids, and the face centroids.  A
 `DualGraph` adds one list of weight numerators per edge slot, from
 `WeightFunction.integer_form()`.
-One exact shortest-path kernel, `_shortest_paths`, runs on the ids in
-Python integers and returns distance and predecessor lists by node id;
-`dijkstra` keys them by node tuples.  `certify` reads the distances from
-the three outer nodes as one (3, N) array, `_outer_distances`.  While the
-weight numerators total less than FLOAT_EXACT = 2**53, every distance is
-an integer that float64 holds exactly, so they come from one call of
-scipy's compiled Dijkstra on a copy of the CSR whose arcs leaving O_i
-start at a source copy of O_i; the result is cast to int64 and checked
-exactly against the Lipschitz rows of the potential system, so a wrong
-compiled distance raises RuntimeError and never inflates a certificate.
-At or above 2**53 (the LP search's float-derived weights) the array holds
-`_shortest_paths`'s Python ints.  SciPy is imported on the first compiled
-call, so `import mwgap` does not load it.  `check_potentials` likewise
+Both shortest-path kernels search one graph, `_search_graph(n)`: the
+Lipschitz rows of the potential system, as a CSR over its 3N potential
+columns.  The exact kernel, `_shortest_paths`, runs in Python integers;
+`dijkstra` keys its result by node tuples.  `certify` reads the distances
+from the three outer nodes as one (3, N) array, `_outer_distances`: from
+scipy's compiled Dijkstra while the weight numerators total less than
+FLOAT_EXACT = 2**53, so that float64 holds every distance exactly, and
+then checked exactly on the rows it searched, so a wrong compiled
+distance raises RuntimeError and never inflates a certificate; at or
+above 2**53 (the LP search's float-derived weights), from
+`_shortest_paths`.  SciPy is imported on the first compiled call, so
+`import mwgap` does not load it.  `check_potentials` likewise
 runs in int64 when its values are small enough and in Python ints
 otherwise.  The potential system's columns are edge slots and (outer
 node, node id) pairs; only returned values are node tuples and
@@ -61,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, repeat
-from math import lcm
+from math import comb, lcm
 from typing import Optional
 
 import numpy as np
@@ -219,20 +218,15 @@ def build_dual(n: int, w: WeightFunction) -> DualGraph:
 
 
 def _shortest_paths(g: DualGraph, sources: list[int]) -> list[tuple[list, list]]:
-    """Exact shortest paths from each source id: (dist, pred) lists by
-    node id, dist[v] the distance numerator over g.denominator and
-    pred[v] = u * m + slot of the arc u -> v that reaches v, m the number
-    of edge slots; None where v is not reached (and at the source, for
-    pred).  One (dist, pred) pair per source, in order.
-
-    Outer nodes other than the source may end a path but are never
-    traversed: the paths forming a cut meet outer nodes only at their
-    endpoints.  Ties are broken by the smaller pred, so by (node, edge)
-    order: ids and edge slots are in node-tuple and edge order.
+    """Exact shortest paths on `_search_graph(g.n)` from each source id:
+    (dist, pred) lists by search-graph id, dist[v] the distance numerator
+    over g.denominator and pred[v] = u * m + slot of the arc u -> v that
+    reaches v, m the number of edge slots; None where v is not reached (and
+    at the source, for pred).  One (dist, pred) pair per source, in order.
+    Ties are broken by the smaller pred, so by (node, edge) order: within
+    a block, ids and edge slots are in node-tuple and edge order.
     """
-    topo = g.topology
-    first_outer, last_outer = int(topo.outer[0]), int(topo.outer[-1])
-    indptr, head, slot = topo.indptr.tolist(), topo.head.tolist(), topo.slot.tolist()
+    indptr, head, slot = (a.tolist() for a in _search_graph(g.n))
     weights = g.weights
     m = len(weights)
     size = len(indptr) - 1
@@ -249,8 +243,6 @@ def _shortest_paths(g: DualGraph, sources: list[int]) -> list[tuple[list, list]]
             if done[u]:
                 continue
             done[u] = True
-            if first_outer <= u <= last_outer and u != s:
-                continue
             base = u * m
             for k in range(indptr[u], indptr[u + 1]):
                 v = head[k]
@@ -270,61 +262,38 @@ def _shortest_paths(g: DualGraph, sources: list[int]) -> list[tuple[list, list]]
 FLOAT_EXACT = 2**53  # float64 holds every integer below it exactly
 
 
-@lru_cache(maxsize=64)
-def _source_split(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`dual_topology(n)`'s CSR `(indptr, head, slot)` over N + 3 nodes,
-    with the arcs leaving O_i moved to a source copy N + i.
-
-    O_i keeps the arcs that enter it and leaves none, so a search from
-    N + i starts along O_i's arcs and meets every outer node only at a
-    path's end, as `_shortest_paths` does.  The outer ids and their arcs
-    are contiguous, so this is a slice permutation of the arcs.
-    """
-    topo = dual_topology(n)
-    first = int(topo.outer[0])
-    lo, hi = topo.indptr[first], topo.indptr[first + 3]
-    count = np.diff(topo.indptr)
-    count = np.concatenate((count[:first], [0, 0, 0], count[first + 3 :], count[first : first + 3]))
-    arcs = np.r_[0:lo, hi : len(topo.head), lo:hi]
-    indptr = np.concatenate(([0], np.cumsum(count)))
-    return _frozen(indptr), _frozen(topo.head[arcs]), _frozen(topo.slot[arcs])
-
-
 def _outer_distances(g: DualGraph) -> np.ndarray:
     """Exact distances from O_0, O_1, O_2: a (3, N) array of numerators
-    over g.denominator by node id, as `_shortest_paths` finds them.
+    over g.denominator by node id, row i block i of a search of
+    `_search_graph(n)` from i * N + O_i.
 
     When the weight numerators total less than FLOAT_EXACT, scipy's
-    Dijkstra runs once on `_source_split(n)` from the three source
-    copies: every distance is the length of a path that crosses each edge
-    at most once, so an integer below 2**53 that float64 holds exactly.
-    The result is cast to int64 and checked exactly before use: every
-    node is reached, each source is at 0, and d_i(v) <= d_i(u) + w(e) on
-    every Lipschitz row of `potential_system(n)`.  Distances that pass are
-    feasible potentials, lower bounds on the true distances, so a wrong
-    compiled result cannot inflate a certificate; a failure raises
-    RuntimeError.  SciPy is imported here, so `import mwgap` does not
-    load it.  At or above FLOAT_EXACT the array is `_shortest_paths`'s
-    Python ints, of object dtype.
+    Dijkstra runs once from the three sources: every distance is the
+    length of a path that crosses each edge at most once, so an integer
+    below 2**53 that float64 holds exactly.  The diagonal blocks of the
+    result are cast to int64 and checked exactly before use: every node is
+    reached, each source is at 0, and the searched rows hold.  Distances
+    that pass are feasible potentials, lower bounds on the true distances,
+    so a wrong compiled result cannot inflate a certificate; a failure
+    raises RuntimeError.  At or above FLOAT_EXACT the array is
+    `_shortest_paths`'s Python ints, of object dtype.
     """
-    topo = g.topology
-    outer = topo.outer.tolist()
+    outer = g.topology.outer.tolist()
+    N = len(g.topology.indptr) - 1
+    sources = [i * N + o for i, o in enumerate(outer)]
     if sum(g.weights) >= FLOAT_EXACT:
-        return np.array([dist for dist, _ in _shortest_paths(g, outer)], dtype=object)
+        runs = _shortest_paths(g, sources)
+        return np.array([dist[i * N : (i + 1) * N] for i, (dist, _) in enumerate(runs)], dtype=object)
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-    N = len(topo.indptr) - 1
-    indptr, head, slot = _source_split(g.n)
+    indptr, head, slot = _search_graph(g.n)
     weights = np.array(g.weights, dtype=np.int64)
-    graph = csr_array((weights[slot].astype(np.float64), head, indptr), shape=(N + 3, N + 3))
-    raw = csgraph_dijkstra(graph, indices=[N, N + 1, N + 2])
-    sources = raw[[0, 1, 2], [N, N + 1, N + 2]]
-    dist = raw[:, :N]
-    if not (np.isfinite(dist).all() and (sources == 0).all()):
+    graph = csr_array((weights[slot].astype(np.float64), head, indptr), shape=(3 * N, 3 * N))
+    dist = csgraph_dijkstra(graph, indices=sources).reshape(3, 3, N)[[0, 1, 2], [0, 1, 2]]
+    if not (np.isfinite(dist).all() and (dist[[0, 1, 2], outer] == 0).all()):
         raise RuntimeError("compiled Dijkstra left a node unreached or a source off 0")
     dist = dist.astype(np.int64)
-    dist[[0, 1, 2], outer] = 0  # O_i is the source itself, as in `_shortest_paths`
     lhs, rhs = _row_values(g.n, np.concatenate((weights, dist.ravel())))
     if (lhs[rhs == 0] < 0).any():  # the Lipschitz rows are the rows with rhs 0
         raise RuntimeError("compiled Dijkstra distances break a Lipschitz row")
@@ -335,16 +304,20 @@ def dijkstra(
     g: DualGraph, source: DualNodeT
 ) -> tuple[dict[DualNodeT, int], dict[DualNodeT, tuple[DualNodeT, Edge]]]:
     """Exact shortest-path distances, as numerators over g.denominator,
-    and predecessors (node, primal edge) from source, keyed by node
-    tuples: `_shortest_paths` from one source, read through the node
-    tuples."""
+    and predecessors (node, primal edge) from the outer node source, keyed
+    by node tuples: `_shortest_paths` from one source, read through the
+    node tuples.  Raises ValueError for any other source."""
+    if source not in OUTER:
+        raise ValueError(f"dijkstra searches from an outer node, got {source!r}")
+    i = source[1]
     nodes = g.topology.nodes()
-    ((dist, pred),) = _shortest_paths(g, [nodes.index(source)])
+    N = len(nodes)
+    ((dist, pred),) = _shortest_paths(g, [i * N + int(g.topology.outer[i])])
     m = len(g.weights)
     edges = _edges(3, g.n)
     return (
-        {x: d for x, d in zip(nodes, dist) if d is not None},
-        {x: (nodes[p // m], edges[p % m]) for x, p in zip(nodes, pred) if p is not None},
+        {x: d for x, d in zip(nodes, dist[i * N :]) if d is not None},
+        {x: (nodes[p // m - i * N], edges[p % m]) for x, p in zip(nodes, pred[i * N :]) if p is not None},
     )
 
 
@@ -370,8 +343,9 @@ def potential_system(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Weights w admit such potentials exactly when every ball and 3-corner
     dual path system costs at least one: shortest-path distances from O_i
     are feasible potentials, and any feasible pi_i is a lower bound on
-    them.  The rows come in a fixed order: for each i, the Lipschitz rows
-    of the arcs leaving each face (in `enumerate_faces` order) and then
+    them, searched on the Lipschitz rows, `_search_graph(n)`.  The rows
+    come in a fixed order: for each i, the Lipschitz rows of the arcs
+    leaving each face (in `enumerate_faces` order) and then
     O_i, each node's arcs in (head, edge) order, with terms (w(e),
     pi_i(v), pi_i(u)); then the ball rows in face order; then the corner
     row.  Built once per n from `dual_topology(n)`.
@@ -396,6 +370,22 @@ def potential_system(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rhs = np.zeros(len(col), np.int32)
     rhs[-len(topo.faces) - 1 :] = 1
     return _frozen(col), _frozen(np.concatenate(coefs)), _frozen(rhs)
+
+
+@lru_cache(maxsize=64)
+def _search_graph(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Lipschitz rows of `potential_system(n)` as one CSR `(indptr,
+    head, slot)` over its 3N potential columns, built once per n: node
+    i * N + v is pi_i(v), and the row pi_i(h) - pi_i(t) <= w(e) an arc
+    t -> h across edge slot e.  A search from i * N + O_i stays in block i
+    and meets the other outer nodes only at a path's end."""
+    topo = dual_topology(n)
+    m, N = len(topo.edge_u), len(topo.indptr) - 1
+    col, _, rhs = potential_system(n)
+    slot, head, tail = (col[rhs == 0] - [0, m, m]).T  # the terms (w(e), pi_i(h), pi_i(t))
+    order = np.argsort(tail, kind="stable")
+    count = np.bincount(tail, minlength=3 * N)
+    return _frozen(np.concatenate(([0], np.cumsum(count)))), _frozen(head[order]), _frozen(slot[order])
 
 
 PERMUTATIONS = tuple(permutations(range(3)))  # sigma sends coordinate i to sigma[i]; the identity first
@@ -790,9 +780,9 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
         raise ValueError(f"brute force is specific to k = 3, got k = {w.k}")
     if w.n != n:
         raise ValueError(f"weight function is on n = {w.n}, expected {n}")
+    if (count := comb(n + 2, 2)) > BRUTE_MAX_POINTS:
+        raise ValueError(f"{count} points exceed the exhaustive bound {BRUTE_MAX_POINTS}")
     points = enumerate_points(3, n)
-    if len(points) > BRUTE_MAX_POINTS:
-        raise ValueError(f"{len(points)} points exceed the exhaustive bound {BRUTE_MAX_POINTS}")
     D, u, v, nums = w.integer_form()
     # edges to already-assigned points, per point: a canonical edge has u < v
     back_edges: list[list[tuple[int, int]]] = [[] for _ in points]

@@ -28,8 +28,9 @@ All geometry is exact: cut parameters are rationals drawn from a fixed
 from the signs of x_i - r_i alone (r_i = r for a corner cut); on the
 n-grid that is p_i > floor(n r_i).  A cut whose chords meet a grid point
 is detected exactly and redrawn, mirroring the almost-sure
-non-degeneracy of continuous sampling.  The grid size is bounded only by
-memory: one draw's label row must fit LABEL_BYTES.
+non-degeneracy of continuous sampling.  The grid size is bounded by
+memory twice: one draw's label row must fit LABEL_BYTES (MAX_N), and the
+grid itself must hold at most `core.MAX_POINTS` points (n <= 1022).
 
 So a draw's labels on the n-grid are fixed by its class: the three
 floors floor(n r_i), its three chord lines, and whether it is a corner

@@ -94,3 +94,8 @@ def test_criterion_9_rounding_density():
 
 def test_criterion_10_lp_search_window():
     _ledger(10)
+
+
+def test_run_ledger_of_no_ids_runs_nothing(capsys):
+    assert run_ledger([]) == []
+    assert capsys.readouterr().out == ""

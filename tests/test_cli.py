@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: JSON schemas, exit codes, SVG output."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mwgap
 from mwgap import cli
 from mwgap.cli import main
 from mwgap.core import cost, random_kway_cut
@@ -312,3 +317,46 @@ def test_ledger_rejects_an_unknown_criterion(capsys):
     assert main(["ledger", "--only", "1,11"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "unknown criterion id(s) 11; valid ids are 1-10" in err
+
+
+def test_ledger_rejects_an_empty_only(capsys):
+    # only a missing --only means every criterion
+    assert main(["ledger", "--only", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+# A child process under a 1 GiB address-space cap calls `main` on each argv
+# and prints the (exit code, stderr) pairs: without the grid bound these
+# inputs try to enumerate billions of points.
+CAPPED_MAIN = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from mwgap.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    out.append((code, err.getvalue()))
+print(json.dumps(out))
+"""
+
+
+def test_oversize_grids_exit_2_under_a_memory_cap(tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"k": 3, "n": 100000, "weights": []}))
+    bound = "has 5000150001 points, more than MAX_POINTS = 524288"
+    cases = [
+        (["certify", str(big), "--family", "nonopposite", "--target", "1/1"], bound),
+        (["brute", str(big), "--family", "nonopposite"], "5000150001 points exceed the exhaustive bound 15"),
+        (["svg", str(big)], bound),
+        (["round", "--n", "8000", "--samples", "1000", "--seed", "1"], "MAX_POINTS = 524288"),
+        (["build", "--weights", "wtilde", "--k", "20", "--n", "90"], "MAX_POINTS = 524288"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(mwgap.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    argv = json.dumps([a for a, _ in cases])
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, argv], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for (code, err), (args, message) in zip(json.loads(proc.stdout), cases):
+        assert code == 2 and message in err, args

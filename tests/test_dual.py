@@ -179,7 +179,7 @@ def test_dijkstra_matches_fraction_oracle():
     for w in _oracle_cases():
         g = build_dual(w.n, w)
         og = oracle_build_dual(w.n, w)
-        for source in list(OUTER) + og.faces[:: len(og.faces) // 2]:
+        for source in OUTER:
             dist, pred = dijkstra(g, source)
             want_dist, want_pred = oracle_dijkstra(og, w, source)
             assert dist.keys() == want_dist.keys() == og.adj.keys()
@@ -196,7 +196,7 @@ def test_dijkstra_pred_matches_oracle_from_every_source():
     for w in cases:
         g = build_dual(w.n, w)
         og = oracle_build_dual(w.n, w)
-        for source in og.adj:
+        for source in OUTER:
             dist, pred = dijkstra(g, source)
             want_dist, want_pred = oracle_dijkstra(og, w, source)
             assert {v: Fraction(d, g.denominator) for v, d in dist.items()} == want_dist
@@ -254,6 +254,29 @@ def test_potential_system_holds_three_terms_per_row():
         # a zero coefficient marks pi_i(O_i), in the Lipschitz rows leaving O_i
         i, v = np.divmod(col[coef == 0] - m, N)
         assert len(i) == 3 * n and (v == topo.outer[i]).all()
+
+
+def test_search_graph_matches_oracle_arcs():
+    for n in range(1, 13):
+        nodes = dual_topology(n).nodes()
+        edges = enumerate_edges(3, n)
+        N = len(nodes)
+        indptr, head, slot = dual_module._search_graph(n)
+        assert len(indptr) == 3 * N + 1
+        # every arc stays in the block of its tail
+        assert (head // N == np.repeat(np.arange(3 * N), np.diff(indptr)) // N).all()
+        og = oracle_build_dual(n, WeightFunction(3, n, {}))
+        for i, source in enumerate(OUTER):
+            # block i: the dual arcs that neither leave O_j, j != i, nor enter O_i
+            want = {
+                u: [(v, e) for v, _, e in arcs if v != source] if u[0] != "O" or u == source else []
+                for u, arcs in og.adj.items()
+            }
+            got = {}
+            for u, x in enumerate(nodes):
+                lo, hi = indptr[i * N + u], indptr[i * N + u + 1]
+                got[x] = [(nodes[h - i * N], edges[s]) for h, s in zip(head[lo:hi].tolist(), slot[lo:hi].tolist())]
+            assert got == want
 
 
 def _permuted(sigma, x):
@@ -443,7 +466,9 @@ def test_certify_matches_oracle_dijkstra():
 
 
 def _python_outer_distances(g):
-    return [dist for dist, _ in dual_module._shortest_paths(g, g.topology.outer.tolist())]
+    N = len(g.topology.indptr) - 1
+    runs = dual_module._shortest_paths(g, [i * N + o for i, o in enumerate(g.topology.outer.tolist())])
+    return [dist[i * N : (i + 1) * N] for i, (dist, _) in enumerate(runs)]
 
 
 def _compiled_cases():
@@ -474,10 +499,10 @@ def test_compiled_distances_match_the_python_kernel():
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda d, face, N: d.__setitem__((0, face), d[0, face] + 1),
-        lambda d, face, N: d.__setitem__((2, face), d[2, face] + 1),
-        lambda d, face, N: d.__setitem__((1, face), np.inf),
-        lambda d, face, N: d.__setitem__((1, N + 1), 1),
+        lambda d, face, N, outer: d.__setitem__((0, face), d[0, face] + 1),
+        lambda d, face, N, outer: d.__setitem__((2, 2 * N + face), d[2, 2 * N + face] + 1),
+        lambda d, face, N, outer: d.__setitem__((1, N + face), np.inf),
+        lambda d, face, N, outer: d.__setitem__((1, N + outer[1]), 1),
     ],
     ids=["face+1 from O_0", "face+1 from O_2", "unreached", "source off 0"],
 )
@@ -489,7 +514,7 @@ def test_certify_rejects_compiled_distances_that_fail_the_exact_check(monkeypatc
 
     def wrong(graph, indices):
         d = compiled(graph, indices=indices)
-        edit(d, int(topo.faces[7]), len(topo.indptr) - 1)
+        edit(d, int(topo.faces[7]), len(topo.indptr) - 1, topo.outer.tolist())
         return d
 
     w = build_w3(6)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mwgap.core import NONOPPOSITE, Cut, WeightFunction, cost, random_kway_cut, random_nonopposite_cut
-from mwgap.dual import brute_force_min_cut, build_dual, certify, normalize_cut
+from mwgap.dual import brute_force_min_cut, build_dual, certify, dijkstra, enumerate_faces, normalize_cut
 from mwgap.lpsearch import solve_lp
 from mwgap.projection import (
     check_cost_lemmas,
@@ -17,7 +17,7 @@ from mwgap.projection import (
     restrict_triple,
 )
 from mwgap.rounding import estimate_density
-from mwgap.weights import build_fk, build_w_hat, build_w_prime, build_w_tilde
+from mwgap.weights import build_fk, build_w3, build_w_hat, build_w_prime, build_w_tilde
 
 
 def _kway(k, n):
@@ -52,6 +52,16 @@ GUARDS = {
         "unknown family 'kway'",
     ),
     "brute family": (lambda: brute_force_min_cut(2, build_fk(), "kway"), ValueError, "unknown family 'kway'"),
+    "brute points": (
+        lambda: brute_force_min_cut(6, build_w3(6), NONOPPOSITE),
+        ValueError,
+        "28 points exceed the exhaustive bound 15",
+    ),
+    "dijkstra face source": (
+        lambda: dijkstra(build_dual(2, build_fk()), enumerate_faces(2)[0]),
+        ValueError,
+        "dijkstra searches from an outer node, got ('U', 0, 0, 1)",
+    ),
     "normalize_cut k-way": (
         lambda: normalize_cut(_kway(3, 3)),
         ValueError,
