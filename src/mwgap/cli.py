@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import __version__
-from .acceptance import run_ledger
+from .acceptance import CRITERIA, run_ledger
 from .core import lpc
 from .dual import FAMILIES, brute_force_min_cut, certify
 from .lpsearch import search
@@ -134,7 +134,13 @@ def cmd_svg(args) -> int:
 
 
 def cmd_ledger(args) -> int:
-    ids = None if args.only is None else [int(t) for t in args.only.split(",")]
+    ids = None
+    if args.only is not None:
+        try:
+            ids = [int(t) for t in args.only.split(",")]
+        except ValueError:
+            valid = f"{min(CRITERIA)}-{max(CRITERIA)}"
+            raise ValueError(f"--only takes comma-separated criterion ids {valid}, got {args.only!r}") from None
     results = run_ledger(ids)
     report = {
         "version": __version__,

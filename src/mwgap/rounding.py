@@ -28,9 +28,10 @@ All geometry is exact: cut parameters are rationals drawn from a fixed
 from the signs of x_i - r_i alone (r_i = r for a corner cut); on the
 n-grid that is p_i > floor(n r_i).  A cut whose chords meet a grid point
 is detected exactly and redrawn, mirroring the almost-sure
-non-degeneracy of continuous sampling.  The grid size is bounded by
-memory twice: one draw's label row must fit LABEL_BYTES (MAX_N), and the
-grid itself must hold at most `core.MAX_POINTS` points (n <= 1022).
+non-degeneracy of continuous sampling.  The grid is bounded once, by
+the grid gate: `enumerate_points(3, n)` refuses more than `core.MAX_POINTS`
+points (n <= 1022), so one draw's label row, 2^19 points at most, always
+fits LABEL_BYTES = 2^25 bytes.
 
 So a draw's labels on the n-grid are fixed by its class: the three
 floors floor(n r_i), its three chord lines, and whether it is a corner
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -63,18 +64,6 @@ EXTRA = 3  # label of the unassigned middle cluster of a corner cut
 # grid points, with never more classes than draws) and the compare matrix
 # of one chunk of edges.
 LABEL_BYTES = 1 << 25
-
-# Largest n whose label row, comb(n + 2, 2) bytes, fits LABEL_BYTES: 8190.
-# The labelling's integers stay below 3 * PARAM_CELLS * n, far inside int64.
-MAX_N = (isqrt(8 * LABEL_BYTES + 1) - 3) // 2
-
-
-def _check_n(n: int) -> None:
-    if not 2 <= n <= MAX_N:
-        raise ValueError(
-            f"need 2 <= n <= {MAX_N} (one label row of comb(n + 2, 2) bytes "
-            f"must fit LABEL_BYTES = {LABEL_BYTES}), got {n}"
-        )
 
 
 def _batch_size(n: int) -> int:
@@ -96,16 +85,20 @@ def _draw_params(rng: np.random.Generator, count: int) -> dict:
     }
 
 
-def _thresholds(params: dict, n: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """(floor_nr, lines, degenerate) of each parametrized cut on the n-grid.
+def _class_keys(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(key, degenerate): one int64 per parametrized cut naming its class
+    (module docstring), so that cuts with equal keys label the n-grid alike.
 
-    floor_nr[i] is floor(n r_i) (r_i = r for a corner cut), lines[s] the
-    coordinate index of the chord to side s, and degenerate flags the ball
-    cuts with a grid point on a chord.  The chord on x_a = r_a to side s
-    ends at the side point with x_s = 0, a grid point whenever the line
-    holds any, so that happens iff some n r_a, a a chord line, is an integer.
+    The key is the floors floor(n r_i) (r_i = r for a corner cut) in base n
+    (each is below n), then the chord lines in base 3: lines[s] is the
+    coordinate index of the chord to side s.  The lines' digit is 0 for a
+    corner cut and at least 9 for a ball cut (lines[0] > 0), so it also
+    carries the corner flag.  degenerate flags the ball cuts with a grid
+    point on a chord.  The chord on x_a = r_a to side s ends at the side
+    point with x_s = 0, a grid point whenever the line holds any, so that
+    happens iff some n r_a, a a chord line, is an integer.  The integers
+    stay below 3 * PARAM_CELLS * n, far inside int64.
     """
-    _check_n(n)
     M = PARAM_CELLS
     corner = params["is_corner"]
     # the centre as numerators over 3M: (2(M - j), M + j, j) on diagonal 0,
@@ -121,21 +114,9 @@ def _thresholds(params: dict, n: int) -> tuple[np.ndarray, list[np.ndarray], np.
     choice = params["choice"]
     lines = [lo + (hi - lo) * choice[:, s] for s, (lo, hi) in enumerate(((1, 2), (0, 2), (0, 1)))]
     degenerate = ~corner & np.take_along_axis(rem == 0, np.stack(lines), 0).any(0)
-    return floor_nr, lines, degenerate
-
-
-def _class_keys(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(key, degenerate): one int64 per cut naming its class (module
-    docstring), so that cuts with equal keys label the n-grid alike.
-
-    The key is the floors in base n (each is below n), then the chord lines
-    in base 3.  The lines' digit is 0 for a corner cut and at least 9 for
-    a ball cut (lines[0] > 0), so it also carries the corner flag.
-    """
-    floor_nr, lines, degenerate = _thresholds(params, n)
     key = (floor_nr[0] * n + floor_nr[1]) * n + floor_nr[2]
     chords = (lines[0] * 3 + lines[1]) * 3 + lines[2]
-    return key * 27 + np.where(params["is_corner"], 0, chords), degenerate
+    return key * 27 + np.where(corner, 0, chords), degenerate
 
 
 def _class_labels(classes: np.ndarray, points: list[Point], n: int) -> np.ndarray:
@@ -215,10 +196,11 @@ def estimate_density(n: int, samples: int, seed: int) -> DensityEstimate:
     degenerate ones redrawn; each batch labels every class from its key
     (module docstring) and adds its draw count to every edge it separates.
     """
-    _check_n(n)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     if samples < 1000:
         raise ValueError(f"need samples >= 1000, got {samples}")
-    points = enumerate_points(3, n)
+    points = enumerate_points(3, n)  # the grid gate; first, so an oversize n allocates nothing
     edges = enumerate_edges(3, n)
     topo = dual_topology(n)
     rng = np.random.default_rng(seed)

@@ -54,9 +54,16 @@ def _point(v: Any, k: int, n: int) -> Point:
     return tuple(v)
 
 
+def _field(rec: dict[str, Any], key: str) -> Any:
+    """rec[key], a field the record requires."""
+    if key not in rec:
+        raise ValueError(f"missing field {key!r}")
+    return rec[key]
+
+
 def _records(obj: Any, key: str) -> list[dict[str, Any]]:
     """obj[key] as a list of JSON objects, obj itself being one."""
-    recs = obj[key] if isinstance(obj, dict) else None
+    recs = obj.get(key) if isinstance(obj, dict) else None
     if not isinstance(recs, list) or not all(isinstance(rec, dict) for rec in recs):
         raise ValueError(f"expected an object whose {key!r} is a list of objects")
     return recs
@@ -67,12 +74,12 @@ def obj_to_instance(obj: dict[str, Any]) -> WeightFunction:
     pass `core.check_edges`, and no edge may be listed twice, in either
     orientation."""
     recs = _records(obj, "weights")
-    k, n = _int(obj["k"]), _int(obj["n"])
+    k, n = _int(_field(obj, "k")), _int(_field(obj, "n"))
     weights = {}
     seen = set()
     for rec in recs:
-        u, v = _point(rec["u"], k, n), _point(rec["v"], k, n)
-        val = str_to_rat(rec["w"])
+        u, v = _point(_field(rec, "u"), k, n), _point(_field(rec, "v"), k, n)
+        val = str_to_rat(_field(rec, "w"))
         e = canonical_edge(u, v)
         if e in seen:
             raise ValueError(f"edge {list(e[0])}-{list(e[1])} is listed twice")
@@ -96,13 +103,13 @@ def cut_to_obj(P: Cut) -> dict[str, Any]:
 def obj_to_cut(obj: dict[str, Any]) -> Cut:
     """Cut from its JSON object; no point may be listed twice."""
     recs = _records(obj, "labels")
-    k, n = _int(obj["k"]), _int(obj["n"])
+    k, n = _int(_field(obj, "k")), _int(_field(obj, "n"))
     labels = {}
     for rec in recs:
-        x = _point(rec["x"], k, n)
+        x = _point(_field(rec, "x"), k, n)
         if x in labels:
             raise ValueError(f"point {list(x)} is listed twice")
-        labels[x] = _int(rec["c"])
+        labels[x] = _int(_field(rec, "c"))
     return Cut(k, n, labels, obj.get("family", "kway"))
 
 

@@ -217,6 +217,12 @@ def test_instance_with_an_edge_listed_twice_exits_2(tmp_path, capsys):
         ({"k": 3, "n": 3, "weights": [{"u": [1, 2, 0], "v": [2, 1, 0], "w": 1}]}, "serialized as 'p/q', got 1"),
         ({"k": 3, "n": 3, "weights": [{"u": [1.0, 2, 0], "v": [2, 1, 0], "w": "1/1"}]}, "[1.0, 2, 0] is not a point of Delta_{k=3,n=3}"),
         ({"k": 3, "n": 3, "weights": [{"u": 5, "v": [2, 1, 0], "w": "1/1"}]}, "5 is not a point of Delta_{k=3,n=3}"),
+        ({"k": 3, "n": 3}, "'weights' is a list of objects"),
+        ({"n": 3, "weights": []}, "missing field 'k'"),
+        ({"k": 3, "weights": []}, "missing field 'n'"),
+        ({"k": 3, "n": 3, "weights": [{"v": [2, 1, 0], "w": "1/1"}]}, "missing field 'u'"),
+        ({"k": 3, "n": 3, "weights": [{"u": [1, 2, 0], "w": "1/1"}]}, "missing field 'v'"),
+        ({"k": 3, "n": 3, "weights": [{"u": [1, 2, 0], "v": [2, 1, 0]}]}, "missing field 'w'"),
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, obj, message):
@@ -236,6 +242,10 @@ def test_malformed_instance_exits_2(tmp_path, capsys, obj, message):
         (lambda obj: obj.update(n=3.0), "expected an integer, got 3.0"),
         (lambda obj: obj.update(labels={}), "'labels' is a list of objects"),
         (lambda obj: obj["labels"].append(dict(obj["labels"][0], c=0)), "point [0, 0, 3] is listed twice"),
+        (lambda obj: obj.pop("k"), "missing field 'k'"),
+        (lambda obj: obj.pop("n"), "missing field 'n'"),
+        (lambda obj: obj["labels"][0].pop("x"), "missing field 'x'"),
+        (lambda obj: obj["labels"][0].pop("c"), "missing field 'c'"),
     ],
 )
 def test_malformed_cut_exits_2(tmp_path, capsys, edit, message):
@@ -320,10 +330,12 @@ def test_ledger_rejects_an_unknown_criterion(capsys):
 
 
 def test_ledger_rejects_an_empty_only(capsys):
-    # only a missing --only means every criterion
-    assert main(["ledger", "--only", ""]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ")
+    # only a missing --only means every criterion; an empty or non-numeric id
+    # is named as a bad --only value
+    for only in ("", "1,,2", "x"):
+        assert main(["ledger", "--only", only]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --only takes comma-separated criterion ids 1-10, got {only!r}\n"
 
 
 # A child process under a 1 GiB address-space cap calls `main` on each argv

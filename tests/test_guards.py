@@ -98,6 +98,7 @@ GUARDS = {
     "w_prime k": (lambda: build_w_prime(1, 3), ValueError, "need k >= 2, got 1"),
     "w_prime n": (lambda: build_w_prime(4, 1), ValueError, "need n >= 2, got 1"),
     "w_tilde k": (lambda: build_w_tilde(2, 3), ValueError, "need k >= 3, got 2"),
+    "density n": (lambda: estimate_density(1, 1000, 0), ValueError, "need n >= 2, got 1"),
     "density samples": (lambda: estimate_density(6, 999, 0), ValueError, "need samples >= 1000, got 999"),
     # x_0 >= 1 and -x_0 >= 0
     "solve_lp infeasible": (

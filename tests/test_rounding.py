@@ -3,7 +3,7 @@ distribution kept here as its oracle."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import numpy as np
 import pytest
@@ -11,11 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mwgap import cli, rounding
-from mwgap.core import enumerate_edges, enumerate_points, point_index, support
+from mwgap.core import MAX_POINTS, enumerate_edges, enumerate_points, point_index, support
 from mwgap.rounding import (
     EXTRA,
     LABEL_BYTES,
-    MAX_N,
     PARAM_CELLS,
     P_CORNER,
     _batch_size,
@@ -24,9 +23,12 @@ from mwgap.rounding import (
     _draw_params,
     _edge_chunk,
     _separations,
-    _thresholds,
     estimate_density,
 )
+
+
+# The largest triangle grid the grid gate (`core.MAX_POINTS`) admits.
+MAX_GRID_N = 1022
 
 
 def F(a, b=1):
@@ -124,6 +126,20 @@ def _params_to_cut(params, i):
         return CornerCut(r=Fraction(2 * M + int(params["jr"][i]), 3 * M))
     choice = tuple(bool(v) for v in params["choice"][i])
     return _ball_at(int(params["diag"][i]), Fraction(int(params["jt"][i]), M), choice)
+
+
+def _aligned_params():
+    """Centres and thresholds at t, jr / M = q/8, where chords and
+    thresholds pass through grid points; every chord choice."""
+    M = PARAM_CELLS
+    rows = [(False, 0, d, M * q // 8, c) for d in (0, 1) for q in range(1, 8) for c in range(8)]
+    rows += [(True, M * q // 8, 0, 1, 0) for q in range(8)]
+    params = {
+        key: np.array([row[k] for row in rows])
+        for k, key in enumerate(("is_corner", "jr", "diag", "jt"))
+    }
+    params["choice"] = np.array([[(row[4] >> b) & 1 for b in range(3)] for row in rows])
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +328,36 @@ def test_batch_labels_match_reference_evaluator():
             assert labels[i, j] == ref
 
 
-def test_class_key_decodes_to_thresholds():
-    # the key's base-n digits are the floors; its base-3 digit is a ball
-    # cut's chord lines, and 0 exactly for a corner cut
-    for seed, n in enumerate((2, 3, 6, 12, 17, MAX_N)):
-        params = _draw_params(np.random.default_rng(seed), 5000)
-        key, degenerate = _class_keys(params, n)
-        floor_nr, lines, want_degenerate = _thresholds(params, n)
-        floors, chords = key // 27, key % 27
-        assert ((0 <= floor_nr) & (floor_nr < n)).all()
-        assert np.array_equal(np.stack([floors // (n * n), floors // n % n, floors % n]), floor_nr)
-        corner = params["is_corner"]
-        assert corner.any() and not corner.all()
-        assert np.array_equal(key % 27 == 0, corner)
-        decoded = np.stack([chords // 9, chords // 3 % 3, chords % 3])
-        assert np.array_equal(decoded[:, ~corner], np.stack(lines)[:, ~corner])
-        assert np.array_equal(degenerate, want_degenerate)
+def _assert_keys_decode_to_the_exact_cut(params, n):
+    # the key's base-n digits are floor(n r_i) of the Fraction cut; its base-3
+    # digit is a ball cut's chord lines, and 0 exactly for a corner cut; a cut
+    # is degenerate iff n r_a is an integer on one of its chord lines
+    key, degenerate = _class_keys(params, n)
+    for i in range(len(key)):
+        cut = _params_to_cut(params, i)
+        floors, chords = divmod(int(key[i]), 27)
+        assert (floors // (n * n), floors // n % n, floors % n) == tuple(
+            floor(n * ri) for ri in ((cut.r,) * 3 if isinstance(cut, CornerCut) else cut.r)
+        )
+        if isinstance(cut, CornerCut):
+            assert chords == 0 and not degenerate[i]
+        else:
+            lines = cut.chord_lines()
+            assert chords == (lines[0] * 3 + lines[1]) * 3 + lines[2]
+            assert degenerate[i] == any((n * cut.r[a]).denominator == 1 for a in lines)
+    return degenerate
+
+
+def test_class_key_decodes_to_the_exact_cut():
+    for seed, n in enumerate((2, 3, 6, 12, 17, MAX_GRID_N)):
+        params = _draw_params(np.random.default_rng(seed), 500)
+        assert params["is_corner"].any() and not params["is_corner"].all()
+        _assert_keys_decode_to_the_exact_cut(params, n)
+    # aligned centres put floors and chord lines on exact integers
+    seen_degenerate = 0
+    for n in (2, 3, 4, 6):
+        seen_degenerate += int(_assert_keys_decode_to_the_exact_cut(_aligned_params(), n).sum())
+    assert seen_degenerate > 0
 
 
 def test_estimate_density_deterministic():
@@ -359,18 +389,19 @@ def test_param_cells_is_power_of_two():
     assert PARAM_CELLS & (PARAM_CELLS - 1) == 0
 
 
-def test_max_n_is_the_label_memory_bound():
-    # one draw's label row, comb(n + 2, 2) int8 labels, fits at MAX_N and not one above
-    assert MAX_N == 8190
-    assert comb(MAX_N + 2, 2) <= LABEL_BYTES < comb(MAX_N + 3, 2)
-    # the labelling's largest integer stays below 3 M n, which int64 holds
-    assert 3 * PARAM_CELLS * MAX_N < 2**63
+def test_grid_gate_bounds_the_label_row():
+    n = MAX_GRID_N
+    assert comb(n + 2, 2) <= MAX_POINTS < comb(n + 3, 2)
+    # so one draw's label row, comb(n + 2, 2) int8 labels, fits at every admitted n
+    assert MAX_POINTS <= LABEL_BYTES
+    # the labelling's integers stay below 3 M n, and a class key below 27 n^3
+    assert 3 * PARAM_CELLS * n < 2**63 and 27 * n**3 < 2**63
 
 
 def test_batch_labels_exact_at_max_n():
-    # the largest n, with centres at the ends of both diagonals (t = 1/M or
-    # 1 - 1/M), against corner and near-corner grid points
-    n = MAX_N
+    # the largest admitted n, with centres at the ends of both diagonals
+    # (t = 1/M or 1 - 1/M), against corner and near-corner grid points
+    n = MAX_GRID_N
     pts = sorted({(n, 0, 0), (0, n, 0), (0, 0, n), (n - 1, 1, 0), (1, 0, n - 1), (0, n - 1, 1), (1, n - 1, 0)})
     M = PARAM_CELLS
     combos = [(d, j, c) for d in (0, 1) for j in (1, M - 1) for c in range(8)]
@@ -394,12 +425,13 @@ def test_estimate_density_rejects_n_past_memory_bound(monkeypatch):
     def no_allocation(*args):
         raise AssertionError("allocated before rejecting n")
 
-    monkeypatch.setattr(rounding, "enumerate_points", no_allocation)
-    with pytest.raises(ValueError, match="LABEL_BYTES"):
-        estimate_density(MAX_N + 1, 1000, 1)
-    with pytest.raises(ValueError, match="LABEL_BYTES"):
-        batch_labels(_draw_params(np.random.default_rng(0), 1), [], MAX_N + 1)
-    assert cli.main(["round", "--n", str(MAX_N + 1), "--samples", "1000", "--seed", "1"]) == 2
+    # the grid gate refuses n before edges, dual topology or draws are built
+    for name in ("enumerate_edges", "dual_topology", "_draw_params"):
+        monkeypatch.setattr(rounding, name, no_allocation)
+    n = MAX_GRID_N + 1
+    with pytest.raises(ValueError, match="MAX_POINTS"):
+        estimate_density(n, 1000, 1)
+    assert cli.main(["round", "--n", str(n), "--samples", "1000", "--seed", "1"]) == 2
 
 
 def test_batch_size_caps_label_bytes():
@@ -407,10 +439,10 @@ def test_batch_size_caps_label_bytes():
     for n in (6, 12, 16):
         assert _batch_size(n) == 200_000
     assert _batch_size(17) < 200_000
-    # at MAX_N the int8 label matrix of one batch stays within the budget
-    points = (MAX_N + 1) * (MAX_N + 2) // 2
-    assert _batch_size(MAX_N) >= 1
-    assert _batch_size(MAX_N) * points <= LABEL_BYTES
+    # at the largest admitted n the int8 label matrix of one batch stays within the budget
+    points = (MAX_GRID_N + 1) * (MAX_GRID_N + 2) // 2
+    assert _batch_size(MAX_GRID_N) >= 1
+    assert _batch_size(MAX_GRID_N) * points <= LABEL_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +511,12 @@ def test_chords_are_the_degenerate_half_lines():
 
 
 def test_batch_labels_match_oracle_on_aligned_centres():
-    # centres and thresholds at t, jr / M = q/8, where chords and
-    # thresholds pass through grid points; every chord choice
-    M = PARAM_CELLS
-    rows = [(False, 0, d, M * q // 8, c) for d in (0, 1) for q in range(1, 8) for c in range(8)]
-    rows += [(True, M * q // 8, 0, 1, 0) for q in range(8)]
-    params = {
-        key: np.array([row[k] for row in rows])
-        for k, key in enumerate(("is_corner", "jr", "diag", "jt"))
-    }
-    params["choice"] = np.array([[(row[4] >> b) & 1 for b in range(3)] for row in rows])
+    params = _aligned_params()
     seen_degenerate = 0
     for n in (2, 3, 4, 6):
         pts = enumerate_points(3, n)
         labels, degenerate = batch_labels(params, pts, n)
-        for i in range(len(rows)):
+        for i in range(len(degenerate)):
             cut = _params_to_cut(params, i)
             want = [_outcome(oracle_label, cut, tuple(F(a, n) for a in p)) for p in pts]
             assert degenerate[i] == (DegenerateEvaluationError in want)
@@ -609,10 +632,11 @@ def test_batch_arrays_fit_label_bytes():
     # per batch: params and thresholds hold at most 3 int64 per draw, the
     # labels one int8 per class and point, and an edge chunk's compare, widened
     # to int64, 8 bytes per class and edge; classes never outnumber draws
-    for n in (2, 12, 16, 17, 45, 1000, MAX_N):
+    for n in (2, 12, 16, 17, 45, 1000, MAX_GRID_N):
         draws = _batch_size(n)
         assert 24 * draws <= LABEL_BYTES
         for classes in (1, draws):
             assert classes * comb(n + 2, 2) <= LABEL_BYTES
             assert 8 * classes * _edge_chunk(classes) <= LABEL_BYTES
-    assert _batch_size(MAX_N) == 1 and _edge_chunk(1) == LABEL_BYTES // 8
+    n = MAX_GRID_N
+    assert _batch_size(n) == LABEL_BYTES // comb(n + 2, 2) and _edge_chunk(1) == LABEL_BYTES // 8
