@@ -49,12 +49,17 @@ def enumerate_points(k: int, n: int) -> list[Point]:
     return list(_points(k, n))
 
 
-@lru_cache(maxsize=64)
-def _points(k: int, n: int) -> tuple[Point, ...]:
+def check_grid(k: int, n: int) -> None:
+    """Raise ValueError unless Delta_{k,n} is a grid: k >= 2 coordinates, n >= 1."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+
+
+@lru_cache(maxsize=64)
+def _points(k: int, n: int) -> tuple[Point, ...]:
+    check_grid(k, n)
     if (count := comb(n + k - 1, k - 1)) > MAX_POINTS:
         raise ValueError(f"Delta_{{k={k},n={n}}} has {count} points, more than MAX_POINTS = {MAX_POINTS}")
 
@@ -174,6 +179,7 @@ class WeightFunction:
 
     def __post_init__(self) -> None:
         self.weights = dict(self.weights)
+        check_grid(self.k, self.n)
         check_edges(self.k, self.n, self.weights)
         for (x, y), w in self.weights.items():
             if not isinstance(w, (int, Fraction)):

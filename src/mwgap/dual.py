@@ -23,27 +23,19 @@ and (outer node, node) pairs; a brute-force enumerator provides an oracle
 at tiny n.
 
 The weight-free part of the dual, `dual_topology(n)`, is built once per n
-and cached as read-only integer arrays: a CSR adjacency over node ids in
-sorted node-tuple order, the edge slot (`enumerate_edges` position) of
-each arc, the face and outer-node ids, and the face centroids.  A
-`DualGraph` adds one list of weight numerators per edge slot, from
-`WeightFunction.integer_form()`.
-Both shortest-path kernels search one graph, `_search_graph(n)`: the
-Lipschitz rows of the potential system, as a CSR over its 3N potential
-columns.  The exact kernel, `_shortest_paths`, runs in Python integers;
-`dijkstra` keys its result by node tuples.  `certify` reads the distances
-from the three outer nodes as one (3, N) array, `_outer_distances`: from
-scipy's compiled Dijkstra while the weight numerators total less than
-FLOAT_EXACT = 2**53, so that float64 holds every distance exactly, and
-then checked exactly on the rows it searched, so a wrong compiled
-distance raises RuntimeError and never inflates a certificate; at or
-above 2**53 (the LP search's float-derived weights), from
-`_shortest_paths`.  SciPy is imported on the first compiled call, so
-`import mwgap` does not load it.  `check_potentials` likewise
-runs in int64 when its values are small enough and in Python ints
-otherwise.  The potential system's columns are edge slots and (outer
-node, node id) pairs; only returned values are node tuples and
-`Fraction`s.
+from the point array and cached as read-only integer arrays: each edge
+slot's two dual nodes, by node ids in sorted node-tuple order, the face
+and outer-node ids, and the face centroids.  A `DualGraph` adds one list
+of weight numerators per edge slot, from `WeightFunction.integer_form()`.
+Both shortest-path kernels search one graph, `_search_graph(n)`, the
+Lipschitz rows of the potential system.  `certify` takes scipy's
+compiled Dijkstra while the weight numerators total less than
+FLOAT_EXACT = 2**53, and checks its distances exactly on the rows it
+searched, so a wrong one raises RuntimeError and never inflates a
+certificate; from 2**53 on, and in `dijkstra`, the exact kernel
+`_shortest_paths` runs in Python ints.  SciPy is imported on the first
+compiled call, so `import mwgap` does not load it.  Columns and rows are
+integer ids; only returned values are node tuples and `Fraction`s.
 
 The same topology is the one primal adjacency of the triangle grid:
 `normalize_cut` and `classify_cut` find a cut's components by union-find
@@ -70,11 +62,9 @@ from .core import (
     NONOPPOSITE,
     Cut,
     Edge,
-    Point,
     WeightFunction,
     _edges,
     _points,
-    canonical_edge,
     cost,
     enumerate_edges,
     enumerate_points,
@@ -91,27 +81,10 @@ DualNodeT = tuple
 OUTER = tuple(("O", i) for i in range(3))
 
 
-def face_vertices(node: DualNodeT) -> tuple[Point, Point, Point]:
-    kind, a, b, c = node
-    if kind == "U":
-        return ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1))
-    return ((a, b + 1, c + 1), (a + 1, b, c + 1), (a + 1, b + 1, c))
-
-
-def enumerate_faces(n: int) -> list[DualNodeT]:
-    faces: list[DualNodeT] = []
-    for a in range(n):
-        for b in range(n - a):
-            faces.append(("U", a, b, n - 1 - a - b))
-    for a in range(n - 1):
-        for b in range(n - 1 - a):
-            faces.append(("D", a, b, n - 2 - a - b))
-    return faces
-
-
 @dataclass(frozen=True)
 class DualTopology:
-    """The weight-free dual of the augmented grid Delta_{3,n}.
+    """The weight-free dual of the augmented grid Delta_{3,n}: one dual
+    edge per primal edge slot, given by the two dual nodes it joins.
 
     Node ids follow sorted node-tuple order: the down faces, then O_0,
     O_1, O_2, then the up faces.  Edge slots follow `enumerate_edges(3, n)`
@@ -119,15 +92,18 @@ class DualTopology:
     or (node, primal edge) pairs.  Every field is a read-only integer array.
     """
 
-    indptr: np.ndarray  # the arcs leaving node u are indptr[u]:indptr[u + 1], sorted by (head, slot)
-    head: np.ndarray  # node each arc enters
-    slot: np.ndarray  # edge slot each arc crosses
+    ends: np.ndarray  # (edge slots, 2): the two dual nodes of each edge slot, ascending
     edge_u: np.ndarray  # endpoints of each edge slot, in `point_index(3, n)`
     edge_v: np.ndarray
     point_sides: np.ndarray  # bit i set where a point lies on the side x_i = 0, by point index
-    faces: np.ndarray  # face ids in `enumerate_faces` order
+    faces: np.ndarray  # face ids: the up faces, then the down faces, each in tuple order
     centroids: np.ndarray  # each face's vertex sum, in the same order: its centroid as numerators over 3n
     outer: np.ndarray  # ids of O_0, O_1, O_2
+
+    @property
+    def size(self) -> int:
+        """The number of dual nodes: the faces and the three outer nodes."""
+        return len(self.faces) + 3
 
     def nodes(self) -> list[DualNodeT]:
         """The node tuples, by id.  Built per call: the cache holds no tuples."""
@@ -148,45 +124,51 @@ def _frozen(values) -> np.ndarray:
     return a
 
 
+def _find_pairs(lo: np.ndarray, hi: np.ndarray, size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The j with {lo[j], hi[j]} = {u, v}, for each pair of ids below size; the pairs
+    (lo[j], hi[j]) are distinct, with lo < hi.  The keys lo * size + hi are intp:
+    a node id times the node count passes 2**31 from n = 258 on."""
+    keys = lo.astype(np.intp) * size + hi
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys, np.minimum(u, v).astype(np.intp) * size + np.maximum(u, v), sorter=order)]
+
+
+def _point_ids(x: np.ndarray, n: int) -> np.ndarray:
+    """The lex position a (2n + 3 - a) / 2 + b of each point (a, b, c) of Delta_{3,n} on x's last axis."""
+    a = x[..., 0].astype(np.intp)
+    return a * (2 * n + 3 - a) // 2 + x[..., 1]
+
+
 @lru_cache(maxsize=64)
 def dual_topology(n: int) -> DualTopology:
-    """The dual's topology for Delta_{3,n}, built once per n."""
-    edges = enumerate_edges(3, n)
-    slot_of = {e: s for s, e in enumerate(edges)}
-    faces = enumerate_faces(n)
-    n_up = n * (n + 1) // 2
-    n_down = len(faces) - n_up
-    # enumerate_faces lists the up faces, then the down faces, each in tuple order
-    ids = list(range(n_down + 3, n_down + 3 + n_up)) + list(range(n_down))
-    outer = [n_down + i for i in range(3)]
-    ends: list[list[int]] = [[] for _ in edges]
-    for f, node in zip(ids, faces):
-        vs = face_vertices(node)
-        for i in range(3):
-            ends[slot_of[canonical_edge(vs[i], vs[(i + 1) % 3])]].append(f)
-    tail, head, slot = [], [], []
-    for s, ((x, y), fs) in enumerate(zip(edges, ends)):
-        if len(fs) == 1:
-            # boundary edge: both endpoints have some coordinate zero
-            (c,) = (i for i in range(3) if x[i] == 0 and y[i] == 0)
-            fs.append(outer[c])
-        u, v = fs
-        tail += (u, v)
-        head += (v, u)
-        slot += (s, s)
-    order = np.lexsort((slot, head, tail))
-    count = np.bincount(tail, minlength=len(faces) + 3)
-    index = point_index(3, n)
+    """The dual's topology for Delta_{3,n}, built once per n from the point array.
+
+    A face is named by its base x: an up face has corners x + e^i, a down
+    face x + (1, 1, 1) - e^i.  So the up faces are the points p with
+    p_0 > 0, less e^0, and the down faces the points with p_0, p_1 > 0,
+    less (1, 1, 0), both in tuple order, the lex order of their bases in
+    Delta_{3,n-1} and Delta_{3,n-2}; the centroid numerators over 3n are
+    3x + 1 and 3x + 2.  The edge x -> y = x - e^i + e^j, l the third index,
+    is a side of the up face x - e^i and of the down face x - (1, 1, 1) +
+    e^j, which exists when x_l > 0; when x_l = 0, O_l is its other end.
+    """
+    points = np.array(_points(3, n))
+    x, y = np.array(enumerate_edges(3, n)).transpose(1, 0, 2)  # each edge slot's endpoints
+    up = points[points[:, 0] > 0] - [1, 0, 0]
+    down = points[(points[:, 0] > 0) & (points[:, 1] > 0)] - [1, 1, 0]
+    eye = np.eye(3, dtype=np.intp)
+    i, j = (y - x).argmin(axis=1), (y - x).argmax(axis=1)
+    below = x - 1 + eye[j]  # the down face's base, when no coordinate is negative
+    lower = np.where(below.min(axis=1) >= 0, _point_ids(below, n - 2), len(down) + 3 - i - j)
+    upper = len(down) + 3 + _point_ids(x - eye[i], n - 1)  # every down or outer id is below every up id
     return DualTopology(
-        indptr=_frozen(np.concatenate(([0], np.cumsum(count)))),
-        head=_frozen(np.asarray(head)[order]),
-        slot=_frozen(np.asarray(slot)[order]),
-        edge_u=_frozen([index[x] for x, _ in edges]),
-        edge_v=_frozen([index[y] for _, y in edges]),
-        point_sides=_frozen([sum(1 << i for i in range(3) if x[i] == 0) for x in index]),
-        faces=_frozen(ids),
-        centroids=_frozen([[sum(x) for x in zip(*face_vertices(node))] for node in faces]),
-        outer=_frozen(outer),
+        ends=_frozen(np.column_stack((lower, upper))),
+        edge_u=_frozen(_point_ids(x, n)),
+        edge_v=_frozen(_point_ids(y, n)),
+        point_sides=_frozen((points == 0) @ [1, 2, 4]),
+        faces=_frozen(np.concatenate((np.arange(len(up)) + len(down) + 3, np.arange(len(down))))),
+        centroids=_frozen(np.concatenate((3 * up + 1, 3 * down + 2))),
+        outer=_frozen(len(down) + np.arange(3)),
     )
 
 
@@ -206,12 +188,9 @@ def build_dual(n: int, w: WeightFunction) -> DualGraph:
         raise ValueError(f"weight function is on n = {w.n}, expected {n}")
     topo = dual_topology(n)
     D, u, v, nums = w.integer_form()
-    # a canonical edge has u <= v, and the edge slots are in (u, v) order;
     # `WeightFunction` admits weight only on edges, so every pair has a slot
-    points = len(point_index(3, n))
-    keys = topo.edge_u.astype(np.intp) * points + topo.edge_v
-    slots = np.searchsorted(keys, u * points + v)
-    weights = [0] * len(keys)
+    slots = _find_pairs(topo.edge_u, topo.edge_v, len(topo.point_sides), u, v)
+    weights = [0] * len(topo.ends)
     for s, q in zip(slots.tolist(), nums):
         weights[s] = q
     return DualGraph(n, topo, weights, D)
@@ -279,7 +258,7 @@ def _outer_distances(g: DualGraph) -> np.ndarray:
     `_shortest_paths`'s Python ints, of object dtype.
     """
     outer = g.topology.outer.tolist()
-    N = len(g.topology.indptr) - 1
+    N = g.topology.size
     sources = [i * N + o for i, o in enumerate(outer)]
     if sum(g.weights) >= FLOAT_EXACT:
         runs = _shortest_paths(g, sources)
@@ -345,30 +324,34 @@ def potential_system(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     are feasible potentials, and any feasible pi_i is a lower bound on
     them, searched on the Lipschitz rows, `_search_graph(n)`.  The rows
     come in a fixed order: for each i, the Lipschitz rows of the arcs
-    leaving each face (in `enumerate_faces` order) and then
-    O_i, each node's arcs in (head, edge) order, with terms (w(e),
-    pi_i(v), pi_i(u)); then the ball rows in face order; then the corner
-    row.  Built once per n from `dual_topology(n)`.
+    leaving each face (in `dual_topology(n).faces` order) and then O_i,
+    each node's arcs in (head, edge) order, with terms (w(e), pi_i(v),
+    pi_i(u)); then the ball rows in face order; then the corner row.
+    Built once per n from the edge table `dual_topology(n).ends`.
     """
     topo = dual_topology(n)
-    m, N = len(topo.edge_u), len(topo.indptr) - 1
-    tail = np.repeat(np.arange(N, dtype=np.int32), np.diff(topo.indptr))  # the node each arc leaves
-    face_arcs = (topo.indptr[topo.faces, None] + np.arange(3)).ravel()  # in face order; a face has three
+    m, N, F = len(topo.ends), topo.size, len(topo.faces)
+    # every dual arc tail -> head across a slot, by tail (the faces in face order,
+    # then O_0, O_1, O_2: the inverse of that order ranks them), head and slot
+    tail, head = np.concatenate((topo.ends, topo.ends[:, ::-1])).T
+    slot = np.tile(np.arange(m, dtype=np.int32), 2)
+    rank = np.argsort(np.append(topo.faces, topo.outer))
+    order = np.lexsort((slot, head, rank[tail]))
+    tail, head, slot = tail[order], head[order], slot[order]
     cols, coefs = [], []
     for i in range(3):
         source = topo.outer[i]
-        arc = np.append(face_arcs, np.arange(topo.indptr[source], topo.indptr[source + 1]))
-        arc = arc[topo.head[arc] != source]
-        t, h = tail[arc], topo.head[arc]
+        arc = ((rank[tail] < F) | (tail == source)) & (head != source)
+        t, h = tail[arc], head[arc]
         base = m + i * N
-        cols.append(np.column_stack((topo.slot[arc], base + h, base + t)))
+        cols.append(np.column_stack((slot[arc], base + h, base + t)))
         coefs.append(np.column_stack((np.ones_like(t), -np.ones_like(t), t != source)))
     o1, o2 = topo.outer[1:]  # int32, as every piece is, so nothing is built wider
     cols += [np.column_stack([m + i * N + topo.faces for i in range(3)]), [[m + o1, m + o2, m + N + o2]]]
-    coefs.append(np.ones((len(topo.faces) + 1, 3), np.int32))
+    coefs.append(np.ones((F + 1, 3), np.int32))
     col = np.concatenate(cols)
     rhs = np.zeros(len(col), np.int32)
-    rhs[-len(topo.faces) - 1 :] = 1
+    rhs[-F - 1 :] = 1
     return _frozen(col), _frozen(np.concatenate(coefs)), _frozen(rhs)
 
 
@@ -380,7 +363,7 @@ def _search_graph(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t -> h across edge slot e.  A search from i * N + O_i stays in block i
     and meets the other outer nodes only at a path's end."""
     topo = dual_topology(n)
-    m, N = len(topo.edge_u), len(topo.indptr) - 1
+    m, N = len(topo.ends), topo.size
     col, _, rhs = potential_system(n)
     slot, head, tail = (col[rhs == 0] - [0, m, m]).T  # the terms (w(e), pi_i(h), pi_i(t))
     order = np.argsort(tail, kind="stable")
@@ -407,33 +390,25 @@ def symmetry_orbits(n: int) -> SymmetryOrbits:
 
     A permutation sigma maps the point x to y with y[sigma[i]] = x[i].  So
     it maps the side x_i = 0 to the side y_sigma(i) = 0, and O_i to
-    O_sigma(i); the edge slot of (x, x') to that of (y, y'); a face to
-    the face at the permuted centroid, of the same kind; and the column
-    pi_i(v) to pi_sigma(i)(sigma v).  Every Lipschitz row maps to a
-    Lipschitz row and every ball row to a ball row.  The corner row's
-    images are not rows of the system, but on S3-invariant points it
-    reads 3 pi_0(O_1) >= 1.
+    O_sigma(i); a face to the face at the permuted centroid, of the same
+    kind; an edge slot to the slot whose dual nodes are the images of its
+    own; and the column pi_i(v) to pi_sigma(i)(sigma v).  Every Lipschitz
+    row maps to a Lipschitz row and every ball row to a ball row.  The
+    corner row's images are not rows of the system, but on S3-invariant
+    points it reads 3 pi_0(O_1) >= 1.
     """
     topo = dual_topology(n)
-    m, N = len(topo.edge_u), len(topo.indptr) - 1
-    points = np.array(_points(3, n))
-    # a point, or a face, is found by its first two coordinates, or centroid numerators
-    point_at = np.zeros((n + 1, n + 1), np.int32)
-    point_at[points[:, 0], points[:, 1]] = np.arange(len(points))
+    m, N = len(topo.ends), topo.size
+    # a face is found by the first two numerators of its centroid
     face_at = np.zeros((3 * n + 1, 3 * n + 1), np.int32)
     face_at[topo.centroids[:, 0], topo.centroids[:, 1]] = topo.faces
-    keys = topo.edge_u.astype(np.intp) * len(points) + topo.edge_v  # ascending, as in `build_dual`
     images = []
     for sigma in PERMUTATIONS:
-        inv = np.argsort(sigma)  # y = x[inv]
-        y = points[:, inv]
-        p = point_at[y[:, 0], y[:, 1]]
-        u, v = p[topo.edge_u], p[topo.edge_v]
-        slot = np.searchsorted(keys, np.minimum(u, v) * len(points) + np.maximum(u, v))
         node = np.empty(N, np.intp)
         node[topo.outer] = topo.outer[list(sigma)]
-        c = topo.centroids[:, inv]
+        c = topo.centroids[:, np.argsort(sigma)]  # y = x[argsort(sigma)]
         node[topo.faces] = face_at[c[:, 0], c[:, 1]]
+        slot = _find_pairs(*topo.ends.T, N, *node[topo.ends].T)
         images.append(np.concatenate((slot, m + (np.array(sigma)[:, None] * N + node).ravel())))
     images = np.stack(images)
     _, orbit = np.unique(images.min(axis=0), return_inverse=True)
@@ -479,7 +454,7 @@ def paper_potentials(n: int) -> np.ndarray:
     corner row reads 3 * 1/3 >= 1.
     """
     topo = dual_topology(n)
-    phi = np.full((3, len(topo.indptr) - 1), 2 * n)
+    phi = np.full((3, topo.size), 2 * n)
     for i in range(3):
         phi[i, topo.outer[i]] = 0
         phi[i, topo.faces] = potential_numerators(i, topo.centroids, n)

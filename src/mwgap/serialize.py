@@ -25,7 +25,10 @@ def rat_to_str(r: Fraction) -> str:
 def str_to_rat(s: str) -> Fraction:
     if not isinstance(s, str) or "/" not in s:
         raise ValueError(f"rationals are serialized as 'p/q', got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rationals are serialized as 'p/q' with q != 0, got {s!r}") from None
 
 
 def instance_to_obj(w: WeightFunction) -> dict[str, Any]:

@@ -83,6 +83,10 @@ def test_certify_pass_and_fail_exit_codes(tmp_path, capsys):
     code, out = run(capsys, "certify", str(inst), "--family", "nonopposite", "--target", "2/1")
     assert code == 1
     assert json.loads(out)["pass"] is False
+    # a zero denominator is a usage error that quotes the target
+    assert main(["certify", str(inst), "--family", "nonopposite", "--target", "1/0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "rationals are serialized as 'p/q' with q != 0, got '1/0'" in err
 
 
 def test_brute_subcommand(tmp_path, capsys):
@@ -223,6 +227,11 @@ def test_instance_with_an_edge_listed_twice_exits_2(tmp_path, capsys):
         ({"k": 3, "n": 3, "weights": [{"v": [2, 1, 0], "w": "1/1"}]}, "missing field 'u'"),
         ({"k": 3, "n": 3, "weights": [{"u": [1, 2, 0], "w": "1/1"}]}, "missing field 'v'"),
         ({"k": 3, "n": 3, "weights": [{"u": [1, 2, 0], "v": [2, 1, 0]}]}, "missing field 'w'"),
+        ({"k": 3, "n": 3, "weights": [{"u": [1, 2, 0], "v": [2, 1, 0], "w": "1/0"}]}, "with q != 0, got '1/0'"),
+        ({"k": -1, "n": 3, "weights": []}, "need k >= 2, got -1"),
+        ({"k": 1, "n": 3, "weights": []}, "need k >= 2, got 1"),
+        ({"k": 3, "n": -2, "weights": []}, "need n >= 1, got -2"),
+        ({"k": 3, "n": 0, "weights": []}, "need n >= 1, got 0"),
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, obj, message):

@@ -40,8 +40,6 @@ from mwgap.dual import (
     classify_cut,
     dijkstra,
     dual_topology,
-    enumerate_faces,
-    face_vertices,
     normalize_cut,
     paper_potentials,
     potential_system,
@@ -51,6 +49,26 @@ from mwgap.dual import (
 from mwgap.lpsearch import search
 from mwgap.svg import emit_svg
 from mwgap.weights import build_fk, build_w3
+
+
+def face_vertices(node):
+    """Reference: a face's three corners, from its node tuple."""
+    kind, a, b, c = node
+    if kind == "U":
+        return ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1))
+    return ((a, b + 1, c + 1), (a + 1, b, c + 1), (a + 1, b + 1, c))
+
+
+def enumerate_faces(n):
+    """Reference: the face tuples, the up faces and then the down faces, each in tuple order."""
+    faces = []
+    for a in range(n):
+        for b in range(n - a):
+            faces.append(("U", a, b, n - 1 - a - b))
+    for a in range(n - 1):
+        for b in range(n - 1 - a):
+            faces.append(("D", a, b, n - 2 - a - b))
+    return faces
 
 
 def oracle_build_dual(n, w):
@@ -204,15 +222,16 @@ def test_dijkstra_pred_matches_oracle_from_every_source():
 
 
 def _topology_arcs(n):
-    """The cached topology as node tuple -> [(neighbor, edge)], in id and arc order."""
+    """The cached topology as node tuple -> [(neighbor, edge)], in id
+    order, each node's arcs sorted by (neighbor id, slot)."""
     topo = dual_topology(n)
     nodes = topo.nodes()
     edges = enumerate_edges(3, n)
-    arcs = {}
-    for u, x in enumerate(nodes):
-        lo, hi = topo.indptr[u], topo.indptr[u + 1]
-        arcs[x] = [(nodes[v], edges[s]) for v, s in zip(topo.head[lo:hi], topo.slot[lo:hi])]
-    return arcs
+    arcs = {u: [] for u in range(topo.size)}
+    for s, (u, v) in enumerate(topo.ends.tolist()):
+        arcs[u].append((v, s))
+        arcs[v].append((u, s))
+    return {nodes[u]: [(nodes[v], edges[s]) for v, s in sorted(lst)] for u, lst in arcs.items()}
 
 
 def test_topology_matches_oracle_adjacency():
@@ -224,6 +243,7 @@ def test_topology_matches_oracle_adjacency():
         # outer nodes' included, in the oracle's order
         assert list(arcs) == sorted(og.adj)
         assert arcs == {u: [(v, e) for v, _, e in lst] for u, lst in og.adj.items()}
+        assert (topo.ends[:, 0] < topo.ends[:, 1]).all()  # each slot's two nodes, ascending
         # edge keys: slot s joins the endpoints of enumerate_edges' s-th edge
         points = enumerate_points(3, n)
         assert [(points[u], points[v]) for u, v in zip(topo.edge_u, topo.edge_v)] == enumerate_edges(3, n)
@@ -246,7 +266,7 @@ def test_potential_rows_match_oracle():
 def test_potential_system_holds_three_terms_per_row():
     for n in (1, 3, 6):
         topo = dual_topology(n)
-        m, N = len(topo.edge_u), len(topo.indptr) - 1
+        m, N = len(topo.edge_u), topo.size
         col, coef, rhs = potential_system(n)
         assert col.shape == coef.shape == (len(list(named_rows(n))), 3) and rhs.shape == col.shape[:1]
         for a in (col, coef, rhs):
@@ -297,7 +317,7 @@ def test_symmetry_orbits_permute_the_potential_system():
     for n in range(1, 13):
         topo = dual_topology(n)
         orbits = symmetry_orbits(n)
-        m, N = len(topo.edge_u), len(topo.indptr) - 1
+        m, N = len(topo.edge_u), topo.size
         edges = enumerate_edges(3, n)
         slot = {e: s for s, e in enumerate(edges)}
         nodes = topo.nodes()
@@ -324,6 +344,18 @@ def test_symmetry_orbits_permute_the_potential_system():
         assert orbits.orbit[:m].max() < orbits.orbit[m:].min()
         for a in (orbits.images, orbits.orbit, orbits.size):
             assert a.dtype.kind == "i" and not a.flags.writeable
+
+
+def test_symmetry_orbits_stay_bijective_past_int32_keys():
+    # N = 67,603 dual nodes at n = 260, so a node-pair key id * N + id passes 2**31
+    n = 260
+    topo = dual_topology(n)
+    assert (topo.size - 1) * topo.size > 2**31
+    orbits = symmetry_orbits(n)
+    columns = len(topo.ends) + 3 * topo.size
+    assert orbits.images.shape == (6, columns)
+    assert (np.sort(orbits.images, axis=1) == np.arange(columns)).all()
+    assert orbits.size.sum() == columns
 
 
 def _phi(i, node, n):
@@ -355,7 +387,7 @@ def test_topology_holds_only_read_only_integer_arrays():
         a = getattr(topo, field.name)
         assert isinstance(a, np.ndarray) and a.dtype.kind == "i" and not a.flags.writeable, field.name
     with pytest.raises(ValueError):
-        topo.head[0] = 0
+        topo.ends[0, 0] = 0
 
 
 def test_second_build_dual_enumerates_no_edges(monkeypatch):
@@ -383,7 +415,7 @@ def test_build_dual_rejects_weight_off_the_edges():
 
 def test_face_count_is_n_squared():
     for n in (1, 2, 3, 6):
-        assert len(enumerate_faces(n)) == n * n
+        assert len(dual_topology(n).faces) == n * n
 
 
 def test_face_vertices_are_adjacent_grid_points():
@@ -409,7 +441,7 @@ def test_face_centroids_avoid_third_lines():
 def test_dual_degrees():
     n = 3
     topo = build_dual(n, build_w3(n)).topology
-    degree = np.diff(topo.indptr)
+    degree = np.bincount(topo.ends.ravel())
     for f in topo.faces:
         assert degree[f] == 3
     for i in range(3):
@@ -466,7 +498,7 @@ def test_certify_matches_oracle_dijkstra():
 
 
 def _python_outer_distances(g):
-    N = len(g.topology.indptr) - 1
+    N = g.topology.size
     runs = dual_module._shortest_paths(g, [i * N + o for i, o in enumerate(g.topology.outer.tolist())])
     return [dist[i * N : (i + 1) * N] for i, (dist, _) in enumerate(runs)]
 
@@ -492,7 +524,7 @@ def test_compiled_distances_match_the_python_kernel():
         g = build_dual(w.n, w)
         assert sum(g.weights) < dual_module.FLOAT_EXACT
         dist = dual_module._outer_distances(g)
-        assert dist.dtype == np.int64 and dist.shape == (3, len(g.topology.indptr) - 1)
+        assert dist.dtype == np.int64 and dist.shape == (3, g.topology.size)
         assert dist.tolist() == _python_outer_distances(g)
 
 
@@ -514,7 +546,7 @@ def test_certify_rejects_compiled_distances_that_fail_the_exact_check(monkeypatc
 
     def wrong(graph, indices):
         d = compiled(graph, indices=indices)
-        edit(d, int(topo.faces[7]), len(topo.indptr) - 1, topo.outer.tolist())
+        edit(d, int(topo.faces[7]), topo.size, topo.outer.tolist())
         return d
 
     w = build_w3(6)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mwgap.core import NONOPPOSITE, Cut, WeightFunction, cost, random_kway_cut, random_nonopposite_cut
-from mwgap.dual import brute_force_min_cut, build_dual, certify, dijkstra, enumerate_faces, normalize_cut
+from mwgap.dual import brute_force_min_cut, build_dual, certify, dijkstra, normalize_cut
 from mwgap.lpsearch import solve_lp
 from mwgap.projection import (
     check_cost_lemmas,
@@ -31,6 +31,7 @@ GUARDS = {
         ValueError,
         "non-opposite cuts are only defined for k = 3",
     ),
+    "WeightFunction n": (lambda: WeightFunction(3, 0, {}), ValueError, "need n >= 1, got 0"),
     "cost grids": (
         lambda: cost(_kway(3, 2), WeightFunction(3, 3, {})),
         ValueError,
@@ -58,7 +59,7 @@ GUARDS = {
         "28 points exceed the exhaustive bound 15",
     ),
     "dijkstra face source": (
-        lambda: dijkstra(build_dual(2, build_fk()), enumerate_faces(2)[0]),
+        lambda: dijkstra(build_dual(2, build_fk()), ("U", 0, 0, 1)),
         ValueError,
         "dijkstra searches from an outer node, got ('U', 0, 0, 1)",
     ),

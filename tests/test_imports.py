@@ -1,0 +1,37 @@
+"""Every module of the package uses the names it imports."""
+
+import ast
+from pathlib import Path
+
+import mwgap
+
+SOURCES = sorted(p for p in Path(mwgap.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names an import binds and the module never reads, skipping
+    `__future__` imports and lines marked `# noqa: F401` (re-exports)."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(name)
+    return unused
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os, sys\nfrom a import b  # noqa: F401\nfrom c import (\n    d,\n    e,\n)\nsys.exit(e)\n"
+    assert unused_imports(source) == ["os", "d"]
+
+
+def test_src_modules_use_every_import():
+    assert SOURCES
+    for path in SOURCES:
+        assert unused_imports(path.read_text()) == [], path.name
