@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import sqrt
 
 from .core import (
+    EXTRA,
     WeightFunction,
     cost,
     enumerate_edges,
@@ -223,7 +224,7 @@ def criterion_8(res: CriterionResult) -> None:
         restriction = restrict_triple(P, *rng.sample(range(K), 3))
         Q = restriction.fixed
         res.check(
-            all(Q.labels[x] == 3 or Q.labels[x] in support(x) for x in points),
+            all(Q.labels[x] == EXTRA or Q.labels[x] in support(x) for x in points),
             f"trial {t}: restriction not non-opposite",
         )
         for p in restriction.bad_points:

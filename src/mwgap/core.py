@@ -2,13 +2,15 @@
 
 Points of the discretized simplex are stored as tuples of k nonnegative
 integer numerators summing to n (the real point is coords/n).  Each grid
-has one point index, `point_index(k, n)`: a validated `Cut` keeps its
-labels as an array in that order, and `cost` sums a weight function's
-integer numerators over one common denominator on the edges whose
-endpoint labels differ; `face_gather` places a smaller grid on faces of
-the k-simplex.  All arithmetic in this module is exact: weights and costs
-are `Fraction`s at the API, integers inside, and floating point is never
-used here.
+object has one cached accessor: the tuples `enumerate_points` and
+`enumerate_edges`, and the read-only arrays `edge_index` (the edges'
+endpoints, by `point_index(k, n)` position) and `point_sides`.  A
+validated `Cut` keeps its labels as an array in point order, and `cost`
+sums a weight function's integer numerators over one common denominator
+on the edges whose endpoint labels differ; `face_gather` places a
+smaller grid on faces of the k-simplex.  All arithmetic in this module
+is exact: weights and costs are `Fraction`s at the API, integers inside,
+and floating point is never used here.
 """
 
 from __future__ import annotations
@@ -41,14 +43,6 @@ def terminal(i: int, k: int, n: int) -> Point:
     return (0,) * i + (n,) + (0,) * (k - i - 1)
 
 
-def enumerate_points(k: int, n: int) -> list[Point]:
-    """All compositions of n into k nonnegative parts, lexicographic order.
-
-    Returns a fresh list of the cached point tuple, so callers may mutate it.
-    """
-    return list(_points(k, n))
-
-
 def check_grid(k: int, n: int) -> None:
     """Raise ValueError unless Delta_{k,n} is a grid: k >= 2 coordinates, n >= 1."""
     if k < 2:
@@ -58,7 +52,9 @@ def check_grid(k: int, n: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def _points(k: int, n: int) -> tuple[Point, ...]:
+def enumerate_points(k: int, n: int) -> tuple[Point, ...]:
+    """All compositions of n into k nonnegative parts, lexicographic order,
+    as one tuple per grid, cached: every call returns the same tuple."""
     check_grid(k, n)
     if (count := comb(n + k - 1, k - 1)) > MAX_POINTS:
         raise ValueError(f"Delta_{{k={k},n={n}}} has {count} points, more than MAX_POINTS = {MAX_POINTS}")
@@ -78,7 +74,7 @@ def _points(k: int, n: int) -> tuple[Point, ...]:
 def point_index(k: int, n: int) -> Mapping[Point, int]:
     """Read-only map from each point of Delta_{k,n} to its position in
     `enumerate_points(k, n)` order."""
-    return MappingProxyType({x: i for i, x in enumerate(_points(k, n))})
+    return MappingProxyType({x: i for i, x in enumerate(enumerate_points(k, n))})
 
 
 def face_gather(k: int, n: int, faces: Sequence[Sequence[int]]) -> np.ndarray:
@@ -90,7 +86,7 @@ def face_gather(k: int, n: int, faces: Sequence[Sequence[int]]) -> np.ndarray:
     keeps lexicographic order, so it maps canonical edges to canonical edges.
     """
     index = point_index(k, n)
-    small = _points(len(faces[0]), n)
+    small = enumerate_points(len(faces[0]), n)
     rows = []
     for f in faces:
         for x in small:
@@ -131,23 +127,35 @@ def neighbors(x: Point) -> list[Point]:
     return out
 
 
-def enumerate_edges(k: int, n: int) -> list[Edge]:
-    """All unordered adjacent grid-point pairs, canonically ordered and sorted.
-
-    Returns a fresh list of the cached edge tuple, so callers may mutate it.
-    """
-    return list(_edges(k, n))
+@lru_cache(maxsize=64)
+def edge_index(k: int, n: int) -> np.ndarray:
+    """Read-only (2, edges) intp array of rows (u, v): edge j of
+    `enumerate_edges(k, n)` joins the points u[j] < v[j] of `point_index(k, n)`.
+    Index order is lexicographic, so the sorted pairs are the sorted canonical edges."""
+    index = point_index(k, n)
+    pairs = sorted((i, j) for i, x in enumerate(index) for j in map(index.__getitem__, neighbors(x)) if i < j)
+    uv = np.array(pairs, dtype=np.intp).T.copy()
+    uv.setflags(write=False)
+    return uv
 
 
 @lru_cache(maxsize=64)
-def _edges(k: int, n: int) -> tuple[Edge, ...]:
-    # endpoints are the cached point tuples; index order is lexicographic,
-    # so sorted (i, j) pairs with i < j are the sorted canonical edges
-    points = _points(k, n)
-    index = point_index(k, n)
-    pairs = [(i, j) for i, x in enumerate(points) for j in map(index.__getitem__, neighbors(x)) if i < j]
-    pairs.sort()
-    return tuple((points[i], points[j]) for i, j in pairs)
+def enumerate_edges(k: int, n: int) -> tuple[Edge, ...]:
+    """All unordered adjacent grid-point pairs, canonically ordered and sorted,
+    as one tuple per grid, cached; the endpoints are `enumerate_points`'s tuples."""
+    points = enumerate_points(k, n)
+    return tuple((points[i], points[j]) for i, j in zip(*edge_index(k, n).tolist()))
+
+
+@lru_cache(maxsize=64)
+def point_sides(k: int, n: int) -> np.ndarray:
+    """Read-only intp bitmask of each point of Delta_{k,n}, in point order:
+    bit i is set where x_i = 0, the point lies on the side opposite e^i."""
+    if k > 63:
+        raise ValueError(f"a side mask holds at most 63 coordinates, got k = {k}")
+    sides = (np.array(enumerate_points(k, n)) == 0) @ (1 << np.arange(k, dtype=np.intp))
+    sides.setflags(write=False)
+    return sides
 
 
 def check_edges(k: int, n: int, edges: Collection[Edge]) -> None:
@@ -225,6 +233,7 @@ def lpc(w: WeightFunction) -> Fraction:
 
 KWAY = "kway"
 NONOPPOSITE = "nonopposite"
+EXTRA = 3  # label of the extra cluster of a non-opposite cut
 
 
 @dataclass
@@ -262,9 +271,11 @@ class Cut:
             x, c = next((x, c) for x, c in labels.items() if not (isinstance(c, (int, np.integer)) and 0 <= c < hi))
             raise ValueError(f"label {c!r} out of range at {x}")
         if self.family == NONOPPOSITE:
-            for x, c in labels.items():
-                if c < self.k and x[c] == 0:
-                    raise ValueError(f"opposite assignment: {x} -> {c}")
+            # label c is opposite x when bit c of x's side mask is set; EXTRA's bit never is
+            opposite = np.flatnonzero(point_sides(self.k, self.n)[positions] >> values.astype(np.intp) & 1)
+            if opposite.size:
+                x = list(labels)[opposite[0]]
+                raise ValueError(f"opposite assignment: {x} -> {labels[x]}")
         for i in range(self.k):
             t = terminal(i, self.k, self.n)
             if labels[t] != i:
@@ -301,10 +312,6 @@ def random_kway_cut(k: int, n: int, rng: random.Random) -> Cut:
 
 def random_nonopposite_cut(n: int, rng: random.Random) -> Cut:
     """Uniform label in supp(x) + {extra} for each non-terminal point of the triangle."""
-    labels = {}
-    for x in enumerate_points(3, n):
-        if max(x) == n:
-            labels[x] = x.index(n)
-        else:
-            labels[x] = rng.choice(sorted(support(x)) + [3])
+    points = enumerate_points(3, n)
+    labels = {x: x.index(n) if max(x) == n else rng.choice(sorted(support(x)) + [EXTRA]) for x in points}
     return Cut(3, n, labels, NONOPPOSITE)

@@ -23,10 +23,11 @@ and (outer node, node) pairs; a brute-force enumerator provides an oracle
 at tiny n.
 
 The weight-free part of the dual, `dual_topology(n)`, is built once per n
-from the point array and cached as read-only integer arrays: each edge
-slot's two dual nodes, by node ids in sorted node-tuple order, the face
-and outer-node ids, and the face centroids.  A `DualGraph` adds one list
-of weight numerators per edge slot, from `WeightFunction.integer_form()`.
+from the point array and cached as read-only integer arrays of the dual
+alone: each edge slot's two dual nodes, by node ids in sorted node-tuple
+order, the face and outer-node ids, and the face centroids.  A
+`DualGraph` adds one list of weight numerators per edge slot, from
+`WeightFunction.integer_form()`.
 Both shortest-path kernels search one graph, `_search_graph(n)`, the
 Lipschitz rows of the potential system.  `certify` takes scipy's
 compiled Dijkstra while the weight numerators total less than
@@ -37,12 +38,13 @@ certificate; from 2**53 on, and in `dijkstra`, the exact kernel
 compiled call, so `import mwgap` does not load it.  Columns and rows are
 integer ids; only returned values are node tuples and `Fraction`s.
 
-The same topology is the one primal adjacency of the triangle grid:
-`normalize_cut` and `classify_cut` find a cut's components by union-find
-over its edge arrays on the cut's label array, and read the sides a
-component touches from the per-point side bitmasks; `normalize_cut` reads
-a component's neighbour labels from its members' adjacency, and merges a
-relabelled component into its neighbours of the new label.
+Normalization works on the primal grid, read from `core`: `normalize_cut`
+and `classify_cut` find a cut's components by union-find over the edge
+endpoints `edge_index(3, n)` on the cut's label array, and read the sides
+a component touches from the side bitmasks `point_sides(3, n)`;
+`normalize_cut` reads a component's neighbour labels from its members'
+adjacency, and merges a relabelled component into its neighbours of the
+new label.
 """
 
 from __future__ import annotations
@@ -58,17 +60,18 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    EXTRA,
     KWAY,
     NONOPPOSITE,
     Cut,
     Edge,
     WeightFunction,
-    _edges,
-    _points,
     cost,
+    edge_index,
     enumerate_edges,
     enumerate_points,
     point_index,
+    point_sides,
     support,
     terminal,
 )
@@ -89,13 +92,11 @@ class DualTopology:
     Node ids follow sorted node-tuple order: the down faces, then O_0,
     O_1, O_2, then the up faces.  Edge slots follow `enumerate_edges(3, n)`
     order.  So comparing ids, or (id, slot) pairs, compares node tuples,
-    or (node, primal edge) pairs.  Every field is a read-only integer array.
+    or (node, primal edge) pairs.  Every field is a read-only integer array
+    of the dual: the primal grid's are `edge_index(3, n)` and `point_sides(3, n)`.
     """
 
     ends: np.ndarray  # (edge slots, 2): the two dual nodes of each edge slot, ascending
-    edge_u: np.ndarray  # endpoints of each edge slot, in `point_index(3, n)`
-    edge_v: np.ndarray
-    point_sides: np.ndarray  # bit i set where a point lies on the side x_i = 0, by point index
     faces: np.ndarray  # face ids: the up faces, then the down faces, each in tuple order
     centroids: np.ndarray  # each face's vertex sum, in the same order: its centroid as numerators over 3n
     outer: np.ndarray  # ids of O_0, O_1, O_2
@@ -141,7 +142,8 @@ def _point_ids(x: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def dual_topology(n: int) -> DualTopology:
-    """The dual's topology for Delta_{3,n}, built once per n from the point array.
+    """The dual's topology for Delta_{3,n}, built once per n from the point
+    array, read at each edge slot's endpoints `edge_index(3, n)`.
 
     A face is named by its base x: an up face has corners x + e^i, a down
     face x + (1, 1, 1) - e^i.  So the up faces are the points p with
@@ -152,8 +154,8 @@ def dual_topology(n: int) -> DualTopology:
     is a side of the up face x - e^i and of the down face x - (1, 1, 1) +
     e^j, which exists when x_l > 0; when x_l = 0, O_l is its other end.
     """
-    points = np.array(_points(3, n))
-    x, y = np.array(enumerate_edges(3, n)).transpose(1, 0, 2)  # each edge slot's endpoints
+    points = np.array(enumerate_points(3, n))
+    x, y = points[edge_index(3, n)]  # each edge slot's endpoints
     up = points[points[:, 0] > 0] - [1, 0, 0]
     down = points[(points[:, 0] > 0) & (points[:, 1] > 0)] - [1, 1, 0]
     eye = np.eye(3, dtype=np.intp)
@@ -163,9 +165,6 @@ def dual_topology(n: int) -> DualTopology:
     upper = len(down) + 3 + _point_ids(x - eye[i], n - 1)  # every down or outer id is below every up id
     return DualTopology(
         ends=_frozen(np.column_stack((lower, upper))),
-        edge_u=_frozen(_point_ids(x, n)),
-        edge_v=_frozen(_point_ids(y, n)),
-        point_sides=_frozen((points == 0) @ [1, 2, 4]),
         faces=_frozen(np.concatenate((np.arange(len(up)) + len(down) + 3, np.arange(len(down))))),
         centroids=_frozen(np.concatenate((3 * up + 1, 3 * down + 2))),
         outer=_frozen(len(down) + np.arange(3)),
@@ -189,7 +188,7 @@ def build_dual(n: int, w: WeightFunction) -> DualGraph:
     topo = dual_topology(n)
     D, u, v, nums = w.integer_form()
     # `WeightFunction` admits weight only on edges, so every pair has a slot
-    slots = _find_pairs(topo.edge_u, topo.edge_v, len(topo.point_sides), u, v)
+    slots = _find_pairs(*edge_index(3, n), comb(n + 2, 2), u, v)
     weights = [0] * len(topo.ends)
     for s, q in zip(slots.tolist(), nums):
         weights[s] = q
@@ -293,7 +292,7 @@ def dijkstra(
     N = len(nodes)
     ((dist, pred),) = _shortest_paths(g, [i * N + int(g.topology.outer[i])])
     m = len(g.weights)
-    edges = _edges(3, g.n)
+    edges = enumerate_edges(3, g.n)
     return (
         {x: d for x, d in zip(nodes, dist[i * N :]) if d is not None},
         {x: (nodes[p // m - i * N], edges[p % m]) for x, p in zip(nodes, pred[i * N :]) if p is not None},
@@ -565,7 +564,7 @@ def check_potentials(n: int, w: WeightFunction) -> PotentialReport:
         return PotentialReport(True)
     r = int(violated[0])
     col, coef, _ = potential_system(n)
-    nodes, edges, m = g.topology.nodes(), _edges(3, n), len(g.weights)
+    nodes, edges, m = g.topology.nodes(), enumerate_edges(3, n), len(g.weights)
     row = {}
     for j, q in zip(col[r].tolist(), coef[r].tolist()):
         if q:
@@ -586,11 +585,9 @@ class NormalizationError(RuntimeError):
 ALL_SIDES = 0b111
 
 
-def _components(
-    lab: list[int], topo: DualTopology
-) -> tuple[list[int], dict[int, list[int]], dict[int, int]]:
-    """Connected components of the grid graph minus the cut edges, by
-    union-find over the topology's edge arrays.
+def _components(lab: list[int], n: int) -> tuple[list[int], dict[int, list[int]], dict[int, int]]:
+    """Connected components of Delta_{3,n}'s grid graph minus the cut
+    edges, by union-find over `edge_index(3, n)`.
 
     Returns root, the smallest point index of each point's component;
     the members of each component, ascending, keyed by root in ascending
@@ -598,7 +595,7 @@ def _components(
     component touches, as a `point_sides` bitmask.
     """
     root = list(range(len(lab)))
-    for u, v in zip(topo.edge_u.tolist(), topo.edge_v.tolist()):
+    for u, v in zip(*edge_index(3, n).tolist()):
         if lab[u] != lab[v]:
             continue
         # path halving; every link points to a smaller index
@@ -612,7 +609,7 @@ def _components(
             root[u] = v
     comps: dict[int, list[int]] = {}
     sides: dict[int, int] = {}
-    for x, (r, z) in enumerate(zip(root, topo.point_sides.tolist())):
+    for x, (r, z) in enumerate(zip(root, point_sides(3, n).tolist())):
         r = root[x] = root[r]  # root[r] is final already, as r <= x
         if r == x:
             comps[x] = [x]
@@ -632,21 +629,20 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
     carrying label i but missing terminal e^i adopt a neighboring
     component's label.  Ties always go to the smallest legal label.  A
     label l < 3 is legal for a component when no member lies on the side
-    x_l = 0; the extra label 3 always is.
+    x_l = 0; the extra label EXTRA always is.
     """
     if P.family != NONOPPOSITE:
         raise ValueError("normalize_cut expects a non-opposite cut")
     n = P.n
-    topo = dual_topology(n)
     points = enumerate_points(3, n)
     index = point_index(3, n)
     terminals = [index[terminal(i, 3, n)] for i in range(3)]
     lab = P.label_array.tolist()
     adj: list[list[int]] = [[] for _ in lab]
-    for u, v in zip(topo.edge_u.tolist(), topo.edge_v.tolist()):
+    for u, v in zip(*edge_index(3, n).tolist()):
         adj[u].append(v)
         adj[v].append(u)
-    root, comps, sides = _components(lab, topo)
+    root, comps, sides = _components(lab, n)
 
     def relabel(r: int, m: int) -> None:
         """Give r's component label m and merge it with the components of
@@ -671,7 +667,7 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
         # Folding one never changes another extra component, so one pass
         # over the components found before it suffices.
         for r in list(comps):
-            if lab[r] != 3 or sides[r] == ALL_SIDES:
+            if lab[r] != EXTRA or sides[r] == ALL_SIDES:
                 continue
             relabel(r, next(l for l in range(3) if not sides[r] >> l & 1))
         # rule (b): a component missing its terminal adopts a neighbor's label.
@@ -682,7 +678,7 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
         stuck = []
         for r in comps:
             l = lab[r]
-            if l == 3 or root[terminals[l]] == r:
+            if l == EXTRA or root[terminals[l]] == r:
                 continue
             near = 0  # bit m: a member has a neighbour of label m
             for x in comps[r]:
@@ -712,14 +708,14 @@ def classify_cut(P: Cut) -> Optional[str]:
     if P.k != 3:
         raise ValueError(f"dual machinery is specific to k = 3, got k = {P.k}")
     lab = P.label_array.tolist()
-    _, comps, sides = _components(lab, dual_topology(P.n))
+    _, comps, sides = _components(lab, P.n)
     by_label: dict[int, list[int]] = {}
     for r in comps:
         by_label.setdefault(lab[r], []).append(r)
     # a cut pins terminal i to label i, so a lone component of label i holds it
     if any(len(by_label.get(i, [])) != 1 for i in range(3)):
         return None
-    extra = by_label.get(3, [])
+    extra = by_label.get(EXTRA, [])
     if not extra:
         return "ball"
     if len(extra) == 1 and sides[extra[0]] == ALL_SIDES:
@@ -731,10 +727,9 @@ def uncut_edges(P: Cut) -> set[Edge]:
     """The edges of Delta_{3,n} whose endpoints share a label under P."""
     if P.k != 3:
         raise ValueError(f"dual machinery is specific to k = 3, got k = {P.k}")
-    topo = dual_topology(P.n)
-    lab = P.label_array
-    edges = _edges(3, P.n)
-    return {edges[s] for s in np.flatnonzero(lab[topo.edge_u] == lab[topo.edge_v]).tolist()}
+    u, v = P.label_array[edge_index(3, P.n)]  # each edge's two endpoint labels
+    edges = enumerate_edges(3, P.n)
+    return {edges[s] for s in np.flatnonzero(u == v).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +764,7 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
         if max(p) == n:
             choices.append([p.index(n)])
         elif family == NONOPPOSITE:
-            choices.append(sorted(support(p)) + [3])
+            choices.append(sorted(support(p)) + [EXTRA])
         else:
             choices.append([0, 1, 2])
 

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    EXTRA,
     KWAY,
     NONOPPOSITE,
     Cut,
@@ -32,9 +33,9 @@ from .core import (
     cost,
     enumerate_points,
     face_gather,
+    point_sides,
     sorted_face_gather,
 )
-from .dual import dual_topology
 from .weights import build_w_hat, build_w_prime, build_w_tilde
 
 
@@ -42,9 +43,9 @@ def _face_labels(P: Cut, gather: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The restriction kernel: (raw, bad), the cut P induces on 3-faces.
 
     gather is a `face_gather` of 3-faces.  Row f, column j: raw is the
-    position r of x_j's label among the corners of faces[f], or 3 when the
-    label lies outside the face, and bad is whether r is a corner opposite
-    x_j (bit r of `dual_topology(n).point_sides`).  The corners' labels
+    position r of x_j's label among the corners of faces[f], or EXTRA when
+    the label lies outside the face, and bad is whether r is a corner
+    opposite x_j (bit r of `core.point_sides(3, n)`).  The corners' labels
     are read at the face's terminal columns, as a valid cut labels terminal
     i with i.
     """
@@ -52,10 +53,10 @@ def _face_labels(P: Cut, gather: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # in lexicographic order, the terminals e^0, e^1, e^2 of Delta_{3,n}
     # are its last, n-th and first points
     corners = labels[:, [-1, P.n, 0]]
-    raw = 3
+    raw = EXTRA
     for r in range(3):
         raw = np.where(labels == corners[:, r, None], r, raw)
-    return raw, (dual_topology(P.n).point_sides >> raw & 1).astype(bool)
+    return raw, (point_sides(3, P.n) >> raw & 1).astype(bool)
 
 
 @dataclass
@@ -78,7 +79,7 @@ def restrict_triple(P: Cut, i1: int, i2: int, i3: int) -> RestrictionResult:
         raise ValueError(f"indices must be distinct and in range, got {triple}")
     (raw,), (bad,) = _face_labels(P, face_gather(P.k, P.n, [triple]))
     points = enumerate_points(3, P.n)
-    fixed = Cut(3, P.n, dict(zip(points, np.where(bad, 3, raw).tolist())), NONOPPOSITE)
+    fixed = Cut(3, P.n, dict(zip(points, np.where(bad, EXTRA, raw).tolist())), NONOPPOSITE)
     return RestrictionResult(
         raw=dict(zip(points, raw.tolist())),
         fixed=fixed,

@@ -49,16 +49,13 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .core import Point, enumerate_edges, enumerate_points
-from .dual import dual_topology
+from .core import EXTRA, Point, edge_index, enumerate_edges, enumerate_points
 
 # The paper's mixture: a corner cut with this probability, else a ball cut.
 P_CORNER = Fraction(1, 5)
 
 # Cells in the discretized parameter intervals.
 PARAM_CELLS = 1 << 20
-
-EXTRA = 3  # label of the unassigned middle cluster of a corner cut
 
 # Cap on the largest array of one batch: the int8 label matrix (classes x
 # grid points, with never more classes than draws) and the compare matrix
@@ -119,7 +116,7 @@ def _class_keys(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     return key * 27 + np.where(corner, 0, chords), degenerate
 
 
-def _class_labels(classes: np.ndarray, points: list[Point], n: int) -> np.ndarray:
+def _class_labels(classes: np.ndarray, points: tuple[Point, ...], n: int) -> np.ndarray:
     """Labels of every grid point under every class key (`_class_keys`), of
     shape (len(classes), len(points)) with values in {0, 1, 2, EXTRA}, each
     point's column contiguous.
@@ -202,7 +199,7 @@ def estimate_density(n: int, samples: int, seed: int) -> DensityEstimate:
         raise ValueError(f"need samples >= 1000, got {samples}")
     points = enumerate_points(3, n)  # the grid gate; first, so an oversize n allocates nothing
     edges = enumerate_edges(3, n)
-    topo = dual_topology(n)
+    eu, ev = edge_index(3, n)
     rng = np.random.default_rng(seed)
     batch = _batch_size(n)
 
@@ -219,7 +216,7 @@ def estimate_density(n: int, samples: int, seed: int) -> DensityEstimate:
             key[redo], degenerate[redo] = _class_keys(_draw_params(rng, redo.size), n)
         classes, counts = np.unique(key, return_counts=True)
         corner_count += int(counts[classes % 27 == 0].sum())
-        sep += _separations(_class_labels(classes, points, n), counts, topo.edge_u, topo.edge_v)
+        sep += _separations(_class_labels(classes, points, n), counts, eu, ev)
         done += want
 
     stats = []

@@ -21,8 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Edge, WeightFunction, _edges, _points, enumerate_edges, sorted_face_gather
-from .dual import dual_topology
+from .core import Edge, WeightFunction, edge_index, enumerate_edges, enumerate_points, sorted_face_gather
 
 
 def build_w3(n: int) -> WeightFunction:
@@ -32,14 +31,12 @@ def build_w3(n: int) -> WeightFunction:
     e^c get weight 0; side edges ramp from (n/3)*rho next to a terminal down
     to rho at the hexagon; everything else gets rho = 1/(2n).
 
-    The weights are numerators over 2n, computed on the edge arrays of
-    `dual_topology(n)`; the dict lists the edges in `enumerate_edges` order.
+    The weights are numerators over 2n, computed on the edge endpoints
+    `edge_index(3, n)`; the dict lists the edges in `enumerate_edges` order.
     """
     if n < 3 or n % 3 != 0:
         raise ValueError(f"construction needs n >= 3 divisible by 3, got {n}")
-    topo = dual_topology(n)
-    points = np.array(_points(3, n))
-    x, y = points[topo.edge_u], points[topo.edge_v]
+    x, y = np.array(enumerate_points(3, n))[edge_index(3, n)]
     # an edge moves coordinates a < b by one each and keeps c at m
     c = np.argmax(x == y, axis=1)
     a = np.where(c == 0, 1, 0)
@@ -51,7 +48,7 @@ def build_w3(n: int) -> WeightFunction:
     ramp = np.where(v < third, third - v, np.where(u < third, third - u, 1))
     num = np.where(3 * m > 2 * n, 0, np.where(m == 0, ramp, 1))
     rho = [Fraction(j, 2 * n) for j in range(third + 1)]
-    return WeightFunction(3, n, {e: rho[j] for e, j in zip(_edges(3, n), num.tolist()) if j})
+    return WeightFunction(3, n, {e: rho[j] for e, j in zip(enumerate_edges(3, n), num.tolist()) if j})
 
 
 def build_fk() -> WeightFunction:
@@ -67,14 +64,14 @@ def build_fk() -> WeightFunction:
 
 def _line(n: int) -> WeightFunction:
     """Weight 1 on every edge of Delta_{2,n}, the line between two terminals."""
-    return WeightFunction(2, n, dict.fromkeys(_edges(2, n), 1))
+    return WeightFunction(2, n, dict.fromkeys(enumerate_edges(2, n), 1))
 
 
 def _lifted(k: int, n: int, terms: list[tuple[Fraction, WeightFunction]]) -> WeightFunction:
     """Sum of c * w over the terms (c, w), each w placed on every sorted face
     of [k] of its size by `sorted_face_gather` (so edges stay canonical), as
     integer numerators over one denominator L: one q / L per edge, in `enumerate_edges` order."""
-    points = _points(k, n)
+    points = enumerate_points(k, n)
     L = lcm(*(c.denominator * w.integer_form()[0] for c, w in terms))
     keys, nums, bound = [], [], 0
     for c, w in terms:

@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from mwgap import core
@@ -15,11 +16,13 @@ from mwgap.core import (
     WeightFunction,
     canonical_edge,
     cost,
+    edge_index,
     enumerate_edges,
     enumerate_points,
     lpc,
     neighbors,
     point_index,
+    point_sides,
     random_kway_cut,
     random_nonopposite_cut,
     support,
@@ -47,16 +50,14 @@ def test_point_count_is_stars_and_bars():
 def test_points_sum_to_n_and_are_sorted():
     pts = enumerate_points(3, 4)
     assert all(sum(p) == 4 for p in pts)
-    assert pts == sorted(pts)
+    assert pts == tuple(sorted(pts))
     assert len(set(pts)) == len(pts)
 
 
-def test_points_are_a_fresh_list_each_call():
+def test_points_are_one_cached_tuple():
     pts = enumerate_points(3, 4)
-    pts.pop()
-    pts[0] = (9, 9, 9)
-    assert enumerate_points(3, 4) == sorted(enumerate_points(3, 4))
-    assert len(enumerate_points(3, 4)) == comb(6, 2)
+    assert isinstance(pts, tuple) and enumerate_points(3, 4) is pts
+    assert len(pts) == comb(6, 2)
 
 
 def test_edge_count_triangle():
@@ -87,7 +88,7 @@ def oracle_enumerate_edges(k, n):
 
 def test_edges_match_neighbor_oracle():
     for k, n in ((2, 4), (3, 1), (3, 2), (3, 9), (4, 5), (8, 3)):
-        assert enumerate_edges(k, n) == oracle_enumerate_edges(k, n)
+        assert enumerate_edges(k, n) == tuple(oracle_enumerate_edges(k, n))
 
 
 def test_edges_are_cached_per_grid(monkeypatch):
@@ -98,21 +99,33 @@ def test_edges_are_cached_per_grid(monkeypatch):
         return neighbors(x)
 
     monkeypatch.setattr(core, "neighbors", counting)
-    core._edges.cache_clear()
+    core.edge_index.cache_clear()
+    core.enumerate_edges.cache_clear()
     build_w3(6)
     assert len(calls) == len(enumerate_points(3, 6))
     calls.clear()
     build_w3(6)
     assert calls == []
     edges = enumerate_edges(3, 6)
-    first = list(edges)
-    edges.pop()
-    edges[0] = ((9, 9, 9), (9, 9, 9))
-    assert enumerate_edges(3, 6) == first
+    assert enumerate_edges(3, 6) is edges
     # the endpoints are the cached point tuples, not copies
     points = enumerate_points(3, 6)
     index = point_index(3, 6)
-    assert all(x is points[index[x]] and y is points[index[y]] for x, y in first)
+    assert all(x is points[index[x]] and y is points[index[y]] for x, y in edges)
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (3, 6), (4, 3)])
+def test_edge_index_and_point_sides_follow_the_point_tuples(k, n):
+    points = enumerate_points(k, n)
+    u, v = edge_index(k, n)
+    sides = point_sides(k, n)
+    for a in (u, v, sides):
+        assert a.dtype == np.intp and not a.flags.writeable
+    edges = enumerate_edges(k, n)
+    assert len(u) == len(v) == len(edges)
+    # edge j is (points[u[j]], points[v[j]]), the cached point tuples themselves
+    assert all(x is points[i] and y is points[j] for (x, y), i, j in zip(edges, u.tolist(), v.tolist()))
+    assert sides.tolist() == [sum(1 << i for i in range(k) if x[i] == 0) for x in points]
 
 
 def test_terminal_and_support():
@@ -164,6 +177,20 @@ def test_nonopposite_cut_rejects_opposite_label():
         Cut(3, 2, labels, NONOPPOSITE).validate()
 
 
+def test_nonopposite_cut_names_the_first_opposite_point():
+    labels = {p: min(support(p)) for p in enumerate_points(3, 2)}
+    labels[(0, 1, 1)] = 0  # 0 not in the support of (0, 1, 1)
+    labels[(1, 0, 1)] = 1  # 1 not in the support of (1, 0, 1)
+    first = re.escape("opposite assignment: (0, 1, 1) -> 0")
+    with pytest.raises(ValueError, match=first):
+        Cut(3, 2, labels, NONOPPOSITE)
+    # the first in the labels dict's order, not in point order
+    with pytest.raises(ValueError, match=re.escape("opposite assignment: (1, 0, 1) -> 1")):
+        Cut(3, 2, dict(reversed(labels.items())), NONOPPOSITE)
+    with pytest.raises(ValueError, match=first):
+        Cut(3, 2, {x: np.uint64(c) for x, c in labels.items()}, NONOPPOSITE)
+
+
 def test_cost_counts_label_boundaries():
     w = WeightFunction(3, 1, {e: Fraction(1) for e in enumerate_edges(3, 1)})
     labels = {terminal(i, 3, 1): i for i in range(3)}
@@ -192,7 +219,7 @@ def test_random_cuts_differ_across_seeds():
 def test_point_index_follows_point_order():
     for k, n in ((3, 4), (5, 3)):
         index = point_index(k, n)
-        assert list(index) == enumerate_points(k, n)
+        assert tuple(index) == enumerate_points(k, n)
         assert list(index.values()) == list(range(len(index)))
         with pytest.raises(TypeError):
             index[(0,) * k] = 0  # shared by every caller, so read-only
@@ -262,12 +289,12 @@ def test_inputs_are_owned():
 
 
 def test_weight_function_never_enumerates_its_grid():
-    before = core._points.cache_info()
+    before = core.enumerate_points.cache_info()
     e = canonical_edge((60,) + (0,) * 39, (59, 1) + (0,) * 38)
     w = WeightFunction(40, 60, {e: Fraction(1, 3)})  # Delta_{40,60} has about 10**27 points
     assert lpc(w) == Fraction(1, 180)
     assert w.scaled(Fraction(2)).total() == Fraction(2, 3)
-    assert core._points.cache_info() == before
+    assert core.enumerate_points.cache_info() == before
 
 
 def test_weight_function_admits_only_grid_edges():

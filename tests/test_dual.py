@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mwgap import core
 from mwgap import dual as dual_module
 from mwgap.core import (
     NONOPPOSITE,
@@ -19,9 +20,11 @@ from mwgap.core import (
     WeightFunction,
     canonical_edge,
     cost,
+    edge_index,
     enumerate_edges,
     enumerate_points,
     neighbors,
+    point_sides,
     random_kway_cut,
     random_nonopposite_cut,
     support,
@@ -246,8 +249,8 @@ def test_topology_matches_oracle_adjacency():
         assert (topo.ends[:, 0] < topo.ends[:, 1]).all()  # each slot's two nodes, ascending
         # edge keys: slot s joins the endpoints of enumerate_edges' s-th edge
         points = enumerate_points(3, n)
-        assert [(points[u], points[v]) for u, v in zip(topo.edge_u, topo.edge_v)] == enumerate_edges(3, n)
-        assert topo.point_sides.tolist() == [sum(1 << i for i in range(3) if x[i] == 0) for x in points]
+        assert tuple((points[u], points[v]) for u, v in zip(*edge_index(3, n))) == enumerate_edges(3, n)
+        assert point_sides(3, n).tolist() == [sum(1 << i for i in range(3) if x[i] == 0) for x in points]
         nodes = topo.nodes()
         assert [nodes[f] for f in topo.faces] == og.faces
         assert [nodes[o] for o in topo.outer] == list(OUTER)
@@ -266,7 +269,7 @@ def test_potential_rows_match_oracle():
 def test_potential_system_holds_three_terms_per_row():
     for n in (1, 3, 6):
         topo = dual_topology(n)
-        m, N = len(topo.edge_u), topo.size
+        m, N = len(topo.ends), topo.size
         col, coef, rhs = potential_system(n)
         assert col.shape == coef.shape == (len(list(named_rows(n))), 3) and rhs.shape == col.shape[:1]
         for a in (col, coef, rhs):
@@ -317,7 +320,7 @@ def test_symmetry_orbits_permute_the_potential_system():
     for n in range(1, 13):
         topo = dual_topology(n)
         orbits = symmetry_orbits(n)
-        m, N = len(topo.edge_u), topo.size
+        m, N = len(topo.ends), topo.size
         edges = enumerate_edges(3, n)
         slot = {e: s for s, e in enumerate(edges)}
         nodes = topo.nodes()
@@ -383,6 +386,8 @@ def test_svg_overlay_shows_the_region_oracle():
 
 def test_topology_holds_only_read_only_integer_arrays():
     topo = dual_topology(6)
+    # only the dual: the primal grid's arrays are core.edge_index and core.point_sides
+    assert [field.name for field in fields(topo)] == ["ends", "faces", "centroids", "outer"]
     for field in fields(topo):
         a = getattr(topo, field.name)
         assert isinstance(a, np.ndarray) and a.dtype.kind == "i" and not a.flags.writeable, field.name
@@ -393,16 +398,18 @@ def test_topology_holds_only_read_only_integer_arrays():
 def test_second_build_dual_enumerates_no_edges(monkeypatch):
     calls = []
 
-    def counting(k, n):
-        calls.append((k, n))
-        return enumerate_edges(k, n)
+    def counting(x):
+        calls.append(x)
+        return neighbors(x)
 
-    monkeypatch.setattr(dual_module, "enumerate_edges", counting)
+    w = build_w3(6)
+    monkeypatch.setattr(core, "neighbors", counting)
+    edge_index.cache_clear()
     dual_topology.cache_clear()
-    g = build_dual(6, build_w3(6))
-    assert calls == [(3, 6)]
-    h = build_dual(6, build_w3(6).scaled(2))
-    assert calls == [(3, 6)]
+    g = build_dual(6, w)
+    assert len(calls) == len(enumerate_points(3, 6))  # the first build enumerates the edges, once
+    h = build_dual(6, w.scaled(2))
+    assert len(calls) == len(enumerate_points(3, 6))
     assert h.topology is g.topology
 
 
@@ -984,17 +991,14 @@ def test_normalize_and_classify_match_oracles(n):
 
 
 def test_stuck_normalization_names_points(monkeypatch):
-    from dataclasses import replace
-
     n = 3
     labels = {p: min(support(p)) for p in enumerate_points(3, n)}
     labels[(1, 1, 1)] = 2
     P = Cut(3, n, labels, NONOPPOSITE)
     # every point on every side: no label but the extra one is legal
     # anywhere, and the island of cluster 2 at the centre has no extra neighbor
-    topo = dual_topology(n)
-    everywhere = replace(topo, point_sides=np.full_like(topo.point_sides, 0b111))
-    monkeypatch.setattr(dual_module, "dual_topology", lambda m: everywhere)
+    everywhere = np.full_like(point_sides(3, n), 0b111)
+    monkeypatch.setattr(dual_module, "point_sides", lambda k, m: everywhere)
     with pytest.raises(NormalizationError, match=r"^no legal neighbor label for components at \[\(1, 1, 1\)\]$"):
         normalize_cut(P)
 

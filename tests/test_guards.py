@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mwgap.core import NONOPPOSITE, Cut, WeightFunction, cost, random_kway_cut, random_nonopposite_cut
+from mwgap.core import NONOPPOSITE, Cut, WeightFunction, cost, point_sides, random_kway_cut, random_nonopposite_cut
 from mwgap.dual import brute_force_min_cut, build_dual, certify, dijkstra, normalize_cut
 from mwgap.lpsearch import solve_lp
 from mwgap.projection import (
@@ -32,6 +32,11 @@ GUARDS = {
         "non-opposite cuts are only defined for k = 3",
     ),
     "WeightFunction n": (lambda: WeightFunction(3, 0, {}), ValueError, "need n >= 1, got 0"),
+    "point_sides k": (
+        lambda: point_sides(64, 1),
+        ValueError,
+        "a side mask holds at most 63 coordinates, got k = 64",
+    ),
     "cost grids": (
         lambda: cost(_kway(3, 2), WeightFunction(3, 3, {})),
         ValueError,

@@ -1,11 +1,13 @@
-"""Every module of the package uses the names it imports."""
+"""Every module of the package uses the names it imports, and imports no
+other module's private names."""
 
 import ast
 from pathlib import Path
 
 import mwgap
 
-SOURCES = sorted(p for p in Path(mwgap.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(mwgap.__file__).parent
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +37,28 @@ def test_src_modules_use_every_import():
     assert SOURCES
     for path in SOURCES:
         assert unused_imports(path.read_text()) == [], path.name
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names (not dunders) that the source imports from a
+    module of the package, by a relative or an absolute `mwgap` import."""
+    private = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "mwgap"):
+            private += [a.name for a in node.names if a.name.startswith("_") and not a.name.endswith("__")]
+    return private
+
+
+def test_private_imports_are_found():
+    source = (
+        "from .core import _points, edge_index\n"
+        "from mwgap.dual import (\n    _search_graph,\n)\n"
+        "from . import __version__\n"
+        "from numpy import _core\n"
+    )
+    assert private_imports(source) == ["_points", "_search_graph"]
+
+
+def test_src_modules_import_no_private_names():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert private_imports(path.read_text()) == [], path.name

@@ -11,9 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mwgap import cli, rounding
-from mwgap.core import MAX_POINTS, enumerate_edges, enumerate_points, point_index, support
+from mwgap.core import EXTRA, MAX_POINTS, enumerate_edges, enumerate_points, point_index, support
 from mwgap.rounding import (
-    EXTRA,
     LABEL_BYTES,
     PARAM_CELLS,
     P_CORNER,
@@ -425,8 +424,8 @@ def test_estimate_density_rejects_n_past_memory_bound(monkeypatch):
     def no_allocation(*args):
         raise AssertionError("allocated before rejecting n")
 
-    # the grid gate refuses n before edges, dual topology or draws are built
-    for name in ("enumerate_edges", "dual_topology", "_draw_params"):
+    # the grid gate refuses n before edges, their endpoint arrays or draws are built
+    for name in ("enumerate_edges", "edge_index", "_draw_params"):
         monkeypatch.setattr(rounding, name, no_allocation)
     n = MAX_GRID_N + 1
     with pytest.raises(ValueError, match="MAX_POINTS"):
@@ -568,7 +567,7 @@ def _assert_matches_oracle(n, samples, seed):
     want_sep, corner_fraction, resampled = oracle_density(n, samples, seed)
     est = estimate_density(n, samples, seed)
     assert [s.separations for s in est.pair_stats] == want_sep.tolist()
-    assert [s.edge for s in est.pair_stats] == enumerate_edges(3, n)
+    assert tuple(s.edge for s in est.pair_stats) == enumerate_edges(3, n)
     assert (est.resampled, est.corner_fraction) == (resampled, corner_fraction)
     worst = int(np.argmax(want_sep))  # the first edge of largest count
     assert est.worst_pair == enumerate_edges(3, n)[worst]
