@@ -37,8 +37,9 @@ So a draw's labels on the n-grid are fixed by its class: the three
 floors floor(n r_i), its three chord lines, and whether it is a corner
 cut (a corner cut never reads its chord lines, so all corner cuts with
 one threshold floor share a class).  `estimate_density` keeps only each
-draw's class key, `_class_keys`, counts the draws of each key and labels
-each class from its key.
+draw's class key, `_class_keys`, computed KEY_BLOCK draws at a time so
+that the key arithmetic runs in cache, counts the draws of each key and
+labels each class from its key.
 """
 
 from __future__ import annotations
@@ -59,8 +60,14 @@ PARAM_CELLS = 1 << 20
 
 # Cap on the largest array of one batch: the int8 label matrix (classes x
 # grid points, with never more classes than draws) and the compare matrix
-# of one chunk of edges.
+# of one chunk of edges.  A batch's draw arrays take 49 bytes per draw;
+# their class keys are computed KEY_BLOCK draws at a time, so the key
+# kernel's temporaries scale with KEY_BLOCK, not with the batch.
 LABEL_BYTES = 1 << 25
+
+# Draws keyed at once by `_class_keys`: a (3, KEY_BLOCK) int64 temporary
+# is 192 KiB, small enough to stay in a core's L2 cache.
+KEY_BLOCK = 1 << 13
 
 
 def _batch_size(n: int) -> int:
@@ -97,23 +104,28 @@ def _class_keys(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     stay below 3 * PARAM_CELLS * n, far inside int64.
     """
     M = PARAM_CELLS
-    corner = params["is_corner"]
-    # the centre as numerators over 3M: (2(M - j), M + j, j) on diagonal 0,
-    # (2(M - j), j, M + j) on diagonal 1
-    j = np.asarray(params["jt"], np.int64)
-    first = 2 * (M - j)
-    second = j + M * (1 - params["diag"])
-    ball = np.stack([first, second, 3 * M - first - second])
-    nr = n * np.where(corner, 2 * M + np.asarray(params["jr"], np.int64), ball)
-    floor_nr = nr // (3 * M)
-    rem = nr - 3 * M * floor_nr
-    # choice[:, s] picks the smaller (0) or larger (1) index other than s
-    choice = params["choice"]
-    lines = [lo + (hi - lo) * choice[:, s] for s, (lo, hi) in enumerate(((1, 2), (0, 2), (0, 1)))]
-    degenerate = ~corner & np.take_along_axis(rem == 0, np.stack(lines), 0).any(0)
-    key = (floor_nr[0] * n + floor_nr[1]) * n + floor_nr[2]
-    chords = (lines[0] * 3 + lines[1]) * 3 + lines[2]
-    return key * 27 + np.where(corner, 0, chords), degenerate
+    key = np.empty(len(params["is_corner"]), np.int64)
+    degenerate = np.empty(key.size, bool)
+    for start in range(0, key.size, KEY_BLOCK):
+        block = slice(start, start + KEY_BLOCK)
+        corner = params["is_corner"][block]
+        # the centre as numerators over 3M: (2(M - j), M + j, j) on diagonal 0,
+        # (2(M - j), j, M + j) on diagonal 1
+        j = np.asarray(params["jt"][block], np.int64)
+        first = 2 * (M - j)
+        second = j + M * (1 - params["diag"][block])
+        ball = np.stack([first, second, 3 * M - first - second])
+        nr = n * np.where(corner, 2 * M + np.asarray(params["jr"][block], np.int64), ball)
+        floor_nr = nr // (3 * M)
+        rem = nr - 3 * M * floor_nr
+        # choice[:, s] picks the smaller (0) or larger (1) index other than s
+        choice = params["choice"][block]
+        lines = [lo + (hi - lo) * choice[:, s] for s, (lo, hi) in enumerate(((1, 2), (0, 2), (0, 1)))]
+        degenerate[block] = ~corner & np.take_along_axis(rem == 0, np.stack(lines), 0).any(0)
+        floors = (floor_nr[0] * n + floor_nr[1]) * n + floor_nr[2]
+        chords = (lines[0] * 3 + lines[1]) * 3 + lines[2]
+        key[block] = floors * 27 + np.where(corner, 0, chords)
+    return key, degenerate
 
 
 def _class_labels(classes: np.ndarray, points: tuple[Point, ...], n: int) -> np.ndarray:

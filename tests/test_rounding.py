@@ -1,6 +1,7 @@
 """The density estimator, against the exact statement of the rounding
 distribution kept here as its oracle."""
 
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from mwgap import cli, rounding
 from mwgap.core import EXTRA, MAX_POINTS, enumerate_edges, enumerate_points, point_index, support
 from mwgap.rounding import (
+    KEY_BLOCK,
     LABEL_BYTES,
     PARAM_CELLS,
     P_CORNER,
@@ -347,6 +349,55 @@ def _assert_keys_decode_to_the_exact_cut(params, n):
     return degenerate
 
 
+def class_keys_oracle(params, n):
+    """`rounding._class_keys` on the whole batch at once, as one vectorised
+    pass with (3, draws) temporaries: the reference for the blocked kernel."""
+    M = PARAM_CELLS
+    corner = params["is_corner"]
+    j = np.asarray(params["jt"], np.int64)
+    first = 2 * (M - j)
+    second = j + M * (1 - params["diag"])
+    ball = np.stack([first, second, 3 * M - first - second])
+    nr = n * np.where(corner, 2 * M + np.asarray(params["jr"], np.int64), ball)
+    floor_nr = nr // (3 * M)
+    rem = nr - 3 * M * floor_nr
+    choice = params["choice"]
+    lines = [lo + (hi - lo) * choice[:, s] for s, (lo, hi) in enumerate(((1, 2), (0, 2), (0, 1)))]
+    degenerate = ~corner & np.take_along_axis(rem == 0, np.stack(lines), 0).any(0)
+    key = (floor_nr[0] * n + floor_nr[1]) * n + floor_nr[2]
+    chords = (lines[0] * 3 + lines[1]) * 3 + lines[2]
+    return key * 27 + np.where(corner, 0, chords), degenerate
+
+
+def _assert_keys_match_oracle(params, n):
+    key, degenerate = _class_keys(params, n)
+    want_key, want_degenerate = class_keys_oracle(params, n)
+    assert key.dtype == np.int64 and degenerate.dtype == bool
+    assert np.array_equal(key, want_key) and np.array_equal(degenerate, want_degenerate)
+    return degenerate
+
+
+def test_class_keys_in_blocks_match_one_shot_oracle():
+    for seed, count in enumerate((1, KEY_BLOCK - 1, KEY_BLOCK, KEY_BLOCK + 1, 200_000)):
+        params = _draw_params(np.random.default_rng(100 + seed), count)
+        for n in (2, 6, 12, 17, MAX_GRID_N):
+            _assert_keys_match_oracle(params, n)
+
+
+def test_class_keys_flag_a_degenerate_run_across_a_block_edge():
+    # the forcing of test_estimate_density_redraws_like_the_oracle (a centre
+    # at t = 1/2 on diagonal 0, chord lines 1, 0, 0) on the last row of the
+    # first block and the first row of the second
+    params = _draw_params(np.random.default_rng(11), 2 * KEY_BLOCK + 3)
+    rows = slice(KEY_BLOCK - 1, KEY_BLOCK + 1)
+    params["is_corner"][rows] = False
+    params["diag"][rows] = 0
+    params["jt"][rows] = PARAM_CELLS // 2
+    params["choice"][rows] = 0
+    for n in (2, 3, 6, 12):
+        assert _assert_keys_match_oracle(params, n)[rows].all()
+
+
 def test_class_key_decodes_to_the_exact_cut():
     for seed, n in enumerate((2, 3, 6, 12, 17, MAX_GRID_N)):
         params = _draw_params(np.random.default_rng(seed), 500)
@@ -628,9 +679,11 @@ def test_separations_in_edge_chunks_match_one_chunk(monkeypatch):
 
 
 def test_batch_arrays_fit_label_bytes():
-    # per batch: params and thresholds hold at most 3 int64 per draw, the
-    # labels one int8 per class and point, and an edge chunk's compare, widened
-    # to int64, 8 bytes per class and edge; classes never outnumber draws
+    # per batch: the largest draw array, choice, holds 3 int64 per draw, and
+    # the key kernel's temporaries 3 int64 per draw of one KEY_BLOCK; the
+    # labels hold one int8 per class and point, and an edge chunk's compare,
+    # widened to int64, 8 bytes per class and edge; classes never outnumber draws
+    assert 24 * KEY_BLOCK <= LABEL_BYTES
     for n in (2, 12, 16, 17, 45, 1000, MAX_GRID_N):
         draws = _batch_size(n)
         assert 24 * draws <= LABEL_BYTES
@@ -639,3 +692,21 @@ def test_batch_arrays_fit_label_bytes():
             assert 8 * classes * _edge_chunk(classes) <= LABEL_BYTES
     n = MAX_GRID_N
     assert _batch_size(n) == LABEL_BYTES // comb(n + 2, 2) and _edge_chunk(1) == LABEL_BYTES // 8
+
+
+def test_estimate_density_traced_peak_is_the_draw_arrays():
+    # one 200,000-draw batch at n = 12: its draw arrays (is_corner 1 byte, jr,
+    # diag and jt 8 each, choice 24) take 49 B per draw, 9.35 MiB, and live
+    # until the keys are computed; the keys and degenerate flags add 9 B per
+    # draw, 1.72 MiB; the key kernel's temporaries, a few (3, KEY_BLOCK) int64
+    # at 192 KiB each, about 1.5 MiB more: 12.6 MiB in all.  16 MiB leaves
+    # room for allocator noise, but not for one (3, draws) int64 temporary
+    # (4.6 MiB) over the whole batch.
+    estimate_density(12, 200_000, 5)  # warm the grid caches
+    tracemalloc.start()
+    try:
+        estimate_density(12, 200_000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
