@@ -1,16 +1,16 @@
 """Grid-simplex geometry, weight functions, cuts, and the two basic functionals.
 
 Points of the discretized simplex are stored as tuples of k nonnegative
-integer numerators summing to n (the real point is coords/n).  Each grid
-object has one cached accessor: the tuples `enumerate_points` and
+integer numerators summing to n (the real point is coords/n); `point_rank`
+gives a point's lexicographic position in closed form.  Each grid object
+has one cached accessor: the tuples `enumerate_points` and
 `enumerate_edges`, and the read-only arrays `edge_index` (the edges'
-endpoints, by `point_index(k, n)` position) and `point_sides`.  A
+endpoint positions) and `point_sides`.  A `WeightFunction` is its integer
+numerators over one denominator, on its edges' endpoint positions; a
 validated `Cut` keeps its labels as an array in point order, and `cost`
-sums a weight function's integer numerators over one common denominator
-on the edges whose endpoint labels differ; `face_gather` places a
-smaller grid on faces of the k-simplex.  All arithmetic in this module
-is exact: weights and costs are `Fraction`s at the API, integers inside,
-and floating point is never used here.
+sums the numerators of the edges whose endpoint labels differ;
+`face_gather` places a smaller grid on faces of the k-simplex.  All
+arithmetic here is exact: `Fraction`s only at the API, never a float.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import random
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations, compress, repeat
-from math import comb, lcm
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, repeat
+from math import comb, gcd, lcm
 from operator import sub
 from types import MappingProxyType
-from typing import Optional
 
 import numpy as np
 
@@ -73,28 +72,36 @@ def enumerate_points(k: int, n: int) -> tuple[Point, ...]:
 @lru_cache(maxsize=64)
 def point_index(k: int, n: int) -> Mapping[Point, int]:
     """Read-only map from each point of Delta_{k,n} to its position in
-    `enumerate_points(k, n)` order."""
+    `enumerate_points(k, n)` order, for a `Cut`'s dict-keyed labels."""
     return MappingProxyType({x: i for i, x in enumerate(enumerate_points(k, n))})
+
+
+def point_rank(x: np.ndarray, n: int) -> np.ndarray:
+    """The position in `enumerate_points(k, n)` of each point of Delta_{k,n}
+    on x's last axis, k = x.shape[-1], without enumerating the grid: x_i puts
+    C(r + s, s) - C(r - x_i + s, s) points before x, r = n - x_0 - ... -
+    x_{i-1}, s = k - 1 - i.  intp, or object on 2**63 points or more."""
+    k = x.shape[-1]
+    dtype = np.intp if comb(n + k - 1, k - 1) < 2**63 else object
+    binom = np.array([[comb(r + s, s) for r in range(n + 1)] for s in range(k - 1, 0, -1)], dtype)
+    after = n - np.cumsum(x[..., :-1], axis=-1)
+    i = np.arange(k - 1)
+    return (binom[i, after + x[..., :-1]] - binom[i, after]).sum(axis=-1)
 
 
 def face_gather(k: int, n: int, faces: Sequence[Sequence[int]]) -> np.ndarray:
     """Read-only (len(faces), |Delta_{m,n}|) array: row f, column j is the
-    `point_index(k, n)` position of the j-th point of Delta_{m,n}, in
-    `enumerate_points` order, with its coordinates placed at faces[f].
+    `point_rank` of the j-th point of Delta_{m,n}, in `enumerate_points`
+    order, with its coordinates placed at faces[f].
 
     faces are faces of [k], all of one size m, in any order.  A sorted face
     keeps lexicographic order, so it maps canonical edges to canonical edges.
     """
-    index = point_index(k, n)
-    small = enumerate_points(len(faces[0]), n)
-    rows = []
-    for f in faces:
-        for x in small:
-            big = [0] * k
-            for i, v in zip(f, x):
-                big[i] = v
-            rows.append(index[tuple(big)])
-    gather = np.array(rows, dtype=np.intp).reshape(len(faces), len(small))
+    small = np.array(enumerate_points(len(faces[0]), n))
+    big = np.zeros((len(faces), len(small), k), small.dtype)
+    for f, face in enumerate(faces):
+        big[f][:, list(face)] = small
+    gather = point_rank(big, n)
     gather.setflags(write=False)
     return gather
 
@@ -110,31 +117,19 @@ def canonical_edge(x: Point, y: Point) -> Edge:
     return (x, y) if x <= y else (y, x)
 
 
-def neighbors(x: Point) -> list[Point]:
-    """Grid points at L1 distance exactly 2/n from x (unit transfers)."""
-    k = len(x)
-    out = []
-    for i in range(k):
-        if x[i] == 0:
-            continue
-        for j in range(k):
-            if i == j:
-                continue
-            y = list(x)
-            y[i] -= 1
-            y[j] += 1
-            out.append(tuple(y))
-    return out
-
-
 @lru_cache(maxsize=64)
 def edge_index(k: int, n: int) -> np.ndarray:
     """Read-only (2, edges) intp array of rows (u, v): edge j of
-    `enumerate_edges(k, n)` joins the points u[j] < v[j] of `point_index(k, n)`.
+    `enumerate_edges(k, n)` joins the points u[j] < v[j] of `enumerate_points(k, n)`.
     Index order is lexicographic, so the sorted pairs are the sorted canonical edges."""
-    index = point_index(k, n)
-    pairs = sorted((i, j) for i, x in enumerate(index) for j in map(index.__getitem__, neighbors(x)) if i < j)
-    uv = np.array(pairs, dtype=np.intp).T.copy()
+    points = np.array(enumerate_points(k, n))
+    step = np.eye(k, dtype=points.dtype)
+    pairs = []
+    for i, j in combinations(range(k), 2):
+        v = np.flatnonzero(points[:, i])  # moving a unit to a later x_j gives the smaller end
+        pairs.append(np.stack((point_rank(points[v] - step[i] + step[j], n), v)))
+    uv = np.concatenate(pairs, axis=1)
+    uv = uv[:, np.lexsort(uv[::-1])]
     uv.setflags(write=False)
     return uv
 
@@ -170,60 +165,89 @@ def check_edges(k: int, n: int, edges: Collection[Edge]) -> None:
             raise ValueError(f"{list(x)} and {list(y)} are not one unit transfer apart, so not an edge")
 
 
-@dataclass
 class WeightFunction:
-    """Exact-rational edge weights on E_{k,n}; absent edges weigh zero.
-    Every key must be a canonically ordered edge (`check_edges`), and every
-    value a nonnegative `int` or `Fraction`.
-
-    The weights dict is copied at construction.  Treat `weights` as
-    read-only afterwards: `cost` caches an integer form of it on first use.
+    """Exact-rational edge weights on E_{k,n}, as integer numerators over one
+    denominator: edge j joins the points of ranks u[j] < v[j] (`point_rank`)
+    and weighs nums[j] / denominator; absent edges weigh zero.  The edges
+    are distinct and in `enumerate_edges` order, and gcd(denominator, *nums)
+    = 1, so equal weights give equal arrays.  nums is int64 if it totals
+    below 2**63, else Python ints (object dtype); u and v are intp, or
+    object on a grid of 2**63 points or more.  The arrays are read-only.
+    `from_numerators` takes the arrays; the constructor takes a dict, zero
+    weights kept, whose keys are canonically ordered edges (`check_edges`)
+    and values nonnegative ints or `Fraction`s, and ranks the endpoints in
+    closed form, so it never enumerates Delta_{k,n}.
     """
 
-    k: int
-    n: int
-    weights: dict[Edge, Fraction] = field(default_factory=dict)
-    _integer: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.weights = dict(self.weights)
-        check_grid(self.k, self.n)
-        check_edges(self.k, self.n, self.weights)
-        for (x, y), w in self.weights.items():
+    def __init__(self, k: int, n: int, weights: Mapping[Edge, int | Fraction] = MappingProxyType({})) -> None:
+        check_grid(k, n)
+        check_edges(k, n, weights)
+        items = sorted(weights.items())  # lexicographic order is rank order
+        for (x, y), w in items:
             if not isinstance(w, (int, Fraction)):
                 raise ValueError(f"weight {w!r} on {(x, y)} is not an int or Fraction")
-            if w.numerator < 0:
+            if w < 0:
                 raise ValueError(f"negative weight {w} on {(x, y)}")
             if x > y:
                 raise ValueError(f"edge {(x, y)} is not canonically ordered")
+        D = lcm(*(w.denominator for _, w in items))
+        ends = point_rank(np.array([e for e, _ in items], np.int64).reshape(-1, 2, k), n)
+        self._store(k, n, D, ends[:, 0], ends[:, 1], [w.numerator * (D // w.denominator) for _, w in items])
 
-    def integer_form(self) -> tuple[int, np.ndarray, np.ndarray, tuple[int, ...]]:
-        """(D, u, v, nums): edge j joins points u[j] and v[j] of
-        `point_index(k, n)` and weighs nums[j] / D, D the lcm of the
-        denominators.  Built on the first call, so constructing a weight
-        function never enumerates Delta_{k,n}; only a cost against a cut does.
-        """
-        if self._integer is None:
-            index = point_index(self.k, self.n)
-            D = lcm(*(q.denominator for q in self.weights.values()))
-            m = len(self.weights)
-            u = np.fromiter((index[x] for x, _ in self.weights), np.intp, m)
-            v = np.fromiter((index[y] for _, y in self.weights), np.intp, m)
-            u.setflags(write=False)
-            v.setflags(write=False)
-            nums = tuple(q.numerator * (D // q.denominator) for q in self.weights.values())
-            self._integer = (D, u, v, nums)
-        return self._integer
+    @classmethod
+    def from_numerators(cls, k: int, n: int, denominator: int, u, v, nums) -> WeightFunction:
+        """Edge j joins the points u[j] < v[j] of `enumerate_points(k, n)` and
+        weighs nums[j] / denominator, checked on the arrays: the pairs (u, v)
+        lie on the grid, strictly increase, are edges, and weigh at least 0."""
+        points = np.array(enumerate_points(k, n))
+        u, v, nums = np.asarray(u, np.intp), np.asarray(v, np.intp), np.asarray(nums).tolist()
+        keys = u * len(points) + v
+        if u.size and not (0 <= u.min() and (u < v).all() and v.max() < len(points) and (np.diff(keys) > 0).all()):
+            raise ValueError(f"edges must be rank pairs 0 <= u < v < {len(points)}, once each, in enumerate_edges order")
+        if (np.abs(points[u] - points[v]).sum(axis=1) != 2).any():
+            raise ValueError("edge ends are not one unit transfer apart, so not an edge")
+        if min(nums, default=0) < 0:
+            raise ValueError(f"negative weight numerator {min(nums)}")
+        w = cls.__new__(cls)
+        w._store(k, n, denominator, u, v, nums)
+        return w
+
+    def _store(self, k: int, n: int, D: int, u: np.ndarray, v: np.ndarray, nums: list[int]) -> None:
+        g = gcd(D, *nums)
+        self.k, self.n, self.u, self.v, self.denominator = k, n, u, v, D // g
+        self.nums = np.array([q // g for q in nums], np.int64 if sum(nums) // g < 2**63 else object)
+        for a in (u, v, self.nums):
+            a.setflags(write=False)
+
+    @cached_property
+    def weights(self) -> Mapping[Edge, Fraction]:
+        """The weights as a read-only `Fraction` dict on `enumerate_points`' tuples, built on first read."""
+        points, D = enumerate_points(self.k, self.n), self.denominator
+        ends = zip(self.u.tolist(), self.v.tolist(), self.nums.tolist())
+        return MappingProxyType({(points[a], points[b]): Fraction(q, D) for a, b, q in ends})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightFunction):
+            return NotImplemented
+        fields = ("k", "n", "denominator", "u", "v", "nums")
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
     def get(self, x: Point, y: Point) -> Fraction:
         return self.weights.get(canonical_edge(x, y), Fraction(0))
 
     def total(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+        return Fraction(sum(self.nums.tolist()), self.denominator)
 
-    def scaled(self, a: Fraction) -> "WeightFunction":
+    def scaled(self, a: Fraction) -> WeightFunction:
+        """a >= 0 times every weight, dropping the edges whose product is zero."""
         a = Fraction(a)
-        return WeightFunction(self.k, self.n, {e: aw for e, w in self.weights.items() if (aw := a * w) != 0})
+        if a < 0:
+            raise ValueError(f"negative scale {a}")
+        keep = np.flatnonzero(self.nums) if a else []
+        w = WeightFunction.__new__(WeightFunction)
+        nums = [q * a.numerator for q in self.nums[keep].tolist()]
+        w._store(self.k, self.n, self.denominator * a.denominator, self.u[keep], self.v[keep], nums)
+        return w
 
 
 def lpc(w: WeightFunction) -> Fraction:
@@ -287,26 +311,18 @@ class Cut:
 
 
 def cost(P: Cut, w: WeightFunction) -> Fraction:
-    """Total weight of edges whose endpoints receive different labels.
-
-    An exact integer sum of w's numerators over its common denominator
-    (`WeightFunction.integer_form`); the result is the only `Fraction`.
-    """
+    """Total weight of edges whose endpoints receive different labels, an
+    exact sum of w's numerators: int64 ones total below 2**63, so their sum
+    cannot wrap, and object ones add Python ints."""
     if (P.k, P.n) != (w.k, w.n):
         raise ValueError("cut and weights live on different grids")
-    D, u, v, nums = w.integer_form()
     lab = P.label_array
-    return Fraction(sum(compress(nums, (lab[u] != lab[v]).tolist())), D)
+    return Fraction(int(w.nums[lab[w.u] != lab[w.v]].sum()), w.denominator)
 
 
 def random_kway_cut(k: int, n: int, rng: random.Random) -> Cut:
     """Uniform label in range(k) for each non-terminal point."""
-    labels = {}
-    for x in enumerate_points(k, n):
-        if max(x) == n:
-            labels[x] = x.index(n)
-        else:
-            labels[x] = rng.randrange(k)
+    labels = {x: x.index(n) if max(x) == n else rng.randrange(k) for x in enumerate_points(k, n)}
     return Cut(k, n, labels, KWAY)
 
 

@@ -26,8 +26,8 @@ The weight-free part of the dual, `dual_topology(n)`, is built once per n
 from the point array and cached as read-only integer arrays of the dual
 alone: each edge slot's two dual nodes, by node ids in sorted node-tuple
 order, the face and outer-node ids, and the face centroids.  A
-`DualGraph` adds one list of weight numerators per edge slot, from
-`WeightFunction.integer_form()`.
+`DualGraph` adds one list of weight numerators per edge slot, placed
+from the `WeightFunction`'s arrays.
 Both shortest-path kernels search one graph, `_search_graph(n)`, the
 Lipschitz rows of the potential system.  `certify` takes scipy's
 compiled Dijkstra while the weight numerators total less than
@@ -70,10 +70,9 @@ from .core import (
     edge_index,
     enumerate_edges,
     enumerate_points,
-    point_index,
+    point_rank,
     point_sides,
     support,
-    terminal,
 )
 from .serialize import rat_to_str
 
@@ -134,12 +133,6 @@ def _find_pairs(lo: np.ndarray, hi: np.ndarray, size: int, u: np.ndarray, v: np.
     return order[np.searchsorted(keys, np.minimum(u, v).astype(np.intp) * size + np.maximum(u, v), sorter=order)]
 
 
-def _point_ids(x: np.ndarray, n: int) -> np.ndarray:
-    """The lex position a (2n + 3 - a) / 2 + b of each point (a, b, c) of Delta_{3,n} on x's last axis."""
-    a = x[..., 0].astype(np.intp)
-    return a * (2 * n + 3 - a) // 2 + x[..., 1]
-
-
 @lru_cache(maxsize=64)
 def dual_topology(n: int) -> DualTopology:
     """The dual's topology for Delta_{3,n}, built once per n from the point
@@ -161,8 +154,10 @@ def dual_topology(n: int) -> DualTopology:
     eye = np.eye(3, dtype=np.intp)
     i, j = (y - x).argmin(axis=1), (y - x).argmax(axis=1)
     below = x - 1 + eye[j]  # the down face's base, when no coordinate is negative
-    lower = np.where(below.min(axis=1) >= 0, _point_ids(below, n - 2), len(down) + 3 - i - j)
-    upper = len(down) + 3 + _point_ids(x - eye[i], n - 1)  # every down or outer id is below every up id
+    lower = len(down) + 3 - i - j
+    face = below.min(axis=1) >= 0
+    lower[face] = point_rank(below[face], n - 2)
+    upper = len(down) + 3 + point_rank(x - eye[i], n - 1)  # every down or outer id is below every up id
     return DualTopology(
         ends=_frozen(np.column_stack((lower, upper))),
         faces=_frozen(np.concatenate((np.arange(len(up)) + len(down) + 3, np.arange(len(down))))),
@@ -180,19 +175,16 @@ class DualGraph:
 
 
 def build_dual(n: int, w: WeightFunction) -> DualGraph:
-    """The cached dual topology, with w's integer_form() numerators in edge-slot order."""
+    """The cached dual topology, with w's numerators in edge-slot order."""
     if w.k != 3:
         raise ValueError(f"dual machinery is specific to k = 3, got k = {w.k}")
     if w.n != n:
         raise ValueError(f"weight function is on n = {w.n}, expected {n}")
     topo = dual_topology(n)
-    D, u, v, nums = w.integer_form()
     # `WeightFunction` admits weight only on edges, so every pair has a slot
-    slots = _find_pairs(*edge_index(3, n), comb(n + 2, 2), u, v)
-    weights = [0] * len(topo.ends)
-    for s, q in zip(slots.tolist(), nums):
-        weights[s] = q
-    return DualGraph(n, topo, weights, D)
+    weights = np.zeros(len(topo.ends), w.nums.dtype)
+    weights[_find_pairs(*edge_index(3, n), comb(n + 2, 2), w.u, w.v)] = w.nums
+    return DualGraph(n, topo, weights.tolist(), w.denominator)
 
 
 def _shortest_paths(g: DualGraph, sources: list[int]) -> list[tuple[list, list]]:
@@ -540,9 +532,9 @@ class PotentialReport:
 def check_potentials(n: int, w: WeightFunction) -> PotentialReport:
     """Evaluate `potential_system(n)` exactly on w and `paper_potentials(n)`.
 
-    Every value is a multiple of 1/L, L = lcm(D, 6n) and D the denominator
-    of `w.integer_form()`, so the check is A x >= b L on x, the edge
-    weights and then the potentials as numerators over L.  They are int64
+    Every value is a multiple of 1/L, L = lcm(D, 6n) and D = w.denominator,
+    so the check is A x >= b L on x, the edge weights and then the
+    potentials as numerators over L.  They are int64
     when L and every entry of x are below INT64_TERMS, so that a row's
     three terms cannot overflow, and Python ints (object dtype) otherwise.
     The first violated row is reported by name: it maps each nonzero
@@ -635,8 +627,7 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
         raise ValueError("normalize_cut expects a non-opposite cut")
     n = P.n
     points = enumerate_points(3, n)
-    index = point_index(3, n)
-    terminals = [index[terminal(i, 3, n)] for i in range(3)]
+    terminals = point_rank(n * np.eye(3, dtype=np.intp), n).tolist()
     lab = P.label_array.tolist()
     adj: list[list[int]] = [[] for _ in lab]
     for u, v in zip(*edge_index(3, n).tolist()):
@@ -753,10 +744,9 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
     if (count := comb(n + 2, 2)) > BRUTE_MAX_POINTS:
         raise ValueError(f"{count} points exceed the exhaustive bound {BRUTE_MAX_POINTS}")
     points = enumerate_points(3, n)
-    D, u, v, nums = w.integer_form()
     # edges to already-assigned points, per point: a canonical edge has u < v
     back_edges: list[list[tuple[int, int]]] = [[] for _ in points]
-    for i, j, num in zip(u.tolist(), v.tolist(), nums):
+    for i, j, num in zip(w.u.tolist(), w.v.tolist(), w.nums.tolist()):
         back_edges[j].append((i, num))
 
     choices: list[list[int]] = []
@@ -792,4 +782,4 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
     assert best_cost is not None and best_labels is not None
     labels = {p: best_labels[i] for i, p in enumerate(points)}
     fam = NONOPPOSITE if family == NONOPPOSITE else KWAY
-    return Fraction(best_cost, D), Cut(3, n, labels, fam)
+    return Fraction(best_cost, w.denominator), Cut(3, n, labels, fam)

@@ -26,10 +26,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .core import Edge, WeightFunction, enumerate_edges
+from .core import WeightFunction, edge_index, enumerate_edges
 from .dual import NONOPPOSITE, Certificate, certify, potential_system, symmetry_orbits
 
 # Nothing here calls `dijkstra`: the recheck's `certify` runs the id-level
@@ -108,9 +109,11 @@ def _orbit_rows(n: int) -> tuple[list[dict[int, float]], list[int], int]:
     return rows, unique[:, 6].tolist(), m
 
 
-def _to_weight_function(n: int, edges: list[Edge], x: np.ndarray) -> WeightFunction:
-    weights = {e: Fraction(float(v)) for e, v in zip(edges, x) if v > 0}
-    return WeightFunction(3, n, weights)
+def _to_weight_function(n: int, x: np.ndarray) -> WeightFunction:
+    """The positive floats x, one per edge slot, as exact numerators over one denominator."""
+    ratios = [q.as_integer_ratio() for q in x[x > 0].tolist()]
+    D = lcm(*(d for _, d in ratios))
+    return WeightFunction.from_numerators(3, n, D, *edge_index(3, n)[:, x > 0], [p * (D // d) for p, d in ratios])
 
 
 def search(n: int) -> SearchState:
@@ -124,13 +127,11 @@ def search(n: int) -> SearchState:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    edges = enumerate_edges(3, n)
     rows, rhs, m = _orbit_rows(n)
     y = solve_lp(rows, rhs, n, m)
     orbits = symmetry_orbits(n)
-    orbit = orbits.orbit[: len(edges)]
-
-    w = _to_weight_function(n, edges, y[orbit] / orbits.size[orbit])
+    orbit = orbits.orbit[: len(enumerate_edges(3, n))]
+    w = _to_weight_function(n, y[orbit] / orbits.size[orbit])
     cert = certify(n, w, NONOPPOSITE, Fraction(1))
     bound = cert.overall
     if bound > 0:

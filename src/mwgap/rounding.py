@@ -83,9 +83,9 @@ def _draw_params(rng: np.random.Generator, count: int) -> dict:
     return {
         "is_corner": rng.integers(0, P_CORNER.denominator, count) < P_CORNER.numerator,
         "jr": rng.integers(0, M, count),
-        "diag": rng.integers(0, 2, count),
+        "diag": rng.integers(0, 2, count).astype(np.int8),  # drawn as int64: the recorded stream
         "jt": rng.integers(1, M, count),
-        "choice": rng.integers(0, 2, (count, 3)),
+        "choice": rng.integers(0, 2, (count, 3)).astype(np.int8),
     }
 
 
@@ -113,7 +113,7 @@ def _class_keys(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
         # (2(M - j), j, M + j) on diagonal 1
         j = np.asarray(params["jt"][block], np.int64)
         first = 2 * (M - j)
-        second = j + M * (1 - params["diag"][block])
+        second = j + M * (1 - np.asarray(params["diag"][block], np.int64))
         ball = np.stack([first, second, 3 * M - first - second])
         nr = n * np.where(corner, 2 * M + np.asarray(params["jr"][block], np.int64), ball)
         floor_nr = nr // (3 * M)

@@ -9,8 +9,9 @@ Five families:
   build_w_tilde — the convex combination of the last two that pushes every
                   k-way cut cost to at least one
 
-The k-way families are one lifted integer sum, `_lifted`, over the
-cached `core.sorted_face_gather`; E_{k,n} is never enumerated.
+`build_w3` and the k-way families hand `WeightFunction.from_numerators`
+integer arrays: the k-way ones are one lifted integer sum, `_lifted`,
+over the cached `core.sorted_face_gather`; E_{k,n} is never enumerated.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Edge, WeightFunction, edge_index, enumerate_edges, enumerate_points, sorted_face_gather
+from .core import WeightFunction, edge_index, enumerate_edges, enumerate_points, sorted_face_gather
 
 
 def build_w3(n: int) -> WeightFunction:
@@ -32,11 +33,12 @@ def build_w3(n: int) -> WeightFunction:
     to rho at the hexagon; everything else gets rho = 1/(2n).
 
     The weights are numerators over 2n, computed on the edge endpoints
-    `edge_index(3, n)`; the dict lists the edges in `enumerate_edges` order.
+    `edge_index(3, n)`, the arrays the weight function keeps.
     """
     if n < 3 or n % 3 != 0:
         raise ValueError(f"construction needs n >= 3 divisible by 3, got {n}")
-    x, y = np.array(enumerate_points(3, n))[edge_index(3, n)]
+    uv = edge_index(3, n)
+    x, y = np.array(enumerate_points(3, n))[uv]
     # an edge moves coordinates a < b by one each and keeps c at m
     c = np.argmax(x == y, axis=1)
     a = np.where(c == 0, 1, 0)
@@ -47,19 +49,13 @@ def build_w3(n: int) -> WeightFunction:
     third = n // 3
     ramp = np.where(v < third, third - v, np.where(u < third, third - u, 1))
     num = np.where(3 * m > 2 * n, 0, np.where(m == 0, ramp, 1))
-    rho = [Fraction(j, 2 * n) for j in range(third + 1)]
-    return WeightFunction(3, n, {e: rho[j] for e, j in zip(enumerate_edges(3, n), num.tolist()) if j})
+    return WeightFunction.from_numerators(3, n, 2 * n, *uv[:, num > 0], num[num > 0])
 
 
 def build_fk() -> WeightFunction:
-    """The classic n = 2 triangle instance with lpc = 7/8."""
-    weights: dict[Edge, Fraction] = {}
-    for x, y in enumerate_edges(3, 2):
-        if max(x) == 2 or max(y) == 2:
-            weights[(x, y)] = Fraction(1, 6)  # simplex vertex to middle point
-        else:
-            weights[(x, y)] = Fraction(1, 4)  # middle point to middle point
-    return WeightFunction(3, 2, weights)
+    """The classic n = 2 triangle instance with lpc = 7/8: 1/6 on an edge
+    at a simplex vertex, 1/4 between middle points."""
+    return WeightFunction(3, 2, {(x, y): Fraction(1, 6 if 2 in x + y else 4) for x, y in enumerate_edges(3, 2)})
 
 
 def _line(n: int) -> WeightFunction:
@@ -70,25 +66,22 @@ def _line(n: int) -> WeightFunction:
 def _lifted(k: int, n: int, terms: list[tuple[Fraction, WeightFunction]]) -> WeightFunction:
     """Sum of c * w over the terms (c, w), each w placed on every sorted face
     of [k] of its size by `sorted_face_gather` (so edges stay canonical), as
-    integer numerators over one denominator L: one q / L per edge, in `enumerate_edges` order."""
-    points = enumerate_points(k, n)
-    L = lcm(*(c.denominator * w.integer_form()[0] for c, w in terms))
+    int64 numerators over one denominator L."""
+    count = len(enumerate_points(k, n))
+    L = lcm(*(c.denominator * w.denominator for c, w in terms))
     keys, nums, bound = [], [], 0
     for c, w in terms:
-        D, u, v, q = w.integer_form()
         gather = sorted_face_gather(k, n, w.k)
-        scale = c.numerator * (L // (c.denominator * D))
-        bound += len(gather) * sum(q) * scale
+        scale = c.numerator * (L // (c.denominator * w.denominator))
+        bound += len(gather) * sum(w.nums.tolist()) * scale
         if bound >= 2**63:
             raise ValueError(f"the numerators of the ({k}, {n}) sum over denominator {L} exceed int64")
-        keys.append((gather[:, u] * len(points) + gather[:, v]).ravel())
-        nums.append(np.tile(np.array(q, np.int64) * scale, len(gather)))
+        keys.append((gather[:, w.u] * count + gather[:, w.v]).ravel())
+        nums.append(np.tile(w.nums * scale, len(gather)))
     key, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     total = np.zeros(len(key), np.int64)
     np.add.at(total, inverse, np.concatenate(nums))
-    u, v = np.divmod(key, len(points))
-    weights = {(points[a], points[b]): Fraction(q, L) for a, b, q in zip(u.tolist(), v.tolist(), total.tolist())}
-    return WeightFunction(k, n, weights)
+    return WeightFunction.from_numerators(k, n, L, *np.divmod(key, count), total)
 
 
 def build_w_hat(k: int, n: int) -> WeightFunction:

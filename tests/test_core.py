@@ -1,5 +1,6 @@
 """Grid simplex primitives: points, edges, weight functions, cuts."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from mwgap import core
+from mwgap import dual as dual_module
 from mwgap.core import (
     Cut,
     KWAY,
@@ -20,14 +22,15 @@ from mwgap.core import (
     enumerate_edges,
     enumerate_points,
     lpc,
-    neighbors,
     point_index,
+    point_rank,
     point_sides,
     random_kway_cut,
     random_nonopposite_cut,
     support,
     terminal,
 )
+from mwgap.dual import THREEWAY, certify, check_potentials
 from mwgap.lpsearch import search
 from mwgap.weights import build_fk, build_w3, build_w_hat, build_w_prime, build_w_tilde
 
@@ -81,6 +84,18 @@ def test_neighbors_match_edge_list():
             assert canonical_edge(p, q) in edges
 
 
+def neighbors(x):
+    """Reference: grid points at L1 distance exactly 2/n from x (unit transfers)."""
+    out = []
+    for i, j in itertools.permutations(range(len(x)), 2):
+        if x[i]:
+            y = list(x)
+            y[i] -= 1
+            y[j] += 1
+            out.append(tuple(y))
+    return out
+
+
 def oracle_enumerate_edges(k, n):
     """Reference: every point's neighbors, canonically ordered, deduplicated and sorted."""
     return sorted({canonical_edge(x, y) for x in enumerate_points(k, n) for y in neighbors(x)})
@@ -94,15 +109,16 @@ def test_edges_match_neighbor_oracle():
 def test_edges_are_cached_per_grid(monkeypatch):
     calls = []
 
-    def counting(x):
+    def counting(x, n):
         calls.append(x)
-        return neighbors(x)
+        return point_rank(x, n)
 
-    monkeypatch.setattr(core, "neighbors", counting)
+    monkeypatch.setattr(core, "point_rank", counting)
     core.edge_index.cache_clear()
     core.enumerate_edges.cache_clear()
     build_w3(6)
-    assert len(calls) == len(enumerate_points(3, 6))
+    # one rank per unit transfer from x_i to a later x_j, each pair (i, j) once
+    assert len(calls) == 3 and sum(map(len, calls)) == len(enumerate_edges(3, 6))
     calls.clear()
     build_w3(6)
     assert calls == []
@@ -262,10 +278,10 @@ def test_cost_matches_fraction_oracle():
         cuts = [random_kway_cut(w.k, w.n, rng) for _ in range(6)]
         if w.k == 3:
             cuts += [random_nonopposite_cut(w.n, rng) for _ in range(6)]
-        D, u, v, nums = w.integer_form()
         for P in cuts:
             assert cost(P, w) == oracle_cost(P, w)
-            cut_nums = sum(m for m, a, b in zip(nums, u, v) if P.label_array[a] != P.label_array[b])
+            ends = zip(w.nums.tolist(), w.u, w.v)
+            cut_nums = sum(m for m, a, b in ends if P.label_array[a] != P.label_array[b])
             past_int64 += cut_nums >= 2**63
     assert past_int64 > 0
 
@@ -278,7 +294,7 @@ def test_inputs_are_owned():
     w = WeightFunction(3, 3, weights)
     expected = cost(P, w3)
     edge = next(e for e in weights if P.labels[e[0]] != P.labels[e[1]])
-    weights[edge] += 1  # before the first cost: the lazy integer form must not see it
+    weights[edge] += 1  # before the first cost: the stored numerators must not see it
     x = next(x for x in labels if max(x) < 3 and labels[x] != 3)
     labels[x] = 3
     assert Q.labels == P.labels and w.weights == w3.weights
@@ -328,3 +344,109 @@ def test_weight_function_rejects_weights_off_the_nonnegative_rationals(value, me
     e = enumerate_edges(3, 2)[0]
     with pytest.raises(ValueError, match=re.escape(message.format(e=e))):
         WeightFunction(3, 2, {e: value})
+
+
+@pytest.mark.parametrize("k, n", [(2, 7), (3, 45), (4, 5), (8, 6), (12, 3), (20, 5)])
+def test_point_rank_is_the_point_order(k, n):
+    ranks = point_rank(np.array(enumerate_points(k, n)), n)
+    assert ranks.dtype == np.intp and ranks.tolist() == list(range(comb(n + k - 1, k - 1)))
+
+
+def test_point_rank_past_int64_never_enumerates_its_grid():
+    before = core.enumerate_points.cache_info()
+    top = comb(99, 39) - 1
+    assert top == 5498493658321124600506947887
+    ranks = point_rank(np.array([(60,) + (0,) * 39, (59, 1) + (0,) * 38]), 60)
+    assert ranks.dtype == object and ranks.tolist() == [top, top - 1]
+    assert core.enumerate_points.cache_info() == before
+
+
+def test_weight_function_stores_reduced_numerators_by_rank():
+    e, f, g = (enumerate_edges(3, 3)[j] for j in (0, 1, 5))
+    w = WeightFunction(3, 3, {f: Fraction(1, 4), g: 0, e: Fraction(2, 4)})  # any dict order
+    index = point_index(3, 3)
+    assert w.denominator == 4 and w.nums.tolist() == [2, 1, 0] and w.nums.dtype == np.int64
+    assert w.u.tolist() == [index[x] for x, _ in (e, f, g)] and w.v.tolist() == [index[y] for _, y in (e, f, g)]
+    assert all(not a.flags.writeable for a in (w.u, w.v, w.nums))
+    assert len(w.weights) == 3 and list(w.weights.values()) == [Fraction(1, 2), Fraction(1, 4), 0]
+    with pytest.raises(TypeError):
+        w.weights[e] = Fraction(1)  # a view of the arrays, so read-only
+    doubled = w.scaled(2)
+    assert doubled.denominator == 2 and doubled.nums.tolist() == [2, 1] and len(doubled.weights) == 2
+    assert WeightFunction(3, 3, {e: Fraction(1, 2), f: Fraction(1, 4)}) != w  # a zero entry is kept
+    assert w.scaled(0) == WeightFunction(3, 3) and w.scaled(0).denominator == 1
+    with pytest.raises(ValueError, match="negative scale"):
+        w.scaled(-1)
+
+
+def test_from_numerators_checks_its_arrays():
+    u, v = edge_index(3, 3)
+    w = WeightFunction.from_numerators(3, 3, 12, u, v, np.arange(len(u)) * 2)
+    assert w == WeightFunction(3, 3, {e: Fraction(2 * j, 12) for j, e in enumerate(enumerate_edges(3, 3))})
+    assert w.denominator == 6
+    cases = [
+        ((u - 1, v, [1] * len(u)), "0 <= u < v < 10"),  # a rank below the grid
+        ((u, v + 1, [1] * len(u)), "0 <= u < v < 10"),  # v past the last point
+        ((v, u, [1] * len(u)), "0 <= u < v < 10"),  # ends swapped
+        ((u[::-1], v[::-1], [1] * len(u)), "enumerate_edges order"),
+        ((u[[0, 0]], v[[0, 0]], [1, 1]), "enumerate_edges order"),  # an edge twice
+        (([0], [9], [1]), "not one unit transfer apart"),
+        ((u, v, [1] * (len(u) - 1) + [-1]), "negative weight numerator -1"),
+    ]
+    for (a, b, nums), message in cases:
+        with pytest.raises(ValueError, match=message):
+            WeightFunction.from_numerators(3, 3, 1, a, b, nums)
+
+
+def _every_builder():
+    ws = [build_w3(n) for n in (3, 6, 30, 45)] + [build_fk()]
+    for k, n in ((5, 3), (8, 6), (12, 3)):
+        ws += [build_w_hat(k, n), build_w_prime(k, n), build_w_tilde(k, n)]
+    return ws
+
+
+def test_the_dict_of_every_weight_function_rebuilds_it():
+    searched = [search(n).weights for n in range(3, 7)]
+    assert all(max(q.denominator for q in w.weights.values()) > 2**50 for w in searched)
+    crafted = _crafted_instances()
+    assert all(w.nums.dtype == object for w in crafted)
+    for w in _every_builder() + searched + crafted:
+        assert WeightFunction(w.k, w.n, w.weights) == w
+        assert lpc(w) == sum(w.weights.values()) / w.n
+
+
+def test_kernels_never_build_the_weights_view():
+    # what the triangle benchmark job runs: build_w3, certify twice, check_potentials
+    for n in (3, 6, 45):
+        w = build_w3(n)
+        assert certify(n, w, NONOPPOSITE, Fraction(1)).passed
+        assert certify(n, w, THREEWAY, Fraction(2, 3)).passed
+        assert check_potentials(n, w).ok
+        assert "weights" not in vars(w)
+    w = build_w_tilde(8, 6)
+    assert "weights" not in vars(w)
+    P = random_kway_cut(8, 6, random.Random(3))
+    assert cost(P, w) >= 1
+    assert "weights" not in vars(w)
+
+
+def test_numerators_just_past_int64_take_python_ints(monkeypatch):
+    # 18 integer weights of Delta_{3,3}, each below 2**63 / 16, totalling 2**63 + 1:
+    # an int64 sum would wrap to -2**63 + 1
+    edges = enumerate_edges(3, 3)
+    q = 2**63 // len(edges)
+    nums = [q] * (len(edges) - 1) + [2**63 + 1 - q * (len(edges) - 1)]
+    assert max(nums) < 2**63 // 16 and sum(nums) == 2**63 + 1
+    w = WeightFunction(3, 3, dict(zip(edges, nums)))
+    assert w.nums.dtype == object and w.denominator == 1
+    assert np.array(nums, np.int64).sum() < 0  # the trap
+    rng = random.Random(8)
+    cuts = [random_kway_cut(3, 3, rng) for _ in range(8)] + [random_nonopposite_cut(3, rng) for _ in range(8)]
+    for P in cuts:
+        assert cost(P, w) == oracle_cost(P, w)
+    assert lpc(w) == Fraction(2**63 + 1, 3)
+    runs = []
+    kernel = dual_module._shortest_paths
+    monkeypatch.setattr(dual_module, "_shortest_paths", lambda g, sources: runs.append(sources) or kernel(g, sources))
+    cert = certify(3, w, NONOPPOSITE, Fraction(1))
+    assert len(runs) == 1 and cert.passed

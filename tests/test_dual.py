@@ -1,10 +1,13 @@
 """Planar dual graph, certificates, potentials, normalization, brute force."""
 
+import hashlib
 import heapq
+import itertools
 import random
 import re
 from dataclasses import fields
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +26,6 @@ from mwgap.core import (
     edge_index,
     enumerate_edges,
     enumerate_points,
-    neighbors,
     point_sides,
     random_kway_cut,
     random_nonopposite_cut,
@@ -78,8 +80,8 @@ def oracle_build_dual(n, w):
     """Reference: the dual as a dict adjacency, node -> sorted list of
     (neighbor, weight numerator over D, primal edge), from faces and their
     incident edges."""
-    D, _, _, nums = w.integer_form()
-    num = dict(zip(w.weights, nums))
+    D = lcm(*(q.denominator for q in w.weights.values()))
+    num = {e: int(q * D) for e, q in w.weights.items()}
     faces = enumerate_faces(n)
     incident = {}
     for f in faces:
@@ -395,21 +397,26 @@ def test_topology_holds_only_read_only_integer_arrays():
         topo.ends[0, 0] = 0
 
 
-def test_second_build_dual_enumerates_no_edges(monkeypatch):
-    calls = []
+def test_dual_topology_bytes_are_unchanged_for_n_up_to_60():
+    # sha256 of each field's dtype, shape and bytes for n = 1..60, recorded
+    # with face ids from the k = 3 lex position a (2n + 3 - a) / 2 + b, which
+    # `core.point_rank` generalizes
+    digest = hashlib.sha256()
+    for n in range(1, 61):
+        topo = dual_topology(n)
+        for a in (topo.ends, topo.faces, topo.centroids, topo.outer):
+            digest.update(str(a.dtype).encode() + str(a.shape).encode() + a.tobytes())
+    assert digest.hexdigest() == "1baa811163ccd891419d92fc55c4a1bc308ddb64a35d644cbcf72b248b6a337e"
 
-    def counting(x):
-        calls.append(x)
-        return neighbors(x)
 
+def test_second_build_dual_enumerates_no_edges():
     w = build_w3(6)
-    monkeypatch.setattr(core, "neighbors", counting)
     edge_index.cache_clear()
     dual_topology.cache_clear()
     g = build_dual(6, w)
-    assert len(calls) == len(enumerate_points(3, 6))  # the first build enumerates the edges, once
+    assert edge_index.cache_info().misses == 1  # the first build enumerates the edges, once
     h = build_dual(6, w.scaled(2))
-    assert len(calls) == len(enumerate_points(3, 6))
+    assert edge_index.cache_info().misses == 1
     assert h.topology is g.topology
 
 
@@ -747,7 +754,7 @@ def test_check_potentials_agrees_across_the_int64_boundary(monkeypatch):
     outcomes = set()
     for n in (3, 6):
         w = build_w3(n)
-        D, _, _, nums = w.integer_form()
+        D, nums = w.denominator, w.nums.tolist()
         assert (6 * n) % D == 0  # so L = 6n, before and after scaling by an integer
         below = (dual_module.INT64_TERMS - 1) // (max(nums) * (6 * n // D))
         for c, dtype in ((below, np.int64), (below + 1, object)):
@@ -872,6 +879,18 @@ def test_uncut_edges_matches_comprehension_oracle():
                 assert uncut_edges(P) == oracle_uncut_edges(P)
     with pytest.raises(ValueError, match="k = 3"):
         uncut_edges(random_kway_cut(4, 3, rng))
+
+
+def neighbors(x):
+    """Reference: grid points at L1 distance exactly 2/n from x (unit transfers)."""
+    out = []
+    for i, j in itertools.permutations(range(len(x)), 2):
+        if x[i]:
+            y = list(x)
+            y[i] -= 1
+            y[j] += 1
+            out.append(tuple(y))
+    return out
 
 
 def oracle_components(labels, points):

@@ -49,7 +49,7 @@ def test_to_weight_function_is_exact_on_floats():
     edges = enumerate_edges(3, 3)
     x = np.zeros(len(edges))
     x[0] = 0.375  # an exact binary float
-    w = _to_weight_function(3, edges, x)
+    w = _to_weight_function(3, x)
     assert w.get(*edges[0]) == Fraction(3, 8)
 
 

@@ -356,7 +356,7 @@ def class_keys_oracle(params, n):
     corner = params["is_corner"]
     j = np.asarray(params["jt"], np.int64)
     first = 2 * (M - j)
-    second = j + M * (1 - params["diag"])
+    second = j + M * (1 - np.asarray(params["diag"], np.int64))
     ball = np.stack([first, second, 3 * M - first - second])
     nr = n * np.where(corner, 2 * M + np.asarray(params["jr"], np.int64), ball)
     floor_nr = nr // (3 * M)
@@ -662,6 +662,38 @@ def test_estimate_density_redraws_like_the_oracle(monkeypatch):
         assert calls == oracle_calls and len(calls) >= 3 and est.resampled >= 14
 
 
+def draw_params_int64(rng, count):
+    """Reference: `_draw_params` as it was before its coin flips were
+    narrowed, every integer array kept as drawn, in int64."""
+    M = PARAM_CELLS
+    return {
+        "is_corner": rng.integers(0, P_CORNER.denominator, count) < P_CORNER.numerator,
+        "jr": rng.integers(0, M, count),
+        "diag": rng.integers(0, 2, count),
+        "jt": rng.integers(1, M, count),
+        "choice": rng.integers(0, 2, (count, 3)),
+    }
+
+
+def test_int8_coin_flips_keep_the_int64_draws_and_estimates(monkeypatch):
+    params = _draw_params(np.random.default_rng(7), 3 * KEY_BLOCK)
+    wide = draw_params_int64(np.random.default_rng(7), 3 * KEY_BLOCK)
+    assert params["diag"].dtype == params["choice"].dtype == np.int8
+    assert wide["diag"].dtype == wide["choice"].dtype == np.int64
+    assert all(np.array_equal(params[key], wide[key]) for key in wide)
+    for n in (2, 6, 12, 1022):
+        key, degenerate = _class_keys(params, n)
+        want_key, want_degenerate = _class_keys(wide, n)
+        assert np.array_equal(key, want_key) and np.array_equal(degenerate, want_degenerate)
+    for n, seed in ((12, 1), (6, 3), (6, 9)):
+        est = estimate_density(n, 200_000, seed)
+        with monkeypatch.context() as m:
+            m.setattr(rounding, "_draw_params", draw_params_int64)
+            want = estimate_density(n, 200_000, seed)
+        assert [s.separations for s in est.pair_stats] == [s.separations for s in want.pair_stats]
+        assert (est.resampled, est.corner_fraction) == (want.resampled, want.corner_fraction)
+
+
 def test_separations_in_edge_chunks_match_one_chunk(monkeypatch):
     n = 6
     points = enumerate_points(3, n)
@@ -695,13 +727,14 @@ def test_batch_arrays_fit_label_bytes():
 
 
 def test_estimate_density_traced_peak_is_the_draw_arrays():
-    # one 200,000-draw batch at n = 12: its draw arrays (is_corner 1 byte, jr,
-    # diag and jt 8 each, choice 24) take 49 B per draw, 9.35 MiB, and live
-    # until the keys are computed; the keys and degenerate flags add 9 B per
-    # draw, 1.72 MiB; the key kernel's temporaries, a few (3, KEY_BLOCK) int64
-    # at 192 KiB each, about 1.5 MiB more: 12.6 MiB in all.  16 MiB leaves
-    # room for allocator noise, but not for one (3, draws) int64 temporary
-    # (4.6 MiB) over the whole batch.
+    # one 200,000-draw batch at n = 12: its draw arrays (is_corner, diag and
+    # choice 1 byte each, jr and jt 8) take 21 B per draw, 4.0 MiB, and live
+    # until the keys are computed.  The peak is the choice draw itself: until
+    # its int8 cast, its int64 array adds 24 B per draw, 8.0 MiB in all.  The
+    # keys and degenerate flags add 9 B per draw, 1.72 MiB, and the key
+    # kernel's temporaries, a few (3, KEY_BLOCK) int64 at 192 KiB each, about
+    # 1.5 MiB.  12 MiB leaves room for allocator noise, but not for coin
+    # flips kept in int64: 49 B of draw arrays per draw, a 12.6 MiB peak.
     estimate_density(12, 200_000, 5)  # warm the grid caches
     tracemalloc.start()
     try:
@@ -709,4 +742,4 @@ def test_estimate_density_traced_peak_is_the_draw_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 12 * 2**20
