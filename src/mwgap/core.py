@@ -2,7 +2,8 @@
 
 Points of the discretized simplex are stored as tuples of k nonnegative
 integer numerators summing to n (the real point is coords/n); `point_rank`
-gives a point's lexicographic position in closed form.  Each grid object
+gives a point's lexicographic position in closed form, and `point_unrank`
+the point at a position.  Each grid object
 has one cached accessor: the tuples `enumerate_points` and
 `enumerate_edges`, and the read-only arrays `edge_index` (the edges'
 endpoint positions) and `point_sides`.  A `WeightFunction` is its integer
@@ -57,16 +58,7 @@ def enumerate_points(k: int, n: int) -> tuple[Point, ...]:
     check_grid(k, n)
     if (count := comb(n + k - 1, k - 1)) > MAX_POINTS:
         raise ValueError(f"Delta_{{k={k},n={n}}} has {count} points, more than MAX_POINTS = {MAX_POINTS}")
-
-    def rec(remaining: int, slots: int):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for v in range(remaining + 1):
-            for rest in rec(remaining - v, slots - 1):
-                yield (v,) + rest
-
-    return tuple(rec(n, k))
+    return tuple(zip(*point_unrank(np.arange(count), k, n).T.tolist()))
 
 
 @lru_cache(maxsize=64)
@@ -82,11 +74,32 @@ def point_rank(x: np.ndarray, n: int) -> np.ndarray:
     C(r + s, s) - C(r - x_i + s, s) points before x, r = n - x_0 - ... -
     x_{i-1}, s = k - 1 - i.  intp, or object on 2**63 points or more."""
     k = x.shape[-1]
-    dtype = np.intp if comb(n + k - 1, k - 1) < 2**63 else object
-    binom = np.array([[comb(r + s, s) for r in range(n + 1)] for s in range(k - 1, 0, -1)], dtype)
+    binom = _tail_counts(k, n)
     after = n - np.cumsum(x[..., :-1], axis=-1)
     i = np.arange(k - 1)
     return (binom[i, after + x[..., :-1]] - binom[i, after]).sum(axis=-1)
+
+
+def point_unrank(rank: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The inverse of `point_rank`: the intp point of Delta_{k,n} at each
+    position of rank, on a new last axis, without enumerating the grid.
+    With the rank left and r units left, r - x_i is the least t with
+    C(t + s, s) >= C(r + s, s) - rank, as `point_rank`'s sum gives."""
+    x = np.empty(np.shape(rank) + (k,), np.intp)
+    r = np.full(np.shape(rank), n, np.intp)
+    for i, row in enumerate(_tail_counts(k, n)):
+        left = np.searchsorted(row, row[r] - rank)
+        rank = rank - (row[r] - row[left])
+        x[..., i], r = r - left, left
+    x[..., -1] = r
+    return x
+
+
+def _tail_counts(k: int, n: int) -> np.ndarray:
+    """Row s' of C(r + s, s), s = k - 1 - s', r = 0..n: the points of Delta_{s+1,r}.
+    intp, or object on 2**63 points or more."""
+    dtype = np.intp if comb(n + k - 1, k - 1) < 2**63 else object
+    return np.array([[comb(r + s, s) for r in range(n + 1)] for s in range(k - 1, 0, -1)], dtype)
 
 
 def face_gather(k: int, n: int, faces: Sequence[Sequence[int]]) -> np.ndarray:
@@ -199,12 +212,14 @@ class WeightFunction:
         """Edge j joins the points u[j] < v[j] of `enumerate_points(k, n)` and
         weighs nums[j] / denominator, checked on the arrays: the pairs (u, v)
         lie on the grid, strictly increase, are edges, and weigh at least 0."""
-        points = np.array(enumerate_points(k, n))
+        count = comb(n + k - 1, k - 1)
         u, v, nums = np.asarray(u, np.intp), np.asarray(v, np.intp), np.asarray(nums).tolist()
-        keys = u * len(points) + v
-        if u.size and not (0 <= u.min() and (u < v).all() and v.max() < len(points) and (np.diff(keys) > 0).all()):
-            raise ValueError(f"edges must be rank pairs 0 <= u < v < {len(points)}, once each, in enumerate_edges order")
-        if (np.abs(points[u] - points[v]).sum(axis=1) != 2).any():
+        if denominator < 1 or not u.shape == v.shape == (len(nums),):
+            raise ValueError(f"need a denominator >= 1 and one u, v and numerator per edge, got {denominator}")
+        keys = u * count + v
+        if u.size and not (0 <= u.min() and (u < v).all() and v.max() < count and (np.diff(keys) > 0).all()):
+            raise ValueError(f"edges must be rank pairs 0 <= u < v < {count}, once each, in enumerate_edges order")
+        if (np.abs(np.subtract(*point_unrank(np.stack((u, v)), k, n))).sum(axis=1) != 2).any():
             raise ValueError("edge ends are not one unit transfer apart, so not an edge")
         if min(nums, default=0) < 0:
             raise ValueError(f"negative weight numerator {min(nums)}")
@@ -221,10 +236,11 @@ class WeightFunction:
 
     @cached_property
     def weights(self) -> Mapping[Edge, Fraction]:
-        """The weights as a read-only `Fraction` dict on `enumerate_points`' tuples, built on first read."""
-        points, D = enumerate_points(self.k, self.n), self.denominator
-        ends = zip(self.u.tolist(), self.v.tolist(), self.nums.tolist())
-        return MappingProxyType({(points[a], points[b]): Fraction(q, D) for a, b, q in ends})
+        """The weights as a read-only `Fraction` dict on point tuples, built on
+        first read by `point_unrank`, so it never enumerates Delta_{k,n}."""
+        xs, ys = point_unrank(np.stack((self.u, self.v)), self.k, self.n).tolist()
+        D = self.denominator
+        return MappingProxyType({(tuple(x), tuple(y)): Fraction(q, D) for x, y, q in zip(xs, ys, self.nums.tolist())})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightFunction):
@@ -322,7 +338,12 @@ def cost(P: Cut, w: WeightFunction) -> Fraction:
 
 def random_kway_cut(k: int, n: int, rng: random.Random) -> Cut:
     """Uniform label in range(k) for each non-terminal point."""
-    labels = {x: x.index(n) if max(x) == n else rng.randrange(k) for x in enumerate_points(k, n)}
+    labels = {}
+    for x in enumerate_points(k, n):
+        if max(x) == n:
+            labels[x] = x.index(n)
+        else:
+            labels[x] = rng.randrange(k)
     return Cut(k, n, labels, KWAY)
 
 

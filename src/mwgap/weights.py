@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import WeightFunction, edge_index, enumerate_edges, enumerate_points, sorted_face_gather
+from .core import Edge, WeightFunction, edge_index, enumerate_edges, enumerate_points, sorted_face_gather
 
 
 def build_w3(n: int) -> WeightFunction:
@@ -53,9 +53,14 @@ def build_w3(n: int) -> WeightFunction:
 
 
 def build_fk() -> WeightFunction:
-    """The classic n = 2 triangle instance with lpc = 7/8: 1/6 on an edge
-    at a simplex vertex, 1/4 between middle points."""
-    return WeightFunction(3, 2, {(x, y): Fraction(1, 6 if 2 in x + y else 4) for x, y in enumerate_edges(3, 2)})
+    """The classic n = 2 triangle instance with lpc = 7/8."""
+    weights: dict[Edge, Fraction] = {}
+    for x, y in enumerate_edges(3, 2):
+        if max(x) == 2 or max(y) == 2:
+            weights[(x, y)] = Fraction(1, 6)  # simplex vertex to middle point
+        else:
+            weights[(x, y)] = Fraction(1, 4)  # middle point to middle point
+    return WeightFunction(3, 2, weights)
 
 
 def _line(n: int) -> WeightFunction:

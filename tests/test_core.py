@@ -25,6 +25,7 @@ from mwgap.core import (
     point_index,
     point_rank,
     point_sides,
+    point_unrank,
     random_kway_cut,
     random_nonopposite_cut,
     support,
@@ -32,6 +33,7 @@ from mwgap.core import (
 )
 from mwgap.dual import THREEWAY, certify, check_potentials
 from mwgap.lpsearch import search
+from mwgap.serialize import instance_digest
 from mwgap.weights import build_fk, build_w3, build_w_hat, build_w_prime, build_w_tilde
 
 
@@ -350,6 +352,7 @@ def test_weight_function_rejects_weights_off_the_nonnegative_rationals(value, me
 def test_point_rank_is_the_point_order(k, n):
     ranks = point_rank(np.array(enumerate_points(k, n)), n)
     assert ranks.dtype == np.intp and ranks.tolist() == list(range(comb(n + k - 1, k - 1)))
+    assert point_unrank(ranks, k, n).tolist() == list(map(list, enumerate_points(k, n)))
 
 
 def test_point_rank_past_int64_never_enumerates_its_grid():
@@ -358,6 +361,18 @@ def test_point_rank_past_int64_never_enumerates_its_grid():
     assert top == 5498493658321124600506947887
     ranks = point_rank(np.array([(60,) + (0,) * 39, (59, 1) + (0,) * 38]), 60)
     assert ranks.dtype == object and ranks.tolist() == [top, top - 1]
+    assert point_unrank(ranks, 40, 60).tolist() == [[60] + [0] * 39, [59, 1] + [0] * 38]
+    assert core.enumerate_points.cache_info() == before
+
+
+def test_instance_past_the_grid_gate_serializes_without_enumerating():
+    # digest and lpc as before the weights were stored as numerators
+    before = core.enumerate_points.cache_info()
+    e = canonical_edge((60,) + (0,) * 39, (59, 1) + (0,) * 38)
+    w = WeightFunction(40, 60, {e: Fraction(1, 3)})
+    assert w.get(*e) == Fraction(1, 3) and list(w.weights) == [e]
+    assert instance_digest(w) == "13091747909dfe10641a62d3b980afe6ff248aab19f82762fd7f96aae21bebdd"
+    assert lpc(w) == Fraction(1, 180)
     assert core.enumerate_points.cache_info() == before
 
 
@@ -392,10 +407,15 @@ def test_from_numerators_checks_its_arrays():
         ((u[[0, 0]], v[[0, 0]], [1, 1]), "enumerate_edges order"),  # an edge twice
         (([0], [9], [1]), "not one unit transfer apart"),
         ((u, v, [1] * (len(u) - 1) + [-1]), "negative weight numerator -1"),
+        ((u, v, [1] * (len(u) - 1)), "one u, v and numerator per edge"),  # a numerator short
+        ((u, v[:-1], [1] * len(u)), "one u, v and numerator per edge"),
     ]
     for (a, b, nums), message in cases:
         with pytest.raises(ValueError, match=message):
             WeightFunction.from_numerators(3, 3, 1, a, b, nums)
+    for D in (0, -1):
+        with pytest.raises(ValueError, match=f"denominator >= 1 .*, got {D}"):
+            WeightFunction.from_numerators(3, 3, D, u, v, [1] * len(u))
 
 
 def _every_builder():
