@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 
+import numpy as np
+
 from .core import (
     EXTRA,
     WeightFunction,
@@ -218,7 +220,7 @@ def criterion_8(res: CriterionResult) -> None:
     K, n = INJECTION_K, INJECTION_N
     rng = random.Random(8)
     points = enumerate_points(3, n)
-    bad_counts = {p: 0 for p in points}
+    bad_counts = np.zeros(len(points), np.intp)
     for t in range(TRIALS):
         P = random_kway_cut(K, n, rng)
         restriction = restrict_triple(P, *rng.sample(range(K), 3))
@@ -227,11 +229,10 @@ def criterion_8(res: CriterionResult) -> None:
             all(Q.labels[x] == EXTRA or Q.labels[x] in support(x) for x in points),
             f"trial {t}: restriction not non-opposite",
         )
-        for p in restriction.bad_points:
-            bad_counts[p] += 1
+        bad_counts += restriction.bad
     bound = 3 / (K - 3)
     sigma = sqrt(bound * (1 - bound) / TRIALS)
-    for p, c in bad_counts.items():
+    for p, c in zip(points, bad_counts.tolist()):
         freq = c / TRIALS
         res.check(freq <= bound + 3 * sigma, f"point {p}: bad frequency {freq:.4f} > {bound:.4f} + 3 sigma")
 

@@ -8,8 +8,8 @@ has one cached accessor: the tuples `enumerate_points` and
 `enumerate_edges`, and the read-only arrays `edge_index` (the edges'
 endpoint positions) and `point_sides`.  A `WeightFunction` is its integer
 numerators over one denominator, on its edges' endpoint positions; a
-validated `Cut` keeps its labels as an array in point order, and `cost`
-sums the numerators of the edges whose endpoint labels differ;
+`Cut` is its label array in point order (its point dict is a view), and
+`cost` sums the numerators of the edges whose endpoint labels differ;
 `face_gather` places a smaller grid on faces of the k-simplex.  All
 arithmetic here is exact: `Fraction`s only at the API, never a float.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Collection, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, repeat
@@ -59,13 +58,6 @@ def enumerate_points(k: int, n: int) -> tuple[Point, ...]:
     if (count := comb(n + k - 1, k - 1)) > MAX_POINTS:
         raise ValueError(f"Delta_{{k={k},n={n}}} has {count} points, more than MAX_POINTS = {MAX_POINTS}")
     return tuple(zip(*point_unrank(np.arange(count), k, n).T.tolist()))
-
-
-@lru_cache(maxsize=64)
-def point_index(k: int, n: int) -> Mapping[Point, int]:
-    """Read-only map from each point of Delta_{k,n} to its position in
-    `enumerate_points(k, n)` order, for a `Cut`'s dict-keyed labels."""
-    return MappingProxyType({x: i for i, x in enumerate(enumerate_points(k, n))})
 
 
 def point_rank(x: np.ndarray, n: int) -> np.ndarray:
@@ -276,54 +268,72 @@ NONOPPOSITE = "nonopposite"
 EXTRA = 3  # label of the extra cluster of a non-opposite cut
 
 
-@dataclass
 class Cut:
     """A labeling of all grid points into clusters, terminals pinned.
 
     Labels are 0-based: cluster i for i in range(k), and the extra cluster
-    of a non-opposite cut is label k.  `validate` copies the labels dict
-    and stores them as `label_array`, in `point_index(k, n)` order; treat
-    `labels` as read-only after construction.
+    of a non-opposite cut is label k.  A cut stores k, n, family and
+    `label_array`, the read-only small-int label of each point in
+    `enumerate_points(k, n)` order; `labels` is a dict view of it.
+    `from_array` takes the array, the constructor a dict on every point
+    (outside input); both end in `validate`, the one check.
     """
 
-    k: int
-    n: int
-    labels: dict[Point, int]
-    family: str = KWAY
-    label_array: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.family not in (KWAY, NONOPPOSITE):
-            raise ValueError(f"unknown cut family {self.family!r}")
-        if self.family == NONOPPOSITE and self.k != 3:
-            raise ValueError("non-opposite cuts are only defined for k = 3")
+    def __init__(self, k: int, n: int, labels: Mapping[Point, int], family: str = KWAY) -> None:
+        for x in labels:  # Python ints only: a float or bool key would not serialize back
+            if not (type(x) is tuple and len(x) == k and all(type(a) is int and a >= 0 for a in x) and sum(x) == n):
+                raise ValueError("labels must cover exactly the grid points")
+        self.k, self.n, self.family = k, n, family
+        self.label_array = np.array([c for _, c in sorted(labels.items())])  # lexicographic order is point order
         self.validate()
 
+    @classmethod
+    def from_array(cls, k: int, n: int, labels: Sequence[int] | np.ndarray, family: str = KWAY) -> Cut:
+        """The cut labeling the j-th point of `enumerate_points(k, n)` with
+        labels[j], checked on the array by `validate`."""
+        P = cls.__new__(cls)
+        P.k, P.n, P.family, P.label_array = k, n, family, np.asarray(labels)
+        P.validate()
+        return P
+
     def validate(self) -> None:
-        index = point_index(self.k, self.n)
-        labels = dict(self.labels)
-        positions = list(map(index.get, labels))
-        if len(labels) != len(index) or None in positions:
+        """The one check, in numpy, in this order: the grid gate, one label a
+        point, each an integer in range, terminal i labeled i, no opposite
+        corner in a non-opposite cut.  Stores the labels read-only, small-int."""
+        k, n, family = self.k, self.n, self.family
+        points = enumerate_points(k, n)  # the grid gate
+        if family not in (KWAY, NONOPPOSITE):
+            raise ValueError(f"unknown cut family {family!r}")
+        if family == NONOPPOSITE and k != 3:
+            raise ValueError("non-opposite cuts are only defined for k = 3")
+        lab = self.label_array
+        if lab.shape != (len(points),):
             raise ValueError("labels must cover exactly the grid points")
-        hi = self.k + 1 if self.family == NONOPPOSITE else self.k
-        values = np.array(list(labels.values()))
-        if values.dtype.kind not in "biu" or values.min() < 0 or values.max() >= hi:
-            x, c = next((x, c) for x, c in labels.items() if not (isinstance(c, (int, np.integer)) and 0 <= c < hi))
-            raise ValueError(f"label {c!r} out of range at {x}")
-        if self.family == NONOPPOSITE:
-            # label c is opposite x when bit c of x's side mask is set; EXTRA's bit never is
-            opposite = np.flatnonzero(point_sides(self.k, self.n)[positions] >> values.astype(np.intp) & 1)
-            if opposite.size:
-                x = list(labels)[opposite[0]]
-                raise ValueError(f"opposite assignment: {x} -> {labels[x]}")
-        for i in range(self.k):
-            t = terminal(i, self.k, self.n)
-            if labels[t] != i:
-                raise ValueError(f"terminal {i} labeled {labels[t]}")
-        self.labels = labels
-        self.label_array = np.empty(len(index), np.min_scalar_type(hi - 1))
-        self.label_array[positions] = values
-        self.label_array.setflags(write=False)
+        hi = k + 1 if family == NONOPPOSITE else k
+        if lab.dtype.kind not in "biu" or lab.min() < 0 or lab.max() >= hi:
+            for x, c in zip(points, lab.tolist()):
+                if not (isinstance(c, int) and 0 <= c < hi):
+                    raise ValueError(f"label {c!r} out of range at {x}")
+        lab = lab.astype(np.min_scalar_type(hi - 1))
+        # the C(n + s, s) points with x_0 = ... = x_{i-1} = 0, s = k - 1 - i, come first; e^i is their last
+        terminals = [comb(n + k - 1 - i, k - 1 - i) - 1 for i in range(k)]
+        if (wrong := np.flatnonzero(lab[terminals] != np.arange(k))).size:
+            raise ValueError(f"terminal {wrong[0]} labeled {lab[terminals[wrong[0]]]}")
+        # label c is opposite x when bit c of x's side mask is set; EXTRA's bit never is
+        if family == NONOPPOSITE and (opposite := np.flatnonzero(point_sides(k, n) >> lab & 1)).size:
+            raise ValueError(f"opposite assignment: {points[opposite[0]]} -> {lab[opposite[0]]}")
+        lab.setflags(write=False)
+        self.label_array = lab
+
+    @cached_property
+    def labels(self) -> Mapping[Point, int]:
+        """The labels as a read-only dict on point tuples with Python-int
+        values, in point order, built on first read."""
+        return MappingProxyType(dict(zip(enumerate_points(self.k, self.n), self.label_array.tolist())))
+
+    def __eq__(self, other: object) -> bool:
+        fields = ("k", "n", "family", "label_array")
+        return isinstance(other, Cut) and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
 
 def cost(P: Cut, w: WeightFunction) -> Fraction:
@@ -338,17 +348,17 @@ def cost(P: Cut, w: WeightFunction) -> Fraction:
 
 def random_kway_cut(k: int, n: int, rng: random.Random) -> Cut:
     """Uniform label in range(k) for each non-terminal point."""
-    labels = {}
+    labels = []
     for x in enumerate_points(k, n):
         if max(x) == n:
-            labels[x] = x.index(n)
+            labels.append(x.index(n))
         else:
-            labels[x] = rng.randrange(k)
-    return Cut(k, n, labels, KWAY)
+            labels.append(rng.randrange(k))
+    return Cut.from_array(k, n, labels, KWAY)
 
 
 def random_nonopposite_cut(n: int, rng: random.Random) -> Cut:
     """Uniform label in supp(x) + {extra} for each non-terminal point of the triangle."""
     points = enumerate_points(3, n)
-    labels = {x: x.index(n) if max(x) == n else rng.choice(sorted(support(x)) + [EXTRA]) for x in points}
-    return Cut(3, n, labels, NONOPPOSITE)
+    labels = [x.index(n) if max(x) == n else rng.choice(sorted(support(x)) + [EXTRA]) for x in points]
+    return Cut.from_array(3, n, labels, NONOPPOSITE)

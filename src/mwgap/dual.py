@@ -687,7 +687,7 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
             break
         relabel(*move)
 
-    out = Cut(3, n, dict(zip(points, lab)), NONOPPOSITE)
+    out = Cut.from_array(3, n, lab, NONOPPOSITE)
     if w is not None and cost(out, w) > cost(P, w):
         raise NormalizationError("normalization increased the cost")
     return out
@@ -780,6 +780,5 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
 
     dfs(0, 0)
     assert best_cost is not None and best_labels is not None
-    labels = {p: best_labels[i] for i, p in enumerate(points)}
     fam = NONOPPOSITE if family == NONOPPOSITE else KWAY
-    return Fraction(best_cost, w.denominator), Cut(3, n, labels, fam)
+    return Fraction(best_cost, w.denominator), Cut.from_array(3, n, best_labels, fam)

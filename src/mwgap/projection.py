@@ -5,9 +5,10 @@ non-opposite cuts of the triangle.  Every lookup of a small-grid point in
 the big grid is a row of `core.face_gather`, the one embedding, cached for
 the sorted faces by `core.sorted_face_gather`.  `_face_labels` is the one
 restriction kernel: it returns the cut P induces on a list of 3-faces, as
-raw labels and bad points.  `restrict_triple` reads it on one face and
-fixes the bad points, restriction along an injection is its fixed cut, and
-`check_projection_bounds` runs it on all sorted 3-faces at once.
+raw labels and bad flags, arrays in point order.  `restrict_triple` reads
+it on one face and builds the fixed cut from the arrays, restriction along
+an injection is that fixed cut, and `check_projection_bounds` runs it on
+all sorted 3-faces at once.
 `d_profile` reads the terminal-pair lines through the sorted 2-face gather
 to get the label sets D_{i,j} and their mean, and the checks below verify
 the probability and cost bounds built on them by exact enumeration.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
@@ -28,10 +29,8 @@ from .core import (
     KWAY,
     NONOPPOSITE,
     Cut,
-    Point,
     WeightFunction,
     cost,
-    enumerate_points,
     face_gather,
     point_sides,
     sorted_face_gather,
@@ -61,9 +60,9 @@ def _face_labels(P: Cut, gather: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class RestrictionResult:
-    raw: dict[Point, int]  # labels in {0,1,2,3} before the fix-up
+    raw: np.ndarray  # read-only, in point order: labels in {0,1,2,3} before the fix-up
     fixed: Cut  # valid non-opposite cut of the triangle grid
-    bad_points: frozenset[Point]  # side points whose raw label was opposite
+    bad: np.ndarray  # read-only bools, in point order: side points whose raw label was opposite
 
 
 def restrict_triple(P: Cut, i1: int, i2: int, i3: int) -> RestrictionResult:
@@ -78,13 +77,9 @@ def restrict_triple(P: Cut, i1: int, i2: int, i3: int) -> RestrictionResult:
     if len(set(triple)) != 3 or not all(0 <= i < P.k for i in triple):
         raise ValueError(f"indices must be distinct and in range, got {triple}")
     (raw,), (bad,) = _face_labels(P, face_gather(P.k, P.n, [triple]))
-    points = enumerate_points(3, P.n)
-    fixed = Cut(3, P.n, dict(zip(points, np.where(bad, EXTRA, raw).tolist())), NONOPPOSITE)
-    return RestrictionResult(
-        raw=dict(zip(points, raw.tolist())),
-        fixed=fixed,
-        bad_points=frozenset(compress(points, bad.tolist())),
-    )
+    for a in (raw, bad):
+        a.setflags(write=False)
+    return RestrictionResult(raw, Cut.from_array(3, P.n, np.where(bad, EXTRA, raw), NONOPPOSITE), bad)
 
 
 def restrict_injection(P: Cut, f: Sequence[int], k: int) -> Cut:

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .core import Cut, Point, WeightFunction, canonical_edge, check_edges
+from .core import Cut, Point, WeightFunction, canonical_edge, check_edges, enumerate_points
 
 
 def rat_to_str(r: Fraction) -> str:
@@ -99,7 +99,7 @@ def cut_to_obj(P: Cut) -> dict[str, Any]:
         "k": P.k,
         "n": P.n,
         "family": P.family,
-        "labels": [{"x": list(x), "c": c} for x, c in sorted(P.labels.items())],
+        "labels": [{"x": list(x), "c": c} for x, c in zip(enumerate_points(P.k, P.n), P.label_array.tolist())],
     }
 
 

@@ -8,10 +8,11 @@ potential overlay labels each face with its exact value.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import sqrt
 from typing import Optional
 
-from .core import Cut, Point, WeightFunction, enumerate_edges
+from .core import Cut, Point, WeightFunction, edge_index, enumerate_edges
 from .dual import dual_topology, paper_potentials
 
 SIDE = 480.0
@@ -48,10 +49,10 @@ def emit_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
     ]
-    for x, y in enumerate_edges(3, n):
+    cut_at = repeat(False) if cut is None else [a != b for a, b in zip(*cut.label_array[edge_index(3, n)].tolist())]
+    for (x, y), is_cut in zip(enumerate_edges(3, n), cut_at):
         val = w.get(x, y)
         (x1, y1), (x2, y2) = _xy(x, n), _xy(y, n)
-        is_cut = cut is not None and cut.labels[x] != cut.labels[y]
         color = "#cc2222" if is_cut else "#333333"
         if val == 0:
             style = f'stroke="{color}" stroke-width="1" stroke-dasharray="4 3"'

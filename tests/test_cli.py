@@ -367,11 +367,16 @@ print(json.dumps(out))
 def test_oversize_grids_exit_2_under_a_memory_cap(tmp_path):
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"k": 3, "n": 100000, "weights": []}))
+    # the three terminals: a cut that counted its keys before the grid gate would say "cover exactly"
+    big_cut = tmp_path / "big_cut.json"
+    terminals = [{"x": [100000 * (j == i) for j in range(3)], "c": i} for i in range(3)]
+    big_cut.write_text(json.dumps({"k": 3, "n": 100000, "labels": terminals}))
     bound = "has 5000150001 points, more than MAX_POINTS = 524288"
     cases = [
         (["certify", str(big), "--family", "nonopposite", "--target", "1/1"], bound),
         (["brute", str(big), "--family", "nonopposite"], "5000150001 points exceed the exhaustive bound 15"),
         (["svg", str(big)], bound),
+        (["project", "--cut", str(big_cut)], bound),
         (["round", "--n", "8000", "--samples", "1000", "--seed", "1"], "MAX_POINTS = 524288"),
         (["build", "--weights", "wtilde", "--k", "20", "--n", "90"], "MAX_POINTS = 524288"),
     ]

@@ -22,7 +22,6 @@ from mwgap.core import (
     enumerate_edges,
     enumerate_points,
     lpc,
-    point_index,
     point_rank,
     point_sides,
     point_unrank,
@@ -33,6 +32,7 @@ from mwgap.core import (
 )
 from mwgap.dual import THREEWAY, certify, check_potentials
 from mwgap.lpsearch import search
+from mwgap.projection import check_cost_lemmas, check_projection_bounds, restrict_injection
 from mwgap.serialize import instance_digest
 from mwgap.weights import build_fk, build_w3, build_w_hat, build_w_prime, build_w_tilde
 
@@ -84,6 +84,11 @@ def test_neighbors_match_edge_list():
     for p in enumerate_points(3, 3):
         for q in neighbors(p):
             assert canonical_edge(p, q) in edges
+
+
+def point_index(k, n):
+    """Reference: each point of Delta_{k,n} to its position in `enumerate_points(k, n)`."""
+    return {x: i for i, x in enumerate(enumerate_points(k, n))}
 
 
 def neighbors(x):
@@ -202,8 +207,8 @@ def test_nonopposite_cut_names_the_first_opposite_point():
     first = re.escape("opposite assignment: (0, 1, 1) -> 0")
     with pytest.raises(ValueError, match=first):
         Cut(3, 2, labels, NONOPPOSITE)
-    # the first in the labels dict's order, not in point order
-    with pytest.raises(ValueError, match=re.escape("opposite assignment: (1, 0, 1) -> 1")):
+    # the first in point order, not in the labels dict's order
+    with pytest.raises(ValueError, match=first):
         Cut(3, 2, dict(reversed(labels.items())), NONOPPOSITE)
     with pytest.raises(ValueError, match=first):
         Cut(3, 2, {x: np.uint64(c) for x, c in labels.items()}, NONOPPOSITE)
@@ -234,15 +239,6 @@ def test_random_cuts_differ_across_seeds():
     assert a.labels != b.labels
 
 
-def test_point_index_follows_point_order():
-    for k, n in ((3, 4), (5, 3)):
-        index = point_index(k, n)
-        assert tuple(index) == enumerate_points(k, n)
-        assert list(index.values()) == list(range(len(index)))
-        with pytest.raises(TypeError):
-            index[(0,) * k] = 0  # shared by every caller, so read-only
-
-
 def test_cut_label_array_is_in_point_index_order():
     P = random_kway_cut(5, 3, random.Random(4))
     assert P.label_array.tolist() == [P.labels[x] for x in point_index(5, 3)]
@@ -258,6 +254,79 @@ def test_cut_rejects_foreign_and_non_integer_labels():
         Cut(3, 2, labels, KWAY)
     with pytest.raises(ValueError, match="out of range"):
         Cut(3, 2, {**labels, (1, 1, 0): 0.5}, KWAY)
+
+
+def _random_cuts():
+    """Random cuts at (3,2), (5,3), (8,6) and (12,3), non-opposite ones too on the triangle."""
+    rng = random.Random("two constructors")
+    for k, n in ((3, 2), (5, 3), (8, 6), (12, 3)):
+        yield from (random_kway_cut(k, n, rng) for _ in range(4))
+        if k == 3:
+            yield from (random_nonopposite_cut(n, rng) for _ in range(4))
+
+
+def test_array_and_dict_constructors_agree():
+    rng = random.Random(1)
+    for P in _random_cuts():
+        oracle = dict(zip(enumerate_points(P.k, P.n), P.label_array.tolist()))
+        items = list(oracle.items())
+        rng.shuffle(items)  # the dict constructor takes its keys in any order
+        A = Cut.from_array(P.k, P.n, P.label_array, P.family)
+        D = Cut(P.k, P.n, dict(items), P.family)
+        for Q in (A, D):
+            assert Q.label_array.dtype == np.uint8 and np.array_equal(Q.label_array, P.label_array)
+            assert not Q.label_array.flags.writeable
+            assert Q.labels == oracle and list(Q.labels) == list(oracle)
+            assert Q == P and Q.family == P.family
+        with pytest.raises(TypeError):
+            A.labels[next(iter(oracle))] = 0  # a view of the array, so read-only
+
+
+def test_from_array_rejects_with_the_existing_messages():
+    points = enumerate_points(3, 2)  # (0,0,2), (0,1,1), (0,2,0), (1,0,1), (1,1,0), (2,0,0)
+    good = [2, 1, 1, 0, 0, 0]  # a k-way and a non-opposite cut
+
+    def at(j, c):
+        return good[:j] + [c] + good[j + 1 :]
+
+    cover = "labels must cover exactly the grid points"
+    for family, hi in ((KWAY, 3), (NONOPPOSITE, 4)):
+        assert Cut.from_array(3, 2, good, family).labels == dict(zip(points, good))
+        cases = [
+            (good[:-1], cover),
+            (good + [0], cover),
+            ([good[:3], good[3:]], cover),
+            (np.array(good, float), "label 2.0 out of range at (0, 0, 2)"),
+            (at(1, -1), "label -1 out of range at (0, 1, 1)"),
+            (at(1, hi), f"label {hi} out of range at (0, 1, 1)"),
+            (at(2, 2), "terminal 1 labeled 2"),
+        ]
+        if family == NONOPPOSITE:
+            cases.append((at(1, 0), "opposite assignment: (0, 1, 1) -> 0"))
+        for labels, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Cut.from_array(3, 2, labels, family)
+            if np.ndim(labels) == 1 and len(labels) <= len(points):  # the same labels as a dict
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    Cut(3, 2, dict(zip(points, np.asarray(labels).tolist())), family)
+
+
+def test_bench_layer_calls_never_build_the_labels_view():
+    rng = random.Random(11)
+    P = random_kway_cut(8, 6, rng)
+    assert check_cost_lemmas(P, 6, (build_w_hat(8, 6), build_w_prime(8, 6), build_w_tilde(8, 6))).ok
+    assert check_projection_bounds(P).ok
+    Q = restrict_injection(P, rng.sample(range(8), 3), 3)
+    w = build_w3(9)
+    T = random_nonopposite_cut(9, rng)
+    N = dual_module.normalize_cut(T, w)
+    for R in (T, N):
+        dual_module.classify_cut(R)
+        dual_module.uncut_edges(R)
+        cost(R, w)
+    for cut in (P, Q, T, N):
+        assert "labels" not in vars(cut)
+    assert N.labels and "labels" in vars(N)  # built on first read, then kept
 
 
 def _crafted_instances():

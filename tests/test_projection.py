@@ -14,7 +14,6 @@ from mwgap.core import (
     WeightFunction,
     enumerate_points,
     face_gather,
-    point_index,
     random_kway_cut,
     random_nonopposite_cut,
     sorted_face_gather,
@@ -36,6 +35,11 @@ def embed(x, f, k):
     for j, i in enumerate(f):
         big[i] = x[j]
     return tuple(big)
+
+
+def point_index(k, n):
+    """Reference: each point of Delta_{k,n} to its position in `enumerate_points(k, n)`."""
+    return {x: i for i, x in enumerate(enumerate_points(k, n))}
 
 
 def oracle_fraction_nonopposite(P):
@@ -101,14 +105,16 @@ def test_restrict_triple_marks_opposite_side_labels_as_bad():
     labels[(0, 0, 1, 0, 2)] = 0  # face point (0, 1, 2): corner 0 is opposite
     P = Cut(5, 3, labels, KWAY)
     res = restrict_triple(P, 0, 2, 4)
-    assert res.raw[(0, 1, 2)] == 0
-    assert (0, 1, 2) in res.bad_points
+    index = point_index(3, 3)
+    assert res.raw[index[(0, 1, 2)]] == 0
+    assert res.bad[index[(0, 1, 2)]]
     assert res.fixed.labels[(0, 1, 2)] == 3
+    assert not res.raw.flags.writeable and not res.bad.flags.writeable
     # a label outside the triple is the extra cluster, not a bad point
     labels[(1, 0, 1, 0, 1)] = 3
     res = restrict_triple(Cut(5, 3, labels, KWAY), 0, 2, 4)
     assert res.fixed.labels[(1, 1, 1)] == 3
-    assert (1, 1, 1) not in res.bad_points
+    assert not res.bad[index[(1, 1, 1)]]
 
 
 def test_d_profile_identity_cut():
@@ -179,14 +185,15 @@ def test_injection_bad_points_definition():
     rng = random.Random(9)
     P = random_kway_cut(10, 3, rng)
     f = [2, 5, 8]
-    bad = restrict_triple(P, *f).bad_points
+    bad = restrict_triple(P, *f).bad
+    index = point_index(3, 3)
     for x in enumerate_points(3, 3):
         big = tuple(
             sum(x[j] for j in range(3) if f[j] == i) for i in range(10)
         )
         lab = P.labels[big]
         outside = lab in set(f) - {f[j] for j in support(x)}
-        assert (x in bad) == outside
+        assert bad[index[x]] == outside
 
 
 @st.composite
@@ -208,13 +215,14 @@ def test_restriction_is_nonopposite_with_defined_bad_points(case):
     P, f = case
     res = restrict_triple(P, *f)
     assert restrict_injection(P, f, 3).labels == res.fixed.labels
+    index = point_index(3, P.n)
     for x in enumerate_points(3, P.n):
         big = tuple(x[f.index(i)] if i in f else 0 for i in range(P.k))
         lab = P.labels[big]
         bad = lab in set(f) - {f[j] for j in support(x)}
-        assert (x in res.bad_points) == bad
-        assert res.raw[x] == (f.index(lab) if lab in f else 3)
-        assert res.fixed.labels[x] == (3 if bad else res.raw[x])
+        assert res.bad[index[x]] == bad
+        assert res.raw[index[x]] == (f.index(lab) if lab in f else 3)
+        assert res.fixed.labels[x] == (3 if bad else res.raw[index[x]])
         assert res.fixed.labels[x] in support(x) | {3}
 
 
@@ -280,7 +288,7 @@ def test_projection_fraction_matches_per_face_oracle(case):
     rep = check_projection_bounds(P)
     assert rep.fraction_nonopposite == oracle_fraction_nonopposite(P)
     triples = list(itertools.combinations(range(P.k), 3))
-    good = sum(not restrict_triple(P, *t).bad_points for t in triples)
+    good = sum(not restrict_triple(P, *t).bad.any() for t in triples)
     assert rep.fraction_nonopposite == Fraction(good, len(triples))
     if planted:
         assert rep.fraction_nonopposite < 1

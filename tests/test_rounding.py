@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mwgap import cli, rounding
-from mwgap.core import EXTRA, MAX_POINTS, enumerate_edges, enumerate_points, point_index, support
+from mwgap.core import EXTRA, MAX_POINTS, enumerate_edges, enumerate_points, support
 from mwgap.rounding import (
     KEY_BLOCK,
     LABEL_BYTES,
@@ -34,6 +34,11 @@ MAX_GRID_N = 1022
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def point_index(k, n):
+    """Reference: each point of Delta_{k,n} to its position in `enumerate_points(k, n)`."""
+    return {x: i for i, x in enumerate(enumerate_points(k, n))}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """JSON round-trips and stable digests."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from mwgap.core import NONOPPOSITE, random_nonopposite_cut
+from mwgap.core import NONOPPOSITE, Cut, random_nonopposite_cut
 from mwgap.serialize import (
     canonical_json,
     cut_to_obj,
@@ -53,6 +54,22 @@ def test_cut_round_trip():
     assert back.labels == P.labels
     assert back.family == NONOPPOSITE
     assert cut_to_obj(back) == obj
+
+
+def test_a_valid_cut_serializes_to_json_its_loader_reads():
+    labels = dict(random_nonopposite_cut(2, random.Random(0)).labels)
+    # float or bool coordinates hash like the grid point, but would be written as 0.0 or true
+    for key in ((0.0, 0.0, 2.0), (0, True, True)):
+        x = tuple(map(int, key))
+        foreign = {**{y: c for y, c in labels.items() if y != x}, key: labels[x]}
+        with pytest.raises(ValueError, match="cover exactly the grid points"):
+            Cut(3, 2, foreign, NONOPPOSITE)
+    # a label True is the label 1, and the view and the JSON give it back as 1
+    P = Cut(3, 2, {**labels, (0, 1, 1): True}, NONOPPOSITE)
+    assert P.labels[(0, 1, 1)] == 1 and all(type(c) is int for c in P.labels.values())
+    obj = json.loads(json.dumps(cut_to_obj(P)))
+    assert {"x": [0, 1, 1], "c": 1} in obj["labels"]
+    assert obj_to_cut(obj).labels == P.labels
 
 
 def test_canonical_json_is_sorted_and_compact():

@@ -86,5 +86,5 @@ def test_tracer_records_normalization_spans(bench_modules):
     finally:
         tracer.uninstall()
     sums = tracer.take()
-    for name in ("dual.normalize_cut.calls", "dual.classify_cut.calls"):
+    for name in ("dual.normalize_cut.calls", "dual.classify_cut.calls", "core.Cut.validate.calls"):
         assert sums[name] > 0, name
