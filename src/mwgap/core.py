@@ -3,10 +3,12 @@
 Points of the discretized simplex are stored as tuples of k nonnegative
 integer numerators summing to n (the real point is coords/n); `point_rank`
 gives a point's lexicographic position in closed form, and `point_unrank`
-the point at a position.  Each grid object
-has one cached accessor: the tuples `enumerate_points` and
-`enumerate_edges`, and the read-only arrays `edge_index` (the edges'
-endpoint positions) and `point_sides`.  A `WeightFunction` is its integer
+the point at a position, both from one cached binomial table per grid.
+Each grid object has one cached accessor: the read-only arrays
+`point_array` (the points, which every array kernel reads), `edge_index`
+(the edges' endpoint positions), `point_sides` and `terminal_ranks`, and
+the tuples `enumerate_points` and `enumerate_edges`, built from the
+arrays for callers that ask for tuples.  A `WeightFunction` is its integer
 numerators over one denominator, on its edges' endpoint positions; a
 `Cut` is its label array in point order (its point dict is a view), and
 `cost` sums the numerators of the edges whose endpoint labels differ;
@@ -51,13 +53,24 @@ def check_grid(k: int, n: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def enumerate_points(k: int, n: int) -> tuple[Point, ...]:
-    """All compositions of n into k nonnegative parts, lexicographic order,
-    as one tuple per grid, cached: every call returns the same tuple."""
+def point_array(k: int, n: int) -> np.ndarray:
+    """Read-only (|Delta_{k,n}|, k) intp array of the grid's points in
+    lexicographic order, one per grid, cached: `point_unrank` of every
+    position, behind the grid gate `MAX_POINTS`."""
     check_grid(k, n)
     if (count := comb(n + k - 1, k - 1)) > MAX_POINTS:
         raise ValueError(f"Delta_{{k={k},n={n}}} has {count} points, more than MAX_POINTS = {MAX_POINTS}")
-    return tuple(zip(*point_unrank(np.arange(count), k, n).T.tolist()))
+    points = point_unrank(np.arange(count), k, n)
+    points.setflags(write=False)
+    return points
+
+
+@lru_cache(maxsize=64)
+def enumerate_points(k: int, n: int) -> tuple[Point, ...]:
+    """All compositions of n into k nonnegative parts, lexicographic order,
+    as one tuple per grid, cached: every call returns the same tuple, the
+    rows of `point_array(k, n)`."""
+    return tuple(zip(*point_array(k, n).T.tolist()))
 
 
 def point_rank(x: np.ndarray, n: int) -> np.ndarray:
@@ -87,11 +100,24 @@ def point_unrank(rank: np.ndarray, k: int, n: int) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=64)
 def _tail_counts(k: int, n: int) -> np.ndarray:
     """Row s' of C(r + s, s), s = k - 1 - s', r = 0..n: the points of Delta_{s+1,r}.
-    intp, or object on 2**63 points or more."""
+    Read-only and cached; intp, or object on 2**63 points or more."""
     dtype = np.intp if comb(n + k - 1, k - 1) < 2**63 else object
-    return np.array([[comb(r + s, s) for r in range(n + 1)] for s in range(k - 1, 0, -1)], dtype)
+    binom = np.array([[comb(r + s, s) for r in range(n + 1)] for s in range(k - 1, 0, -1)], dtype)
+    binom.setflags(write=False)
+    return binom
+
+
+@lru_cache(maxsize=64)
+def terminal_ranks(k: int, n: int) -> np.ndarray:
+    """Read-only intp positions of the terminals e^0, ..., e^{k-1} in point
+    order: the C(n + s, s) points with x_0 = ... = x_{i-1} = 0, s = k - 1 -
+    i, come first, and e^i is their last."""
+    ranks = np.array([comb(n + k - 1 - i, k - 1 - i) - 1 for i in range(k)], np.intp)
+    ranks.setflags(write=False)
+    return ranks
 
 
 def face_gather(k: int, n: int, faces: Sequence[Sequence[int]]) -> np.ndarray:
@@ -99,13 +125,20 @@ def face_gather(k: int, n: int, faces: Sequence[Sequence[int]]) -> np.ndarray:
     `point_rank` of the j-th point of Delta_{m,n}, in `enumerate_points`
     order, with its coordinates placed at faces[f].
 
-    faces are faces of [k], all of one size m, in any order.  A sorted face
-    keeps lexicographic order, so it maps canonical edges to canonical edges.
+    faces are faces of [k], all of one size m, in any order: m distinct
+    indices in range(k) each, or ValueError.  A sorted face keeps
+    lexicographic order, so it maps canonical edges to canonical edges.
     """
-    small = np.array(enumerate_points(len(faces[0]), n))
+    if len(sizes := set(map(len, faces))) != 1:
+        raise ValueError(f"faces must be nonempty and all of one size, got sizes {sorted(sizes)}")
+    for face in faces:
+        if len(set(face)) < len(face):
+            raise ValueError(f"face {list(face)} repeats an index")
+        if not all(i in range(k) for i in face):
+            raise ValueError(f"face {list(face)} has an index outside range({k})")
+    small = point_array(sizes.pop(), n)
     big = np.zeros((len(faces), len(small), k), small.dtype)
-    for f, face in enumerate(faces):
-        big[f][:, list(face)] = small
+    big[np.arange(len(faces))[:, None], :, np.array(faces, np.intp)] = small.T
     gather = point_rank(big, n)
     gather.setflags(write=False)
     return gather
@@ -127,7 +160,7 @@ def edge_index(k: int, n: int) -> np.ndarray:
     """Read-only (2, edges) intp array of rows (u, v): edge j of
     `enumerate_edges(k, n)` joins the points u[j] < v[j] of `enumerate_points(k, n)`.
     Index order is lexicographic, so the sorted pairs are the sorted canonical edges."""
-    points = np.array(enumerate_points(k, n))
+    points = point_array(k, n)
     step = np.eye(k, dtype=points.dtype)
     pairs = []
     for i, j in combinations(range(k), 2):
@@ -153,7 +186,7 @@ def point_sides(k: int, n: int) -> np.ndarray:
     bit i is set where x_i = 0, the point lies on the side opposite e^i."""
     if k > 63:
         raise ValueError(f"a side mask holds at most 63 coordinates, got k = {k}")
-    sides = (np.array(enumerate_points(k, n)) == 0) @ (1 << np.arange(k, dtype=np.intp))
+    sides = (point_array(k, n) == 0) @ (1 << np.arange(k, dtype=np.intp))
     sides.setflags(write=False)
     return sides
 
@@ -315,8 +348,7 @@ class Cut:
                 if not (isinstance(c, int) and 0 <= c < hi):
                     raise ValueError(f"label {c!r} out of range at {x}")
         lab = lab.astype(np.min_scalar_type(hi - 1))
-        # the C(n + s, s) points with x_0 = ... = x_{i-1} = 0, s = k - 1 - i, come first; e^i is their last
-        terminals = [comb(n + k - 1 - i, k - 1 - i) - 1 for i in range(k)]
+        terminals = terminal_ranks(k, n)
         if (wrong := np.flatnonzero(lab[terminals] != np.arange(k))).size:
             raise ValueError(f"terminal {wrong[0]} labeled {lab[terminals[wrong[0]]]}")
         # label c is opposite x when bit c of x's side mask is set; EXTRA's bit never is

@@ -70,9 +70,11 @@ from .core import (
     edge_index,
     enumerate_edges,
     enumerate_points,
+    point_array,
     point_rank,
     point_sides,
     support,
+    terminal_ranks,
 )
 from .serialize import rat_to_str
 
@@ -147,7 +149,7 @@ def dual_topology(n: int) -> DualTopology:
     is a side of the up face x - e^i and of the down face x - (1, 1, 1) +
     e^j, which exists when x_l > 0; when x_l = 0, O_l is its other end.
     """
-    points = np.array(enumerate_points(3, n))
+    points = point_array(3, n)
     x, y = points[edge_index(3, n)]  # each edge slot's endpoints
     up = points[points[:, 0] > 0] - [1, 0, 0]
     down = points[(points[:, 0] > 0) & (points[:, 1] > 0)] - [1, 1, 0]
@@ -627,7 +629,7 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
         raise ValueError("normalize_cut expects a non-opposite cut")
     n = P.n
     points = enumerate_points(3, n)
-    terminals = point_rank(n * np.eye(3, dtype=np.intp), n).tolist()
+    terminals = terminal_ranks(3, n).tolist()
     lab = P.label_array.tolist()
     adj: list[list[int]] = [[] for _ in lab]
     for u, v in zip(*edge_index(3, n).tolist()):

@@ -10,17 +10,20 @@ it on one face and builds the fixed cut from the arrays, restriction along
 an injection is that fixed cut, and `check_projection_bounds` runs it on
 all sorted 3-faces at once.
 `d_profile` reads the terminal-pair lines through the sorted 2-face gather
-to get the label sets D_{i,j} and their mean, and the checks below verify
-the probability and cost bounds built on them by exact enumeration.
+and counts the labels on each in one numpy pass, for the exact mean D(P);
+the label sets D_{i,j} are a view built only when read.  The checks below
+verify the probability and cost bounds built on D(P) by exact enumeration.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import comb
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .core import (
     face_gather,
     point_sides,
     sorted_face_gather,
+    terminal_ranks,
 )
 from .weights import build_w_hat, build_w_prime, build_w_tilde
 
@@ -49,9 +53,7 @@ def _face_labels(P: Cut, gather: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i with i.
     """
     labels = P.label_array[gather]
-    # in lexicographic order, the terminals e^0, e^1, e^2 of Delta_{3,n}
-    # are its last, n-th and first points
-    corners = labels[:, [-1, P.n, 0]]
+    corners = labels[:, terminal_ranks(3, P.n)]
     raw = EXTRA
     for r in range(3):
         raw = np.where(labels == corners[:, r, None], r, raw)
@@ -95,20 +97,29 @@ def restrict_injection(P: Cut, f: Sequence[int], k: int) -> Cut:
     return restrict_triple(P, *f).fixed
 
 
-@dataclass
+@dataclass(eq=False)
 class DProfile:
-    per_pair: dict[tuple[int, int], frozenset[int]]
+    k: int
+    lines: np.ndarray  # read-only; row p: the sorted labels on terminal-pair line p, in `combinations` order
     mean: Fraction  # average label-set size over pairs, always >= 2
+
+    @cached_property
+    def per_pair(self) -> Mapping[tuple[int, int], frozenset[int]]:
+        """The label set D_{i,j} of each terminal pair i < j, as a read-only
+        dict, built on first read."""
+        return MappingProxyType(dict(zip(combinations(range(self.k), 2), map(frozenset, self.lines.tolist()))))
 
 
 def d_profile(P: Cut) -> DProfile:
-    """Label sets used on the lines between terminal pairs, and their mean size."""
+    """Label sets used on the lines between terminal pairs, and their mean
+    size, counted in one pass: a sorted line has one label more than it has
+    steps between distinct neighbours."""
     if P.family != KWAY:
         raise ValueError("d_profile expects a k-way cut")
-    lines = P.label_array[sorted_face_gather(P.k, P.n, 2)].tolist()
-    per_pair = dict(zip(combinations(range(P.k), 2), map(frozenset, lines)))
-    total = sum(len(s) for s in per_pair.values())
-    return DProfile(per_pair=per_pair, mean=Fraction(total, comb(P.k, 2)))
+    lines = np.sort(P.label_array[sorted_face_gather(P.k, P.n, 2)], axis=1)
+    lines.setflags(write=False)
+    total = len(lines) + np.count_nonzero(lines[:, 1:] != lines[:, :-1])
+    return DProfile(P.k, lines, Fraction(int(total), len(lines)))
 
 
 @dataclass

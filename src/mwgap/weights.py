@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Edge, WeightFunction, edge_index, enumerate_edges, enumerate_points, sorted_face_gather
+from .core import Edge, WeightFunction, edge_index, enumerate_edges, point_array, sorted_face_gather
 
 
 def build_w3(n: int) -> WeightFunction:
@@ -38,7 +38,7 @@ def build_w3(n: int) -> WeightFunction:
     if n < 3 or n % 3 != 0:
         raise ValueError(f"construction needs n >= 3 divisible by 3, got {n}")
     uv = edge_index(3, n)
-    x, y = np.array(enumerate_points(3, n))[uv]
+    x, y = point_array(3, n)[uv]
     # an edge moves coordinates a < b by one each and keeps c at m
     c = np.argmax(x == y, axis=1)
     a = np.where(c == 0, 1, 0)
@@ -72,7 +72,7 @@ def _lifted(k: int, n: int, terms: list[tuple[Fraction, WeightFunction]]) -> Wei
     """Sum of c * w over the terms (c, w), each w placed on every sorted face
     of [k] of its size by `sorted_face_gather` (so edges stay canonical), as
     int64 numerators over one denominator L."""
-    count = len(enumerate_points(k, n))
+    count = len(point_array(k, n))
     L = lcm(*(c.denominator * w.denominator for c, w in terms))
     keys, nums, bound = [], [], 0
     for c, w in terms:

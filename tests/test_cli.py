@@ -108,6 +108,22 @@ def test_project_subcommand(tmp_path, capsys):
     assert len(obj["per_pair"]) == 10  # C(5, 2) terminal pairs
 
 
+def test_project_output_is_pinned(tmp_path, capsys):
+    # exact bytes, so a change in how D(P) is counted cannot change the report
+    inst, cutfile = tmp_path / "wtilde.json", tmp_path / "cut.json"
+    run(capsys, "build", "--weights", "wtilde", "--k", "5", "--n", "3", "--out", str(inst))
+    write_cut(random_kway_cut(5, 3, random.Random(1)), cutfile)
+    head = '{"D":"29/10","bounds_hold":true,"coarse_bound":"0/1",'
+    lemmas = '"cost_lemmas":{"cost_what":"79/30","cost_wprime":"14/5","cost_wtilde":"107/40","hold":true},'
+    tail = (
+        '"fraction_nonopposite":"2/5","per_pair":{"0,1":[0,1],"0,2":[0,2,3],"0,3":[0,2,3],"0,4":[0,4],'
+        '"1,2":[0,1,2,4],"1,3":[1,3],"1,4":[1,3,4],"2,3":[0,2,3],"2,4":[0,2,3,4],"3,4":[1,3,4]},'
+        '"refined_bound":"1/10"}\n'
+    )
+    assert run(capsys, "project", "--cut", str(cutfile)) == (0, head + tail)
+    assert run(capsys, "project", str(inst), "--cut", str(cutfile)) == (0, head + lemmas + tail)
+
+
 def test_project_rejects_an_instance_on_another_grid(tmp_path, capsys):
     inst, cutfile = tmp_path / "w3.json", tmp_path / "cut.json"
     run(capsys, "build", "--weights", "w3", "--n", "3", "--out", str(inst))

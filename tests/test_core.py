@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -63,6 +64,57 @@ def test_points_are_one_cached_tuple():
     pts = enumerate_points(3, 4)
     assert isinstance(pts, tuple) and enumerate_points(3, 4) is pts
     assert len(pts) == comb(6, 2)
+
+
+def compositions(k, n):
+    """Reference: the compositions of n into k parts, recursively, in lexicographic order."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in compositions(k - 1, n - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("k, n", [(3, n) for n in range(1, 13)] + [(5, 3), (8, 6), (12, 3)])
+def test_point_array_is_the_point_tuples(k, n):
+    points = core.point_array(k, n)
+    assert points.dtype == np.intp and np.array_equal(points, np.array(enumerate_points(k, n)))
+    assert points.tolist() == list(map(list, compositions(k, n)))
+
+
+def test_grid_tables_are_cached_and_read_only():
+    for table in (core.point_array, core._tail_counts, core.terminal_ranks):
+        a = table(8, 6)
+        assert table(8, 6) is a and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    points = enumerate_points(8, 6)
+    assert core.terminal_ranks(8, 6).tolist() == [points.index(terminal(i, 8, 6)) for i in range(8)]
+
+
+def test_oversize_point_array_raises_before_allocating():
+    # Delta_{3,2000} has 2,003,001 points: its point array would take 48 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape("has 2003001 points, more than MAX_POINTS = 524288")):
+            core.point_array(3, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_rank_round_trip_past_int64_leaves_the_cached_table():
+    table = core._tail_counts(40, 60)  # Delta_{40,60} has about 10**27 points
+    before = table.copy()
+    top = comb(99, 39) - 1
+    ranks = np.array([0, 1, 2**63, 10**20 + 7, top // 3, top], dtype=object)
+    points = point_unrank(ranks, 40, 60)
+    assert (points >= 0).all() and (points.sum(axis=1) == 60).all()
+    assert point_rank(points, 60).tolist() == ranks.tolist()
+    assert core._tail_counts(40, 60) is table and table.dtype == object and not table.flags.writeable
+    assert np.array_equal(table, before)
 
 
 def test_edge_count_triangle():

@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from mwgap.core import NONOPPOSITE, Cut, WeightFunction, cost, point_sides, random_kway_cut, random_nonopposite_cut
+from mwgap.core import (
+    NONOPPOSITE,
+    Cut,
+    WeightFunction,
+    cost,
+    face_gather,
+    point_sides,
+    random_kway_cut,
+    random_nonopposite_cut,
+)
 from mwgap.dual import brute_force_min_cut, build_dual, certify, dijkstra, normalize_cut
 from mwgap.lpsearch import solve_lp
 from mwgap.projection import (
@@ -37,6 +46,24 @@ GUARDS = {
         ValueError,
         "a side mask holds at most 63 coordinates, got k = 64",
     ),
+    # unchecked, a repeated index would overwrite a coordinate, and -1 would wrap to k - 1
+    "face_gather repeat": (lambda: face_gather(5, 3, [(0, 0, 1)]), ValueError, "face [0, 0, 1] repeats an index"),
+    "face_gather negative": (
+        lambda: face_gather(5, 3, [(0, 1, -1)]),
+        ValueError,
+        "face [0, 1, -1] has an index outside range(5)",
+    ),
+    "face_gather range": (
+        lambda: face_gather(5, 3, [(0, 1, 2), (1, 2, 5)]),
+        ValueError,
+        "face [1, 2, 5] has an index outside range(5)",
+    ),
+    "face_gather sizes": (
+        lambda: face_gather(5, 3, [(0, 1, 2), (3, 4)]),
+        ValueError,
+        "faces must be nonempty and all of one size, got sizes [2, 3]",
+    ),
+    "face_gather none": (lambda: face_gather(5, 3, []), ValueError, "faces must be nonempty and all of one size"),
     "cost grids": (
         lambda: cost(_kway(3, 2), WeightFunction(3, 3, {})),
         ValueError,

@@ -1,5 +1,6 @@
-"""Every module of the package uses the names it imports, and imports no
-other module's private names."""
+"""Every module of the package uses the names it imports, imports no
+other module's private names, and never turns the point tuples back into
+an array."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,33 @@ def test_private_imports_are_found():
 def test_src_modules_import_no_private_names():
     for path in sorted(PACKAGE.glob("*.py")):
         assert private_imports(path.read_text()) == [], path.name
+
+
+def point_tuple_arrays(source: str) -> list[int]:
+    """The lines that build an array from `enumerate_points`' tuples,
+    `np.array(enumerate_points(...))` or `np.asarray(...)` of it, which
+    `core.point_array` holds ready-made, by a bare or a module name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("array", "asarray") and node.args:
+            inner = node.args[0]
+            names = (getattr(getattr(inner, "func", None), a, None) for a in ("id", "attr"))
+            if isinstance(inner, ast.Call) and "enumerate_points" in names:
+                found.append(node.lineno)
+    return found
+
+
+def test_point_tuple_arrays_are_found():
+    source = (
+        "points = np.array(enumerate_points(3, n))\n"
+        "x = numpy.asarray(core.enumerate_points(k, n), np.int64)\n"
+        "ok = point_array(3, n)\n"
+        "pts = enumerate_points(3, n)\n"
+        "y = np.array(pts)\n"
+    )
+    assert point_tuple_arrays(source) == [1, 2]
+
+
+def test_src_modules_never_array_the_point_tuples():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert point_tuple_arrays(path.read_text()) == [], path.name

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mwgap import projection
 from mwgap.core import (
     Cut,
     KWAY,
@@ -149,9 +150,35 @@ def test_d_profile_matches_line_oracle(k, n):
     for P in cuts:
         per_pair, mean = oracle_d_profile(P)
         prof = d_profile(P)
-        assert prof.per_pair == per_pair and prof.mean == mean
+        assert prof.mean == mean and "per_pair" not in vars(prof)
+        assert prof.per_pair == per_pair and "per_pair" in vars(prof)  # built on first read, then kept
+        with pytest.raises(TypeError):
+            prof.per_pair[0, 1] = frozenset()
         sizes |= {len(s) for s in per_pair.values()}
     assert len(sizes) > 1
+
+
+def test_d_profile_counts_past_a_bitmask():
+    # 70 labels: more than a 64-bit label set could hold
+    P = random_kway_cut(70, 1, random.Random(70))
+    per_pair, mean = oracle_d_profile(P)
+    prof = d_profile(P)
+    assert prof.mean == mean and max(P.label_array) > 63
+    assert prof.per_pair == per_pair
+
+
+def test_the_checks_never_build_the_per_pair_view(monkeypatch):
+    profiles = []
+
+    def recording(P):
+        profiles.append(d_profile(P))
+        return profiles[-1]
+
+    monkeypatch.setattr(projection, "d_profile", recording)
+    for k, n in ((8, 6), (12, 3)):
+        P = random_kway_cut(k, n, random.Random(k))
+        assert check_cost_lemmas(P, n).ok and check_projection_bounds(P).ok
+    assert len(profiles) == 4 and not any("per_pair" in vars(prof) for prof in profiles)
 
 
 def test_projection_bounds_hold_on_random_cuts():
