@@ -334,7 +334,7 @@ class Cut:
         point, each an integer in range, terminal i labeled i, no opposite
         corner in a non-opposite cut.  Stores the labels read-only, small-int."""
         k, n, family = self.k, self.n, self.family
-        points = enumerate_points(k, n)  # the grid gate
+        points = point_array(k, n)  # the grid gate; a tuple only names a point in an error
         if family not in (KWAY, NONOPPOSITE):
             raise ValueError(f"unknown cut family {family!r}")
         if family == NONOPPOSITE and k != 3:
@@ -344,16 +344,16 @@ class Cut:
             raise ValueError("labels must cover exactly the grid points")
         hi = k + 1 if family == NONOPPOSITE else k
         if lab.dtype.kind not in "biu" or lab.min() < 0 or lab.max() >= hi:
-            for x, c in zip(points, lab.tolist()):
+            for j, c in enumerate(lab.tolist()):
                 if not (isinstance(c, int) and 0 <= c < hi):
-                    raise ValueError(f"label {c!r} out of range at {x}")
+                    raise ValueError(f"label {c!r} out of range at {tuple(points[j].tolist())}")
         lab = lab.astype(np.min_scalar_type(hi - 1))
         terminals = terminal_ranks(k, n)
         if (wrong := np.flatnonzero(lab[terminals] != np.arange(k))).size:
             raise ValueError(f"terminal {wrong[0]} labeled {lab[terminals[wrong[0]]]}")
         # label c is opposite x when bit c of x's side mask is set; EXTRA's bit never is
         if family == NONOPPOSITE and (opposite := np.flatnonzero(point_sides(k, n) >> lab & 1)).size:
-            raise ValueError(f"opposite assignment: {points[opposite[0]]} -> {lab[opposite[0]]}")
+            raise ValueError(f"opposite assignment: {tuple(points[opposite[0]].tolist())} -> {lab[opposite[0]]}")
         lab.setflags(write=False)
         self.label_array = lab
 

@@ -39,7 +39,10 @@ cut (a corner cut never reads its chord lines, so all corner cuts with
 one threshold floor share a class).  `estimate_density` keeps only each
 draw's class key, `_class_keys`, computed KEY_BLOCK draws at a time so
 that the key arithmetic runs in cache, counts the draws of each key and
-labels each class from its key.
+labels each class from its key.  The key kernel does a few flat int64
+operations per draw: all three centre coordinates are affine in the one
+product n * jt, and the exact chord-line test for degeneracy runs only
+on the rare draws where that product is a multiple of PARAM_CELLS / 2.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ PARAM_CELLS = 1 << 20
 # kernel's temporaries scale with KEY_BLOCK, not with the batch.
 LABEL_BYTES = 1 << 25
 
-# Draws keyed at once by `_class_keys`: a (3, KEY_BLOCK) int64 temporary
-# is 192 KiB, small enough to stay in a core's L2 cache.
+# Draws keyed at once by `_class_keys`: its temporaries, about ten KEY_BLOCK
+# int64 arrays at 64 KiB each, stay in a core's L2 cache.
 KEY_BLOCK = 1 << 13
 
 
@@ -100,31 +103,39 @@ def _class_keys(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     carries the corner flag.  degenerate flags the ball cuts with a grid
     point on a chord.  The chord on x_a = r_a to side s ends at the side
     point with x_s = 0, a grid point whenever the line holds any, so that
-    happens iff some n r_a, a a chord line, is an integer.  The integers
-    stay below 3 * PARAM_CELLS * n, far inside int64.
+    happens iff some n r_a, a a chord line, is an integer.
+
+    Each draw costs a few flat int64 operations on its block.  Over 3M
+    (M = PARAM_CELLS) the ball centre's n r is (2nM - 2t, nM + t, t) on
+    diagonal 0, its last two swapped on diagonal 1, for the one product
+    t = n jt; so the floors are three divisions of t, and the swap is
+    arithmetic on the last two base-n digits: f_1 n + f_2 = f_P n + f_Q +
+    diag (f_Q - f_P)(n - 1).  The coin c_s = choice[:, s] picks the smaller
+    (0) or larger (1) index other than s, so lines = (1 + c_0, 2 c_1, c_2)
+    and the chord digit 9 lines[0] + 3 lines[1] + lines[2] is 9 + 9 c_0 +
+    6 c_1 + c_2.  Every numerator is 0, n M or 2n M plus t or -2t, so 3M
+    divides it only if M/2 divides t: the chord lines are resolved exactly
+    on those rare rows alone.  The integers stay below 3 * PARAM_CELLS * n,
+    far inside int64.
     """
     M = PARAM_CELLS
     key = np.empty(len(params["is_corner"]), np.int64)
-    degenerate = np.empty(key.size, bool)
+    degenerate = np.zeros(key.size, bool)
     for start in range(0, key.size, KEY_BLOCK):
         block = slice(start, start + KEY_BLOCK)
-        corner = params["is_corner"][block]
-        # the centre as numerators over 3M: (2(M - j), M + j, j) on diagonal 0,
-        # (2(M - j), j, M + j) on diagonal 1
-        j = np.asarray(params["jt"][block], np.int64)
-        first = 2 * (M - j)
-        second = j + M * (1 - np.asarray(params["diag"][block], np.int64))
-        ball = np.stack([first, second, 3 * M - first - second])
-        nr = n * np.where(corner, 2 * M + np.asarray(params["jr"][block], np.int64), ball)
-        floor_nr = nr // (3 * M)
-        rem = nr - 3 * M * floor_nr
-        # choice[:, s] picks the smaller (0) or larger (1) index other than s
-        choice = params["choice"][block]
-        lines = [lo + (hi - lo) * choice[:, s] for s, (lo, hi) in enumerate(((1, 2), (0, 2), (0, 1)))]
-        degenerate[block] = ~corner & np.take_along_axis(rem == 0, np.stack(lines), 0).any(0)
-        floors = (floor_nr[0] * n + floor_nr[1]) * n + floor_nr[2]
-        chords = (lines[0] * 3 + lines[1]) * 3 + lines[2]
-        key[block] = floors * 27 + np.where(corner, 0, chords)
+        corner, diag, coins = params["is_corner"][block], params["diag"][block], params["choice"][block]
+        t = n * np.asarray(params["jt"][block], np.int64)
+        f_0, f_P, f_Q = (2 * n * M - 2 * t) // (3 * M), (n * M + t) // (3 * M), t // (3 * M)
+        ball = ((f_0 * n + f_P) * n + f_Q + diag * (f_Q - f_P) * (n - 1)) * 27
+        ball += 9 + 9 * coins[:, 0] + 6 * coins[:, 1] + coins[:, 2]
+        floor_r = n * (2 * M + np.asarray(params["jr"][block], np.int64)) // (3 * M)
+        key[block] = np.where(corner, floor_r * (27 * (n * n + n + 1)), ball)
+        rare = np.flatnonzero((t & (M // 2 - 1)) == 0)
+        if rare.size:
+            u, d, c, rows = t[rare], np.asarray(diag[rare], np.int64), coins[rare], np.arange(rare.size)
+            whole = np.stack([2 * n * M - 2 * u, u + (1 - d) * n * M, u + d * n * M]) % (3 * M) == 0
+            on_chord = whole[1 + c[:, 0], rows] | whole[2 * c[:, 1], rows] | whole[c[:, 2], rows]
+            degenerate[start + rare] = ~corner[rare] & on_chord
     return key, degenerate
 
 

@@ -363,6 +363,23 @@ def test_from_array_rejects_with_the_existing_messages():
                     Cut(3, 2, dict(zip(points, np.asarray(labels).tolist())), family)
 
 
+def test_a_first_valid_cut_never_builds_the_point_tuples(monkeypatch):
+    # the grid gate is the cached point array; a point tuple only names a point
+    # in an error message, so a valid cut on a fresh grid builds none
+    def no_tuples(*args):
+        raise AssertionError("built the point tuples")
+
+    for k, n, family in ((7, 4, KWAY), (3, 11, NONOPPOSITE)):
+        # each point to its largest coordinate: terminals keep their own, and
+        # no label is opposite its point
+        labels = core.point_array(k, n).argmax(axis=1)
+        core.point_array.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(core, "enumerate_points", no_tuples)
+            P = Cut.from_array(k, n, labels, family)
+        assert P.labels == dict(zip(enumerate_points(k, n), labels.tolist()))
+
+
 def test_bench_layer_calls_never_build_the_labels_view():
     rng = random.Random(11)
     P = random_kway_cut(8, 6, rng)

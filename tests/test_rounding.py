@@ -1,6 +1,7 @@
 """The density estimator, against the exact statement of the rounding
 distribution kept here as its oracle."""
 
+import hashlib
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mwgap import cli, rounding
+from mwgap.acceptance import DENSITY_SAMPLES
 from mwgap.core import EXTRA, MAX_POINTS, enumerate_edges, enumerate_points, support
 from mwgap.rounding import (
     KEY_BLOCK,
@@ -119,9 +121,10 @@ def _ball_at(diag, t, side_choice=(False, False, False)):
 
 def batch_labels(params, points, n):
     """(labels, degenerate) of every parametrized cut at every point, as the
-    estimator labels them: through each cut's class key.  Rows flagged
+    estimator labels them: through each cut's class key, from the one-shot
+    reference `class_keys_oracle`, not the kernel under test.  Rows flagged
     degenerate carry no meaning."""
-    key, degenerate = _class_keys(params, n)
+    key, degenerate = class_keys_oracle(params, n)
     return _class_labels(key, points, n), degenerate
 
 
@@ -403,6 +406,54 @@ def test_class_keys_flag_a_degenerate_run_across_a_block_edge():
         assert _assert_keys_match_oracle(params, n)[rows].all()
 
 
+def breakpoint_params(n, rng):
+    """A batch whose rows put n r_a on an integer wherever that is a cell: ball
+    centres jt = j at j = 3Mc/n, 3Mc/n - M and M - 3Mc/(2n) (n r_2, n r_1 and
+    n r_0 on diagonal 0 are c) with 1 <= j < M, on both diagonals with all 8
+    chord choices, then corner thresholds jr = 3Mc/n - 2M in [0, M).  Returns
+    (params, cells), cells the number of ball centres."""
+    M = PARAM_CELLS
+    cells = sorted(
+        {
+            int(j)
+            for c in range(2 * n + 1)
+            for j in (F(3 * M * c, n), F(3 * M * c, n) - M, M - F(3 * M * c, 2 * n))
+            if j.denominator == 1 and 1 <= j < M
+        }
+    )
+    thresholds = [
+        int(jr) for c in range(n + 1) if (jr := F(3 * M * c, n) - 2 * M).denominator == 1 and 0 <= jr < M
+    ]
+    rows = [(False, 0, d, j, c) for d in (0, 1) for j in cells for c in range(8)]
+    rows += [(True, jr, 0, 1, 0) for jr in thresholds]
+    params = _draw_params(rng, len(rows))  # the estimator's dtypes
+    for i, (corner, jr, d, j, c) in enumerate(rows):
+        params["is_corner"][i], params["jr"][i], params["diag"][i], params["jt"][i] = corner, jr, d, j
+        params["choice"][i] = [(c >> b) & 1 for b in range(3)]
+    return params, len(cells)
+
+
+def test_class_keys_match_the_oracle_on_every_breakpoint_cell():
+    for n in (2, 3, 6, 7, 12, 45, 300, MAX_GRID_N):
+        rng = np.random.default_rng(n)
+        params, cells = breakpoint_params(n, rng)
+        assert (cells == 0) == (n == 7)  # 3Mc/7 is whole only for 7 | c, then out of range
+        degenerate = _assert_keys_match_oracle(params, n)
+        # every breakpoint cell lies on a chord line under some chord choice
+        ball = degenerate[: 2 * 8 * cells].reshape(2 * cells, 8)
+        assert ball.any(axis=1).all()
+        assert not degenerate[2 * 8 * cells :].any()  # a corner cut is never degenerate
+        if n <= 12:
+            _assert_keys_decode_to_the_exact_cut(params, n)
+        # the same rows as a run straddling the first KEY_BLOCK edge of a drawn batch
+        rows = len(degenerate)
+        batch = _draw_params(rng, KEY_BLOCK + rows)
+        at = slice(KEY_BLOCK - rows // 2, KEY_BLOCK - rows // 2 + rows)
+        for key in batch:
+            batch[key][at] = params[key]
+        assert np.array_equal(_assert_keys_match_oracle(batch, n)[at], degenerate)
+
+
 def test_class_key_decodes_to_the_exact_cut():
     for seed, n in enumerate((2, 3, 6, 12, 17, MAX_GRID_N)):
         params = _draw_params(np.random.default_rng(seed), 500)
@@ -413,6 +464,26 @@ def test_class_key_decodes_to_the_exact_cut():
     for n in (2, 3, 4, 6):
         seen_degenerate += int(_assert_keys_decode_to_the_exact_cut(_aligned_params(), n).sum())
     assert seen_degenerate > 0
+
+
+def estimate_digest(est):
+    """sha256 of the separations (int64) and of `resampled` and `corner_fraction`."""
+    h = hashlib.sha256(np.array([s.separations for s in est.pair_stats], np.int64).tobytes())
+    h.update(f"{est.resampled} {est.corner_fraction!r}".encode())
+    return h.hexdigest()
+
+
+def test_estimates_are_pinned():
+    # criterion 9's call and `mwgap round --n 12 --samples 200000 --seed 1`:
+    # the separations, redraws and corner share the recorded estimates rest on
+    pinned = (
+        ((6, DENSITY_SAMPLES, 9), "b3109f33423a01107511edfa7c35d0a5889b96dd12d9b63ee1d2eafa69c4bac3", 1.204554),
+        ((12, 200_000, 1), "a58cfe9add9c600e5a35e7d4ebe094403b1083112e37cc18d3371789e4a31aa0", 1.21698),
+    )
+    for args, digest, tau_hat in pinned:
+        est = estimate_density(*args)
+        assert estimate_digest(est) == digest
+        assert est.tau_hat == pytest.approx(tau_hat, abs=1e-12)
 
 
 def test_estimate_density_deterministic():
@@ -731,14 +802,34 @@ def test_batch_arrays_fit_label_bytes():
     assert _batch_size(n) == LABEL_BYTES // comb(n + 2, 2) and _edge_chunk(1) == LABEL_BYTES // 8
 
 
+def test_class_keys_allocate_their_outputs_and_block_temporaries_only():
+    # on 200,000 draws the kernel's outputs, int64 keys and bool flags, take
+    # 9 B per draw; its temporaries are KEY_BLOCK-sized: about ten int64 arrays
+    # of one block (the product t, three floors, the ball and corner keys and
+    # their operands) live at once, and the rare rows' arrays are far smaller.
+    # 16 blocks of int64 leave room for allocator noise, but not for one
+    # batch-sized int64 array (200,000 draws, over 24 blocks).
+    draws = 200_000
+    params = _draw_params(np.random.default_rng(3), draws)
+    for n in (6, 512, MAX_GRID_N):  # 512 = 2^9 has the most rows with M/2 | n jt
+        _class_keys(params, n)
+        tracemalloc.start()
+        try:
+            _class_keys(params, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * draws + 16 * KEY_BLOCK * 8
+
+
 def test_estimate_density_traced_peak_is_the_draw_arrays():
     # one 200,000-draw batch at n = 12: its draw arrays (is_corner, diag and
     # choice 1 byte each, jr and jt 8) take 21 B per draw, 4.0 MiB, and live
     # until the keys are computed.  The peak is the choice draw itself: until
     # its int8 cast, its int64 array adds 24 B per draw, 8.0 MiB in all.  The
     # keys and degenerate flags add 9 B per draw, 1.72 MiB, and the key
-    # kernel's temporaries, a few (3, KEY_BLOCK) int64 at 192 KiB each, about
-    # 1.5 MiB.  12 MiB leaves room for allocator noise, but not for coin
+    # kernel's temporaries, about ten KEY_BLOCK int64 at 64 KiB each, about
+    # 0.6 MiB.  12 MiB leaves room for allocator noise, but not for coin
     # flips kept in int64: 49 B of draw arrays per draw, a 12.6 MiB peak.
     estimate_density(12, 200_000, 5)  # warm the grid caches
     tracemalloc.start()
