@@ -22,12 +22,12 @@ from .core import (
     EXTRA,
     WeightFunction,
     cost,
-    enumerate_edges,
+    edge_index,
     enumerate_points,
     lpc,
+    point_sides,
     random_kway_cut,
     random_nonopposite_cut,
-    support,
 )
 from .dual import (
     NONOPPOSITE,
@@ -124,11 +124,11 @@ def criterion_4(res: CriterionResult) -> None:
     mn, _ = brute_force_min_cut(3, w3, THREEWAY)
     res.check(mn >= Fraction(2, 3), f"brute w3(3) threeway = {mn} < 2/3")
     rng = random.Random(ORACLE_SEED)
+    u, v = edge_index(3, 3)
     for t in range(ORACLE_TRIALS):
-        weights = {
-            e: Fraction(rng.randrange(0, 17), 8) for e in enumerate_edges(3, 3) if rng.random() < 0.8
-        }
-        w = WeightFunction(3, 3, {e: v for e, v in weights.items() if v != 0})
+        # each edge in turn: kept with probability 0.8, then a weight in {0, 1/8, ..., 2}
+        nums = np.array([rng.randrange(0, 17) if rng.random() < 0.8 else 0 for _ in range(u.size)])
+        w = WeightFunction.from_numerators(3, 3, 8, u[nums > 0], v[nums > 0], nums[nums > 0])
         for family in (NONOPPOSITE, THREEWAY):
             bf, _ = brute_force_min_cut(3, w, family)
             cert = certify(3, w, family, Fraction(0))
@@ -219,20 +219,20 @@ def criterion_8(res: CriterionResult) -> None:
     """Injection restriction stays non-opposite; bad frequency within bound."""
     K, n = INJECTION_K, INJECTION_N
     rng = random.Random(8)
-    points = enumerate_points(3, n)
-    bad_counts = np.zeros(len(points), np.intp)
+    sides = point_sides(3, n)
+    bad_counts = np.zeros(len(sides), np.intp)
     for t in range(TRIALS):
         P = random_kway_cut(K, n, rng)
         restriction = restrict_triple(P, *rng.sample(range(K), 3))
-        Q = restriction.fixed
+        lab = restriction.fixed.label_array
         res.check(
-            all(Q.labels[x] == EXTRA or Q.labels[x] in support(x) for x in points),
+            ((lab == EXTRA) | (sides >> lab & 1 == 0)).all(),  # label c is in supp(x) when bit c is clear
             f"trial {t}: restriction not non-opposite",
         )
         bad_counts += restriction.bad
     bound = 3 / (K - 3)
     sigma = sqrt(bound * (1 - bound) / TRIALS)
-    for p, c in zip(points, bad_counts.tolist()):
+    for p, c in zip(enumerate_points(3, n), bad_counts.tolist()):
         freq = c / TRIALS
         res.check(freq <= bound + 3 * sigma, f"point {p}: bad frequency {freq:.4f} > {bound:.4f} + 3 sigma")
 

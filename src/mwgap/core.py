@@ -8,11 +8,13 @@ Each grid object has one cached accessor: the read-only arrays
 `point_array` (the points, which every array kernel reads), `edge_index`
 (the edges' endpoint positions), `point_sides` and `terminal_ranks`, and
 the tuples `enumerate_points` and `enumerate_edges`, built from the
-arrays for callers that ask for tuples.  A `WeightFunction` is its integer
-numerators over one denominator, on its edges' endpoint positions; a
-`Cut` is its label array in point order (its point dict is a view), and
-`cost` sums the numerators of the edges whose endpoint labels differ;
-`face_gather` places a smaller grid on faces of the k-simplex.  All
+arrays for callers that ask for tuples.  A `WeightFunction` is its
+integer numerators over one denominator, on its edges' endpoint
+positions; a `Cut` is its label array in point order (its point dict is
+a view), and `cost` sums the numerators of the edges whose endpoint
+labels differ; `face_gather` places a smaller grid on faces of the
+k-simplex.  `point_array` and `face_gather` count their intp arrays
+before building them and refuse one past `MAX_ARRAY_BYTES`.  All
 arithmetic here is exact: `Fraction`s only at the API, never a float.
 """
 
@@ -32,6 +34,10 @@ import numpy as np
 Point = tuple[int, ...]
 Edge = tuple[Point, Point]
 MAX_POINTS = 2**19  # the largest grid enumerated: at about 2 KB a triangle point, 1 GiB
+# The largest intp array a grid kernel builds, `point_array`'s (points, k) and
+# `face_gather`'s (faces, |Delta_{m,n}|, k): a gather holds about four of its
+# size at once (`point_rank`'s temporaries), so it peaks near the same 1 GiB.
+MAX_ARRAY_BYTES = 2**28
 
 
 def support(x: Point) -> frozenset[int]:
@@ -60,6 +66,7 @@ def point_array(k: int, n: int) -> np.ndarray:
     check_grid(k, n)
     if (count := comb(n + k - 1, k - 1)) > MAX_POINTS:
         raise ValueError(f"Delta_{{k={k},n={n}}} has {count} points, more than MAX_POINTS = {MAX_POINTS}")
+    _check_array_bytes(f"the point array of Delta_{{k={k},n={n}}}", count * k)
     points = point_unrank(np.arange(count), k, n)
     points.setflags(write=False)
     return points
@@ -120,6 +127,18 @@ def terminal_ranks(k: int, n: int) -> np.ndarray:
     return ranks
 
 
+def _check_array_bytes(what: str, entries: int) -> None:
+    """Raise ValueError if an intp array of this many entries passes MAX_ARRAY_BYTES."""
+    if (size := entries * np.dtype(np.intp).itemsize) > MAX_ARRAY_BYTES:
+        raise ValueError(f"{what} takes {size} bytes, more than MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
+
+
+def _check_gather(k: int, n: int, m: int, faces: int) -> None:
+    """Raise ValueError if a gather of this many m-faces of [k] would build a
+    (faces, |Delta_{m,n}|, k) intp temporary past MAX_ARRAY_BYTES."""
+    _check_array_bytes(f"a gather of {faces} {m}-faces on Delta_{{k={k},n={n}}}", faces * len(point_array(m, n)) * k)
+
+
 def face_gather(k: int, n: int, faces: Sequence[Sequence[int]]) -> np.ndarray:
     """Read-only (len(faces), |Delta_{m,n}|) array: row f, column j is the
     `point_rank` of the j-th point of Delta_{m,n}, in `enumerate_points`
@@ -136,7 +155,8 @@ def face_gather(k: int, n: int, faces: Sequence[Sequence[int]]) -> np.ndarray:
             raise ValueError(f"face {list(face)} repeats an index")
         if not all(i in range(k) for i in face):
             raise ValueError(f"face {list(face)} has an index outside range({k})")
-    small = point_array(sizes.pop(), n)
+    _check_gather(k, n, m := sizes.pop(), len(faces))
+    small = point_array(m, n)
     big = np.zeros((len(faces), len(small), k), small.dtype)
     big[np.arange(len(faces))[:, None], :, np.array(faces, np.intp)] = small.T
     gather = point_rank(big, n)
@@ -146,7 +166,9 @@ def face_gather(k: int, n: int, faces: Sequence[Sequence[int]]) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def sorted_face_gather(k: int, n: int, m: int) -> np.ndarray:
-    """`face_gather` of the C(k, m) sorted m-faces of [k], in `combinations` order."""
+    """`face_gather` of the C(k, m) sorted m-faces of [k], in `combinations`
+    order, gated on their count before any face is listed."""
+    _check_gather(k, n, m, comb(k, m))
     return face_gather(k, n, list(combinations(range(k), m)))
 
 
@@ -379,18 +401,22 @@ def cost(P: Cut, w: WeightFunction) -> Fraction:
 
 
 def random_kway_cut(k: int, n: int, rng: random.Random) -> Cut:
-    """Uniform label in range(k) for each non-terminal point."""
-    labels = []
-    for x in enumerate_points(k, n):
-        if max(x) == n:
-            labels.append(x.index(n))
-        else:
-            labels.append(rng.randrange(k))
+    """Uniform label in range(k) for each non-terminal point, drawn in point order."""
+    labels = np.full(len(point_array(k, n)), -1)
+    labels[terminal_ranks(k, n)] = range(k)
+    labels[labels < 0] = [rng.randrange(k) for _ in range(len(labels) - k)]
     return Cut.from_array(k, n, labels, KWAY)
 
 
 def random_nonopposite_cut(n: int, rng: random.Random) -> Cut:
-    """Uniform label in supp(x) + {extra} for each non-terminal point of the triangle."""
-    points = enumerate_points(3, n)
-    labels = [x.index(n) if max(x) == n else rng.choice(sorted(support(x)) + [EXTRA]) for x in points]
+    """Uniform label in supp(x) + {extra} for each non-terminal point of the triangle, drawn in point order."""
+    labels = np.full(len(point_array(3, n)), -1)
+    labels[terminal_ranks(3, n)] = range(3)
+    labels[labels < 0] = [rng.choice(nonopposite_labels(s)) for s in point_sides(3, n)[labels < 0].tolist()]
     return Cut.from_array(3, n, labels, NONOPPOSITE)
+
+
+def nonopposite_labels(side: int) -> list[int]:
+    """supp(x) + [EXTRA], ascending, for a triangle point x with this side
+    mask: label c is opposite x when bit c is set, and EXTRA's bit never is."""
+    return [c for c in (0, 1, 2, EXTRA) if not side >> c & 1]

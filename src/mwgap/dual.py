@@ -26,8 +26,8 @@ The weight-free part of the dual, `dual_topology(n)`, is built once per n
 from the point array and cached as read-only integer arrays of the dual
 alone: each edge slot's two dual nodes, by node ids in sorted node-tuple
 order, the face and outer-node ids, and the face centroids.  A
-`DualGraph` adds one list of weight numerators per edge slot, placed
-from the `WeightFunction`'s arrays.
+`DualGraph` adds one read-only array of weight numerators per edge slot,
+in the `WeightFunction`'s dtype, placed by one search on sorted edge keys.
 Both shortest-path kernels search one graph, `_search_graph(n)`, the
 Lipschitz rows of the potential system.  `certify` takes scipy's
 compiled Dijkstra while the weight numerators total less than
@@ -53,7 +53,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, repeat
+from itertools import permutations
 from math import comb, lcm
 from typing import Optional
 
@@ -70,10 +70,10 @@ from .core import (
     edge_index,
     enumerate_edges,
     enumerate_points,
+    nonopposite_labels,
     point_array,
     point_rank,
     point_sides,
-    support,
     terminal_ranks,
 )
 from .serialize import rat_to_str
@@ -109,15 +109,10 @@ class DualTopology:
 
     def nodes(self) -> list[DualNodeT]:
         """The node tuples, by id.  Built per call: the cache holds no tuples."""
-        n_down = int(self.outer[0])
-        n_up = len(self.faces) - n_down
+        n_up = len(self.faces) - int(self.outer[0])
         # the base (a, b, c) of a face: its centroid numerators are 3a + 1 (up) or 3a + 2 (down)
-        a, b, c = (self.centroids // 3).T.tolist()  # up faces, then down faces
-        return [
-            *zip(repeat("D"), a[n_up:], b[n_up:], c[n_up:]),
-            *OUTER,
-            *zip(repeat("U"), a[:n_up], b[:n_up], c[:n_up]),
-        ]
+        faces = [("U" if j < n_up else "D", *x) for j, x in enumerate((self.centroids // 3).tolist())]
+        return faces[n_up:] + list(OUTER) + faces[:n_up]  # up faces come first in centroid order
 
 
 def _frozen(values) -> np.ndarray:
@@ -172,7 +167,7 @@ def dual_topology(n: int) -> DualTopology:
 class DualGraph:
     n: int
     topology: DualTopology
-    weights: list[int]  # weight numerator of each edge slot, over `denominator`
+    weights: np.ndarray  # read-only weight numerator of each edge slot, over `denominator`, in w.nums' dtype
     denominator: int
 
 
@@ -183,10 +178,12 @@ def build_dual(n: int, w: WeightFunction) -> DualGraph:
     if w.n != n:
         raise ValueError(f"weight function is on n = {w.n}, expected {n}")
     topo = dual_topology(n)
-    # `WeightFunction` admits weight only on edges, so every pair has a slot
+    # `WeightFunction` admits weight only on edges, so every pair has a slot, and slot keys are sorted
+    count, (u, v) = comb(n + 2, 2), edge_index(3, n)
     weights = np.zeros(len(topo.ends), w.nums.dtype)
-    weights[_find_pairs(*edge_index(3, n), comb(n + 2, 2), w.u, w.v)] = w.nums
-    return DualGraph(n, topo, weights.tolist(), w.denominator)
+    weights[np.searchsorted(u * count + v, w.u * count + w.v)] = w.nums
+    weights.setflags(write=False)
+    return DualGraph(n, topo, weights, w.denominator)
 
 
 def _shortest_paths(g: DualGraph, sources: list[int]) -> list[tuple[list, list]]:
@@ -199,7 +196,7 @@ def _shortest_paths(g: DualGraph, sources: list[int]) -> list[tuple[list, list]]
     a block, ids and edge slots are in node-tuple and edge order.
     """
     indptr, head, slot = (a.tolist() for a in _search_graph(g.n))
-    weights = g.weights
+    weights = g.weights.tolist()  # Python ints, so no distance can wrap
     m = len(weights)
     size = len(indptr) - 1
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -253,20 +250,19 @@ def _outer_distances(g: DualGraph) -> np.ndarray:
     outer = g.topology.outer.tolist()
     N = g.topology.size
     sources = [i * N + o for i, o in enumerate(outer)]
-    if sum(g.weights) >= FLOAT_EXACT:
+    if int(g.weights.sum()) >= FLOAT_EXACT:
         runs = _shortest_paths(g, sources)
         return np.array([dist[i * N : (i + 1) * N] for i, (dist, _) in enumerate(runs)], dtype=object)
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
     indptr, head, slot = _search_graph(g.n)
-    weights = np.array(g.weights, dtype=np.int64)
-    graph = csr_array((weights[slot].astype(np.float64), head, indptr), shape=(3 * N, 3 * N))
+    graph = csr_array((g.weights[slot].astype(np.float64), head, indptr), shape=(3 * N, 3 * N))
     dist = csgraph_dijkstra(graph, indices=sources).reshape(3, 3, N)[[0, 1, 2], [0, 1, 2]]
     if not (np.isfinite(dist).all() and (dist[[0, 1, 2], outer] == 0).all()):
         raise RuntimeError("compiled Dijkstra left a node unreached or a source off 0")
     dist = dist.astype(np.int64)
-    lhs, rhs = _row_values(g.n, np.concatenate((weights, dist.ravel())))
+    lhs, rhs = _row_values(g.n, np.concatenate((g.weights, dist.ravel())))
     if (lhs[rhs == 0] < 0).any():  # the Lipschitz rows are the rows with rhs 0
         raise RuntimeError("compiled Dijkstra distances break a Lipschitz row")
     return dist
@@ -504,7 +500,8 @@ def certify(n: int, w: WeightFunction, family: str, target: Fraction) -> Certifi
     sums = dist[:, topo.faces].sum(axis=0)
     f = int(np.argmin(sums))  # the first face of least distance sum, in face order
     ball = int(sums[f])
-    witness = topo.nodes()[topo.faces[f]]
+    a, b, c = topo.centroids[f].tolist()  # 3x + 1 for the up face on base x, 3x + 2 for the down face
+    witness = ("U" if a % 3 == 1 else "D", a // 3, b // 3, c // 3)
     corner = sum(pairwise.values())
     two_corner = sum(sorted(pairwise.values())[:2])
     overall = min(ball, corner) if family == NONOPPOSITE else min(ball, two_corner)
@@ -549,9 +546,9 @@ def check_potentials(n: int, w: WeightFunction) -> PotentialReport:
     L = lcm(D, 6 * n)
     wscale, phiscale = L // D, L // (6 * n)
     phi = paper_potentials(n).ravel()
-    small = max(max(g.weights, default=0) * wscale, int(phi.max()) * phiscale, L) < INT64_TERMS
+    small = max(int(g.weights.max(initial=0)) * wscale, int(phi.max()) * phiscale, L) < INT64_TERMS
     dtype = np.int64 if small else object
-    x = np.concatenate((np.array(g.weights, dtype=dtype) * wscale, phi.astype(dtype) * phiscale))
+    x = np.concatenate((g.weights.astype(dtype) * wscale, phi.astype(dtype) * phiscale))
     lhs, rhs = _row_values(n, x)
     violated = np.flatnonzero(lhs < rhs.astype(dtype) * L)
     if not violated.size:
@@ -745,20 +742,15 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
         raise ValueError(f"weight function is on n = {w.n}, expected {n}")
     if (count := comb(n + 2, 2)) > BRUTE_MAX_POINTS:
         raise ValueError(f"{count} points exceed the exhaustive bound {BRUTE_MAX_POINTS}")
-    points = enumerate_points(3, n)
     # edges to already-assigned points, per point: a canonical edge has u < v
-    back_edges: list[list[tuple[int, int]]] = [[] for _ in points]
+    back_edges: list[list[tuple[int, int]]] = [[] for _ in range(count)]
     for i, j, num in zip(w.u.tolist(), w.v.tolist(), w.nums.tolist()):
         back_edges[j].append((i, num))
 
-    choices: list[list[int]] = []
-    for p in points:
-        if max(p) == n:
-            choices.append([p.index(n)])
-        elif family == NONOPPOSITE:
-            choices.append(sorted(support(p)) + [EXTRA])
-        else:
-            choices.append([0, 1, 2])
+    sides = point_sides(3, n).tolist()
+    choices = [nonopposite_labels(s) if family == NONOPPOSITE else [0, 1, 2] for s in sides]
+    for i, t in enumerate(terminal_ranks(3, n).tolist()):
+        choices[t] = [i]
 
     best_cost: Optional[int] = None
     best_labels: Optional[list[int]] = None
@@ -768,7 +760,7 @@ def brute_force_min_cut(n: int, w: WeightFunction, family: str) -> tuple[Fractio
         nonlocal best_cost, best_labels
         if best_cost is not None and running >= best_cost:
             return
-        if i == len(points):
+        if i == count:
             best_cost, best_labels = running, assigned.copy()
             return
         for c in choices[i]:

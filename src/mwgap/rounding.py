@@ -220,6 +220,8 @@ def estimate_density(n: int, samples: int, seed: int) -> DensityEstimate:
         raise ValueError(f"need n >= 2, got {n}")
     if samples < 1000:
         raise ValueError(f"need samples >= 1000, got {samples}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     points = enumerate_points(3, n)  # the grid gate; first, so an oversize n allocates nothing
     edges = enumerate_edges(3, n)
     eu, ev = edge_index(3, n)

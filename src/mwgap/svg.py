@@ -12,8 +12,8 @@ from itertools import repeat
 from math import sqrt
 from typing import Optional
 
-from .core import Cut, Point, WeightFunction, edge_index, enumerate_edges
-from .dual import dual_topology, paper_potentials
+from .core import Cut, Point, WeightFunction, edge_index, enumerate_edges, terminal
+from .dual import build_dual, paper_potentials
 
 SIDE = 480.0
 MARGIN = 40.0
@@ -42,7 +42,9 @@ def emit_svg(
     if cut is not None and (cut.k, cut.n) != (w.k, w.n):
         raise ValueError(f"cut is on (k={cut.k}, n={cut.n}) but the instance on (k={w.k}, n={w.n})")
     n = w.n
-    maxw = max(w.weights.values(), default=Fraction(0))
+    g = build_dual(n, w)
+    nums = g.weights.tolist()
+    maxw = Fraction(max(nums, default=0), g.denominator)
     width = SIDE + 2 * MARGIN
     height = SIDE * SQ3_2 + 2 * MARGIN
     out = [
@@ -50,8 +52,8 @@ def emit_svg(
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
     ]
     cut_at = repeat(False) if cut is None else [a != b for a, b in zip(*cut.label_array[edge_index(3, n)].tolist())]
-    for (x, y), is_cut in zip(enumerate_edges(3, n), cut_at):
-        val = w.get(x, y)
+    for (x, y), num, is_cut in zip(enumerate_edges(3, n), nums, cut_at):
+        val = Fraction(num, g.denominator)
         (x1, y1), (x2, y2) = _xy(x, n), _xy(y, n)
         color = "#cc2222" if is_cut else "#333333"
         if val == 0:
@@ -64,7 +66,7 @@ def emit_svg(
             f"<title>{x}-{y} w={val}</title></line>"
         )
     if potential_index is not None:
-        topo = dual_topology(n)
+        topo = g.topology
         phi = paper_potentials(n)[potential_index].tolist()
         for f, c in zip(topo.faces.tolist(), topo.centroids.tolist()):
             cx, cy = _xy(tuple(Fraction(v, 3) for v in c), n)  # the centroid, scaled like grid coords
@@ -73,8 +75,7 @@ def emit_svg(
                 f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-size="9" text-anchor="middle">{val}</text>'
             )
     for i in range(3):
-        p = tuple(n if j == i else 0 for j in range(3))
-        px, py = _xy(p, n)
+        px, py = _xy(terminal(i, 3, n), n)
         out.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="#2255cc"/>')
     out.append("</svg>")
     return "\n".join(out)

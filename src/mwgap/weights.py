@@ -9,9 +9,11 @@ Five families:
   build_w_tilde — the convex combination of the last two that pushes every
                   k-way cut cost to at least one
 
-`build_w3` and the k-way families hand `WeightFunction.from_numerators`
-integer arrays: the k-way ones are one lifted integer sum, `_lifted`,
-over the cached `core.sorted_face_gather`; E_{k,n} is never enumerated.
+Every family hands `WeightFunction.from_numerators` integer arrays on
+the cached edge endpoints `core.edge_index` (`build_fk` finds its
+terminals in `core.terminal_ranks`); the k-way families are one lifted
+integer sum, `_lifted`, over the cached `core.sorted_face_gather`, and
+E_{k,n} is never enumerated.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Edge, WeightFunction, edge_index, enumerate_edges, point_array, sorted_face_gather
+from .core import WeightFunction, edge_index, point_array, sorted_face_gather, terminal_ranks
 
 
 def build_w3(n: int) -> WeightFunction:
@@ -53,19 +55,17 @@ def build_w3(n: int) -> WeightFunction:
 
 
 def build_fk() -> WeightFunction:
-    """The classic n = 2 triangle instance with lpc = 7/8."""
-    weights: dict[Edge, Fraction] = {}
-    for x, y in enumerate_edges(3, 2):
-        if max(x) == 2 or max(y) == 2:
-            weights[(x, y)] = Fraction(1, 6)  # simplex vertex to middle point
-        else:
-            weights[(x, y)] = Fraction(1, 4)  # middle point to middle point
-    return WeightFunction(3, 2, weights)
+    """The classic n = 2 triangle instance with lpc = 7/8: 1/6 from a simplex
+    vertex to a middle point, 1/4 between middle points, over 12."""
+    uv = edge_index(3, 2)
+    corner = np.isin(uv, terminal_ranks(3, 2)).any(axis=0)
+    return WeightFunction.from_numerators(3, 2, 12, *uv, np.where(corner, 2, 3))
 
 
 def _line(n: int) -> WeightFunction:
     """Weight 1 on every edge of Delta_{2,n}, the line between two terminals."""
-    return WeightFunction(2, n, dict.fromkeys(enumerate_edges(2, n), 1))
+    uv = edge_index(2, n)
+    return WeightFunction.from_numerators(2, n, 1, *uv, np.ones(uv.shape[1], np.int64))
 
 
 def _lifted(k: int, n: int, terms: list[tuple[Fraction, WeightFunction]]) -> WeightFunction:

@@ -6,11 +6,13 @@ the claims ledger.  The tests also pin each criterion's name and the detail
 lines a passing run prints.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from mwgap import acceptance
+from mwgap.core import WeightFunction, enumerate_edges
 from mwgap.acceptance import CriterionResult, check_ratios, run_ledger
 
 # id -> (name, details of a passing run)
@@ -57,6 +59,24 @@ def test_criterion_3_potential_checks():
 
 def test_criterion_4_oracle_agreement_tiny_scale():
     _ledger(4)
+
+
+def oracle_criterion_4_instances():
+    """Criterion 4's random instances, built as `Fraction` dicts from the same draws."""
+    rng = random.Random(acceptance.ORACLE_SEED)
+    for _ in range(acceptance.ORACLE_TRIALS):
+        weights = {e: Fraction(rng.randrange(0, 17), 8) for e in enumerate_edges(3, 3) if rng.random() < 0.8}
+        yield WeightFunction(3, 3, {e: v for e, v in weights.items() if v != 0})
+
+
+def test_criterion_4_instances_match_the_dict_oracle(monkeypatch):
+    seen, certify = [], acceptance.certify
+    monkeypatch.setattr(acceptance, "certify", lambda n, w, *args: seen.append(w) or certify(n, w, *args))
+    res = CriterionResult(4, "oracle agreement")
+    acceptance.criterion_4(res)
+    assert res.passed
+    oracle = list(oracle_criterion_4_instances())
+    assert len(oracle) == 20 and seen[::2] == oracle and seen[1::2] == oracle  # one certificate per family
 
 
 def test_criterion_5_normalization_property():

@@ -176,6 +176,11 @@ def test_round_requires_seed(capsys):
     assert code == 2
 
 
+def test_round_names_a_negative_seed(capsys):
+    assert main(["round", "--n", "6", "--samples", "1000", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: need seed >= 0, got -1\n"
+
+
 def test_round_has_no_mixture_option(capsys):
     # the corner share is the paper's 1/5, not an option
     assert main(["round", "--n", "3", "--samples", "5000", "--seed", "1", "--p-corner", "1/5"]) == 2
@@ -395,6 +400,10 @@ def test_oversize_grids_exit_2_under_a_memory_cap(tmp_path):
         (["project", "--cut", str(big_cut)], bound),
         (["round", "--n", "8000", "--samples", "1000", "--seed", "1"], "MAX_POINTS = 524288"),
         (["build", "--weights", "wtilde", "--k", "20", "--n", "90"], "MAX_POINTS = 524288"),
+        # grids inside MAX_POINTS whose point array or face gather passes MAX_ARRAY_BYTES
+        (["build", "--weights", "wprime", "--k", "1000", "--n", "2"], "point array of Delta_{k=1000,n=2} takes"),
+        (["build", "--weights", "what", "--k", "144", "--n", "3"], "point array of Delta_{k=144,n=3} takes"),
+        (["build", "--weights", "what", "--k", "70", "--n", "3"], "a gather of 54740 3-faces on Delta_{k=70,n=3}"),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(mwgap.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
     argv = json.dumps([a for a, _ in cases])

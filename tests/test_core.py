@@ -1,5 +1,6 @@
 """Grid simplex primitives: points, edges, weight functions, cuts."""
 
+import hashlib
 import itertools
 import random
 import re
@@ -103,6 +104,40 @@ def test_oversize_point_array_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_oversize_gathers_raise_before_allocating():
+    # ungated, the first lists 166,167,000 faces for a 7.98 TB temporary, the
+    # second needs 4 GB, and the point array of Delta_{1000,2} 4 GB
+    many = [(0, 1, 2)] * 10000
+    calls = (lambda: core.sorted_face_gather(1000, 2, 3), lambda: core.face_gather(5000, 3, many))
+    tracemalloc.start()
+    try:
+        for call in (*calls, lambda: core.point_array(1000, 2)):
+            with pytest.raises(ValueError, match="more than MAX_ARRAY_BYTES = 268435456"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("k, n, m", [(30, 4, 3), (100, 2, 2)])
+def test_a_gather_peaks_near_four_temporaries(k, n, m):
+    # the (faces, |Delta_{m,n}|, k) temporary that MAX_ARRAY_BYTES bounds, and
+    # point_rank's working arrays of its size: measured about 4x, so a gather
+    # at the bound peaks near 1 GiB
+    faces = list(itertools.combinations(range(k), m))
+    core.point_array(m, n), core._tail_counts(k, n)  # the small cached tables, built untraced
+    tracemalloc.start()
+    try:
+        gather = core.face_gather(k, n, faces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    temporary = gather.size * k * np.dtype(np.intp).itemsize
+    assert peak <= 4.5 * temporary
+    assert 4.5 * core.MAX_ARRAY_BYTES <= 1.25 * 2**30
 
 
 def test_rank_round_trip_past_int64_leaves_the_cached_table():
@@ -289,6 +324,55 @@ def test_random_cuts_differ_across_seeds():
     a = random_kway_cut(5, 3, random.Random(0))
     b = random_kway_cut(5, 3, random.Random(1))
     assert a.labels != b.labels
+
+
+# sha256 over the uint8 label arrays of three successive cuts from random.Random(seed),
+# recorded from the tuple-scanning builders that read max(x) == n and support(x)
+RANDOM_CUT_PINS = {
+    (KWAY, 3, 6, 1): "b20fc412ec07b59cb584d4bbfa0f73bdcb31bc55228d6177a0ceff0645df7836",
+    (KWAY, 5, 3, 2): "ccadf13f7506300e87eb7b9ba22446373d5b914925fc2f023257e2e22e4e9262",
+    (KWAY, 8, 6, 3): "c5c8fc1cf704236d14c1229d5942be7254868a938f961e1c31e84d8c12119961",
+    (KWAY, 12, 3, 4): "2611326770e87cbcf9df899c482d7d3636f7d899d3d4d5371fa53384f70b7659",
+    (NONOPPOSITE, 3, 3, 5): "0e44aada0764adebe6e9c53c8bea08e307bf2f419827dba1636c351dcd490690",
+    (NONOPPOSITE, 3, 6, 6): "9c1ba45130634e99f777e9fb338074dd3891b3e4b0adb139557555a4c4130596",
+    (NONOPPOSITE, 3, 9, 7): "723abc7adb26f99739d15ad9757b98da06aa168b89dad2f068ba08ed13d3833e",
+}
+
+
+def _pinned_cuts(family, k, n, seed):
+    rng = random.Random(seed)
+    if family == KWAY:
+        return [random_kway_cut(k, n, rng) for _ in range(3)]
+    return [random_nonopposite_cut(n, rng) for _ in range(3)]
+
+
+def test_random_cuts_match_their_recorded_digests():
+    for (family, k, n, seed), pin in RANDOM_CUT_PINS.items():
+        cuts = _pinned_cuts(family, k, n, seed)
+        data = b"".join(np.asarray(P.label_array, np.uint8).tobytes() for P in cuts)
+        assert hashlib.sha256(data).hexdigest() == pin, (family, k, n, seed)
+
+
+def _clear_grid_caches():
+    for name in dir(core):
+        if hasattr(getattr(core, name), "cache_clear"):
+            getattr(core, name).cache_clear()
+
+
+def test_builders_never_build_the_point_tuples(monkeypatch):
+    def no_tuples(*args):
+        raise AssertionError("built the point tuples")
+
+    expected = {key: _pinned_cuts(*key) for key in RANDOM_CUT_PINS}
+    weights = {(k, n): build_w_prime(k, n) for k, n in ((2, 5), (4, 6), (8, 3))}
+    fk = build_fk()
+    _clear_grid_caches()
+    monkeypatch.setattr(core, "enumerate_points", no_tuples)
+    for key, cuts in expected.items():
+        assert _pinned_cuts(*key) == cuts
+    assert build_fk() == fk
+    for (k, n), w in weights.items():
+        assert build_w_prime(k, n) == w
 
 
 def test_cut_label_array_is_in_point_index_order():

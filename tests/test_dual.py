@@ -511,6 +511,31 @@ def test_certify_matches_oracle_dijkstra():
             assert certify(w.n, w, family, target) == oracle_certify(w, family, target)
 
 
+def test_certify_names_its_witness_without_the_node_tuples(monkeypatch):
+    def no_tuples(self):
+        raise AssertionError("built the node tuples")
+
+    rng = random.Random(17)
+    cases = _oracle_cases()
+    for _ in range(240):  # integer weights at n = 2..6: some witnesses are down faces
+        n = rng.randrange(2, 7)
+        cases.append(WeightFunction(3, n, {e: Fraction(rng.randrange(1, 9)) for e in enumerate_edges(3, n)}))
+    expected = [oracle_certify(w, NONOPPOSITE, Fraction(1)) for w in cases]
+    monkeypatch.setattr(dual_module.DualTopology, "nodes", no_tuples)
+    got = [certify(w.n, w, NONOPPOSITE, Fraction(1)) for w in cases]
+    assert got == expected
+    assert {cert.witness_face[0] for cert in got} == {"U", "D"}
+
+
+def test_dual_weights_are_one_read_only_array_in_the_numerators_dtype():
+    cases = [(build_w3(9), np.int64), (build_fk(), np.int64), (search(3).weights, np.int64)]
+    for w, dtype in cases + [(w, object) for w in _past_int64_instances()]:
+        g = build_dual(w.n, w)
+        assert isinstance(g.weights, np.ndarray) and g.weights.dtype == w.nums.dtype == dtype
+        assert not g.weights.flags.writeable
+        assert g.weights.tolist() == [w.get(x, y) * g.denominator for x, y in enumerate_edges(3, w.n)]
+
+
 def _python_outer_distances(g):
     N = g.topology.size
     runs = dual_module._shortest_paths(g, [i * N + o for i, o in enumerate(g.topology.outer.tolist())])

@@ -12,9 +12,11 @@ from mwgap.core import (
     WeightFunction,
     cost,
     face_gather,
+    point_array,
     point_sides,
     random_kway_cut,
     random_nonopposite_cut,
+    sorted_face_gather,
 )
 from mwgap.dual import brute_force_min_cut, build_dual, certify, dijkstra, normalize_cut
 from mwgap.lpsearch import solve_lp
@@ -27,6 +29,9 @@ from mwgap.projection import (
 )
 from mwgap.rounding import estimate_density
 from mwgap.weights import build_fk, build_w3, build_w_hat, build_w_prime, build_w_tilde
+
+
+MANY_FACES = [(0, 1, 2)] * 10000
 
 
 def _kway(k, n):
@@ -64,6 +69,22 @@ GUARDS = {
         "faces must be nonempty and all of one size, got sizes [2, 3]",
     ),
     "face_gather none": (lambda: face_gather(5, 3, []), ValueError, "faces must be nonempty and all of one size"),
+    # the counts are checked before any face is listed or any array built
+    "face_gather bytes": (
+        lambda: face_gather(5000, 3, MANY_FACES),
+        ValueError,
+        "a gather of 10000 3-faces on Delta_{k=5000,n=3} takes 4000000000 bytes, more than MAX_ARRAY_BYTES = 268435456",
+    ),
+    "sorted_face_gather bytes": (
+        lambda: sorted_face_gather(1000, 2, 3),
+        ValueError,
+        "a gather of 166167000 3-faces on Delta_{k=1000,n=2} takes 7976016000000 bytes, more than MAX_ARRAY_BYTES",
+    ),
+    "point_array bytes": (
+        lambda: point_array(1000, 2),
+        ValueError,
+        "the point array of Delta_{k=1000,n=2} takes 4004000000 bytes, more than MAX_ARRAY_BYTES = 268435456",
+    ),
     "cost grids": (
         lambda: cost(_kway(3, 2), WeightFunction(3, 3, {})),
         ValueError,
@@ -133,6 +154,7 @@ GUARDS = {
     "w_tilde k": (lambda: build_w_tilde(2, 3), ValueError, "need k >= 3, got 2"),
     "density n": (lambda: estimate_density(1, 1000, 0), ValueError, "need n >= 2, got 1"),
     "density samples": (lambda: estimate_density(6, 999, 0), ValueError, "need samples >= 1000, got 999"),
+    "density seed": (lambda: estimate_density(6, 1000, -1), ValueError, "need seed >= 0, got -1"),
     # x_0 >= 1 and -x_0 >= 0
     "solve_lp infeasible": (
         lambda: solve_lp([{0: 1.0}, {0: -1.0}], [1.0, 0.0], 1, 1),

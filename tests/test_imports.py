@@ -1,6 +1,6 @@
 """Every module of the package uses the names it imports, imports no
-other module's private names, and never turns the point tuples back into
-an array."""
+other module's private names, never turns the point tuples back into an
+array, and calls the dict constructors only in `serialize`."""
 
 import ast
 from pathlib import Path
@@ -93,3 +93,34 @@ def test_point_tuple_arrays_are_found():
 def test_src_modules_never_array_the_point_tuples():
     for path in sorted(PACKAGE.glob("*.py")):
         assert point_tuple_arrays(path.read_text()) == [], path.name
+
+
+def dict_constructor_calls(source: str) -> list[int]:
+    """The lines that call a dict constructor, `WeightFunction(...)` or
+    `Cut(...)`, by a bare or a module name; `from_numerators`, `from_array`
+    and `__new__` are other calls."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("WeightFunction", "Cut"):
+                found.append(node.lineno)
+    return found
+
+
+def test_dict_constructor_calls_are_found():
+    source = (
+        "w = WeightFunction(3, n, weights)\n"
+        "P = core.Cut(3, n, labels, KWAY)\n"
+        "v = WeightFunction.from_numerators(3, n, 1, u, v, nums)\n"
+        "Q = Cut.from_array(3, n, labels)\n"
+        "x = WeightFunction.__new__(WeightFunction)\n"
+        "ok = isinstance(P, Cut)\n"
+    )
+    assert dict_constructor_calls(source) == [1, 2]
+
+
+def test_only_serialize_calls_the_dict_constructors():
+    for path in sorted(PACKAGE.glob("*.py")):
+        calls = dict_constructor_calls(path.read_text())
+        assert bool(calls) == (path.name == "serialize.py"), path.name

@@ -4,11 +4,13 @@ import itertools
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from mwgap.core import WeightFunction, enumerate_edges, lpc, support
 from mwgap.weights import (
     _lifted,
+    _line,
     build_fk,
     build_w3,
     build_w_hat,
@@ -145,6 +147,24 @@ def test_fk_total():
     assert w.k == 3 and w.n == 2
     assert lpc(w) == Fraction(7, 8)
     assert w.total() == Fraction(7, 4)
+
+
+def oracle_build_fk():
+    """The dict construction: 1/6 on an edge at a simplex vertex, 1/4 between middle points."""
+    edges = enumerate_edges(3, 2)
+    return WeightFunction(3, 2, {(x, y): Fraction(1, 6 if 2 in x + y else 4) for x, y in edges})
+
+
+def oracle_line(n):
+    return WeightFunction(2, n, dict.fromkeys(enumerate_edges(2, n), 1))
+
+
+def test_fk_and_line_match_dict_oracles():
+    pairs = [(build_fk(), oracle_build_fk())] + [(_line(n), oracle_line(n)) for n in range(1, 13)]
+    for fast, slow in pairs:
+        assert fast == slow
+        assert fast.nums.dtype == slow.nums.dtype == np.int64 and fast.u.dtype == slow.u.dtype
+    assert build_fk().denominator == 12 and build_fk().nums.tolist().count(2) == 6
 
 
 def test_w_hat_shortcut_matches_literal_average():
