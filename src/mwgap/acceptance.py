@@ -128,7 +128,7 @@ def criterion_4(res: CriterionResult) -> None:
     for t in range(ORACLE_TRIALS):
         # each edge in turn: kept with probability 0.8, then a weight in {0, 1/8, ..., 2}
         nums = np.array([rng.randrange(0, 17) if rng.random() < 0.8 else 0 for _ in range(u.size)])
-        w = WeightFunction.from_numerators(3, 3, 8, u[nums > 0], v[nums > 0], nums[nums > 0])
+        w = WeightFunction.from_numerators(3, 3, 8, u, v, nums)
         for family in (NONOPPOSITE, THREEWAY):
             bf, _ = brute_force_min_cut(3, w, family)
             cert = certify(3, w, family, Fraction(0))

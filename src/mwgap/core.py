@@ -9,24 +9,25 @@ Each grid object has one cached accessor: the read-only arrays
 (the edges' endpoint positions), `point_sides` and `terminal_ranks`, and
 the tuples `enumerate_points` and `enumerate_edges`, built from the
 arrays for callers that ask for tuples.  A `WeightFunction` is its
-integer numerators over one denominator, on its edges' endpoint
-positions; a `Cut` is its label array in point order (its point dict is
-a view), and `cost` sums the numerators of the edges whose endpoint
-labels differ; `face_gather` places a smaller grid on faces of the
-k-simplex.  `point_array` and `face_gather` count their intp arrays
-before building them and refuse one past `MAX_ARRAY_BYTES`.  All
+positive integer numerators over one denominator, on its edges' endpoint
+positions, and both of its constructors end in one array check that
+drops zero weights; a `Cut` is its label array in point order (its
+point dict is a view), and `cost` sums the numerators of the edges
+whose endpoint labels differ; `face_gather` places a smaller grid on
+faces of the k-simplex.  `point_array` and `face_gather` count their
+intp arrays before building them and refuse one past `MAX_ARRAY_BYTES`,
+and the weight check unranks edge ends in blocks of `EDGE_CHECK_BYTES`.  All
 arithmetic here is exact: `Fraction`s only at the API, never a float.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, repeat
+from itertools import combinations
 from math import comb, gcd, lcm
-from operator import sub
 from types import MappingProxyType
 
 import numpy as np
@@ -38,6 +39,8 @@ MAX_POINTS = 2**19  # the largest grid enumerated: at about 2 KB a triangle poin
 # `face_gather`'s (faces, |Delta_{m,n}|, k): a gather holds about four of its
 # size at once (`point_rank`'s temporaries), so it peaks near the same 1 GiB.
 MAX_ARRAY_BYTES = 2**28
+# The largest (2, edges, k) intp block of edge ends the weight check unranks at once.
+EDGE_CHECK_BYTES = 2**20
 
 
 def support(x: Point) -> frozenset[int]:
@@ -213,72 +216,91 @@ def point_sides(k: int, n: int) -> np.ndarray:
     return sides
 
 
-def check_edges(k: int, n: int, edges: Collection[Edge]) -> None:
-    """Raise ValueError unless every (x, y) in edges joins two points of
-    Delta_{k,n} one unit transfer apart.  Each distinct point is checked once."""
-    for p in set(chain.from_iterable(edges)):
-        if len(p) != k or not all(map(isinstance, p, repeat(int))) or min(p) < 0 or sum(p) != n:
-            raise ValueError(f"{list(p)} is not a point of Delta_{{k={k},n={n}}}")
-    for x, y in edges:
-        # equal sums and an L1 distance of 2: one coordinate up by one, one down
-        if sum(map(abs, map(sub, x, y))) != 2:
-            raise ValueError(f"{list(x)} and {list(y)} are not one unit transfer apart, so not an edge")
+def _is_point(x: object, k: int, n: int) -> bool:
+    """x is a point of Delta_{k,n} as the dict constructors take one: a
+    tuple of k Python ints >= 0 summing to n (a float or bool coordinate
+    would hash like the grid point, but not serialize back)."""
+    return type(x) is tuple and len(x) == k and all(type(a) is int and a >= 0 for a in x) and sum(x) == n
 
 
 class WeightFunction:
     """Exact-rational edge weights on E_{k,n}, as integer numerators over one
     denominator: edge j joins the points of ranks u[j] < v[j] (`point_rank`)
-    and weighs nums[j] / denominator; absent edges weigh zero.  The edges
-    are distinct and in `enumerate_edges` order, and gcd(denominator, *nums)
-    = 1, so equal weights give equal arrays.  nums is int64 if it totals
-    below 2**63, else Python ints (object dtype); u and v are intp, or
-    object on a grid of 2**63 points or more.  The arrays are read-only.
-    `from_numerators` takes the arrays; the constructor takes a dict, zero
-    weights kept, whose keys are canonically ordered edges (`check_edges`)
-    and values nonnegative ints or `Fraction`s, and ranks the endpoints in
-    closed form, so it never enumerates Delta_{k,n}.
+    and weighs nums[j] / denominator > 0; absent edges weigh zero.  The
+    edges are distinct and in `enumerate_edges` order, only positive
+    weights are stored, and gcd(denominator, *nums) = 1, so equal weights
+    give equal arrays.  nums is int64 if it totals below 2**63, else Python
+    ints (object dtype); u and v are intp, or object on a grid of 2**63
+    points or more.  The arrays are read-only.  `from_numerators` takes
+    the arrays; the constructor takes a dict whose keys are pairs of point
+    tuples and values ints or `Fraction`s, and ranks the endpoints in
+    closed form, so it never enumerates Delta_{k,n}; both end in
+    `_check`, the one weight check.
     """
 
     def __init__(self, k: int, n: int, weights: Mapping[Edge, int | Fraction] = MappingProxyType({})) -> None:
         check_grid(k, n)
-        check_edges(k, n, weights)
-        items = sorted(weights.items())  # lexicographic order is rank order
-        for (x, y), w in items:
+        for e, w in weights.items():
+            if not (type(e) is tuple and len(e) == 2 and all(type(p) is tuple for p in e)):
+                raise ValueError(f"edge {e!r} is not a pair of point tuples")
+            if bad := [p for p in e if not _is_point(p, k, n)]:
+                raise ValueError(f"{list(bad[0])} is not a point of Delta_{{k={k},n={n}}}")
             if not isinstance(w, (int, Fraction)):
-                raise ValueError(f"weight {w!r} on {(x, y)} is not an int or Fraction")
-            if w < 0:
-                raise ValueError(f"negative weight {w} on {(x, y)}")
-            if x > y:
-                raise ValueError(f"edge {(x, y)} is not canonically ordered")
+                raise ValueError(f"weight {w!r} on {e} is not an int or Fraction")
+        items = sorted(weights.items())  # lexicographic order is rank order
         D = lcm(*(w.denominator for _, w in items))
         ends = point_rank(np.array([e for e, _ in items], np.int64).reshape(-1, 2, k), n)
-        self._store(k, n, D, ends[:, 0], ends[:, 1], [w.numerator * (D // w.denominator) for _, w in items])
+        self._check(k, n, D, ends[:, 0], ends[:, 1], [w.numerator * (D // w.denominator) for _, w in items])
 
     @classmethod
     def from_numerators(cls, k: int, n: int, denominator: int, u, v, nums) -> WeightFunction:
         """Edge j joins the points u[j] < v[j] of `enumerate_points(k, n)` and
-        weighs nums[j] / denominator, checked on the arrays: the pairs (u, v)
-        lie on the grid, strictly increase, are edges, and weigh at least 0."""
-        count = comb(n + k - 1, k - 1)
-        u, v, nums = np.asarray(u, np.intp), np.asarray(v, np.intp), np.asarray(nums).tolist()
-        if denominator < 1 or not u.shape == v.shape == (len(nums),):
-            raise ValueError(f"need a denominator >= 1 and one u, v and numerator per edge, got {denominator}")
-        keys = u * count + v
-        if u.size and not (0 <= u.min() and (u < v).all() and v.max() < count and (np.diff(keys) > 0).all()):
-            raise ValueError(f"edges must be rank pairs 0 <= u < v < {count}, once each, in enumerate_edges order")
-        if (np.abs(np.subtract(*point_unrank(np.stack((u, v)), k, n))).sum(axis=1) != 2).any():
-            raise ValueError("edge ends are not one unit transfer apart, so not an edge")
-        if min(nums, default=0) < 0:
-            raise ValueError(f"negative weight numerator {min(nums)}")
+        weighs nums[j] / denominator, checked by `_check`."""
         w = cls.__new__(cls)
-        w._store(k, n, denominator, u, v, nums)
+        w._check(k, n, denominator, u, v, nums)
         return w
 
-    def _store(self, k: int, n: int, D: int, u: np.ndarray, v: np.ndarray, nums: list[int]) -> None:
+    def _check(self, k: int, n: int, denominator: int, u, v, nums) -> None:
+        """The one weight check, on the arrays, in this order: the grid, a
+        denominator >= 1 and one u, v and integer numerator per edge, ranks
+        on the grid with u <= v and the pairs (u, v) strictly increasing
+        (compared pairwise, so no u * count + v key can wrap), every pair an
+        edge (so u < v), no numerator negative.  Every edge given is
+        checked, then `_store` keeps the positive weights."""
+        check_grid(k, n)
+        count = comb(n + k - 1, k - 1)
+        dtype = np.intp if count < 2**63 else object
+        u, v, nums = np.asarray(u, dtype), np.asarray(v, dtype), np.asarray(nums)
+        if denominator < 1 or not (u.ndim == 1 and u.shape == v.shape == nums.shape):
+            raise ValueError(f"need a denominator >= 1 and one u, v and numerator per edge, got {denominator}")
+        # Python ints past int64 arrive as object; floats and text as themselves
+        if nums.dtype.kind not in "iu" and (bad := [q for q in nums.tolist() if not isinstance(q, int)]):
+            raise ValueError(f"weight numerator {bad[0]!r} is not an integer")
+        du = np.diff(u)
+        ordered = (u <= v).all() and ((du > 0) | (du == 0) & (np.diff(v) > 0)).all()
+        if u.size and not (0 <= u.min() and v.max() < count and ordered):
+            raise ValueError(f"need canonically ordered rank pairs 0 <= u < v < {count} in enumerate_edges order")
+        step = max(1, EDGE_CHECK_BYTES // (2 * k * np.dtype(np.intp).itemsize))
+        for s in range(0, u.size, step):  # unranked a block at a time, so the check's memory is bounded
+            x, y = point_unrank(np.stack((u[s : s + step], v[s : s + step])), k, n)
+            if (far := np.flatnonzero(np.abs(x - y).sum(axis=1) != 2)).size:
+                j = far[0]
+                raise ValueError(f"{x[j].tolist()} and {y[j].tolist()} are not one unit transfer apart: not an edge")
+        if (negative := np.flatnonzero(nums < 0)).size:
+            j, q = negative[0], int(nums[negative[0]])
+            e = tuple(map(tuple, point_unrank(np.array([u[j], v[j]], u.dtype), k, n).tolist()))
+            raise ValueError(f"negative weight numerator {q}, so negative weight {Fraction(q, denominator)} on {e}")
+        self._store(k, n, denominator, u, v, nums)
+
+    def _store(self, k: int, n: int, D: int, u: np.ndarray, v: np.ndarray, nums: np.ndarray) -> None:
+        """Store checked arrays read-only, only the positive weights, reduced
+        by their gcd with D: the one statement of the zero rule."""
+        keep = nums > 0
+        nums = nums[keep].tolist()
         g = gcd(D, *nums)
-        self.k, self.n, self.u, self.v, self.denominator = k, n, u, v, D // g
+        self.k, self.n, self.u, self.v, self.denominator = k, n, u[keep], v[keep], D // g
         self.nums = np.array([q // g for q in nums], np.int64 if sum(nums) // g < 2**63 else object)
-        for a in (u, v, self.nums):
+        for a in (self.u, self.v, self.nums):
             a.setflags(write=False)
 
     @cached_property
@@ -302,14 +324,13 @@ class WeightFunction:
         return Fraction(sum(self.nums.tolist()), self.denominator)
 
     def scaled(self, a: Fraction) -> WeightFunction:
-        """a >= 0 times every weight, dropping the edges whose product is zero."""
+        """a >= 0 times every weight, on the checked arrays; a = 0 leaves no edge."""
         a = Fraction(a)
         if a < 0:
             raise ValueError(f"negative scale {a}")
-        keep = np.flatnonzero(self.nums) if a else []
         w = WeightFunction.__new__(WeightFunction)
-        nums = [q * a.numerator for q in self.nums[keep].tolist()]
-        w._store(self.k, self.n, self.denominator * a.denominator, self.u[keep], self.v[keep], nums)
+        nums = self.nums.astype(object) * a.numerator  # Python ints, so no product can wrap
+        w._store(self.k, self.n, self.denominator * a.denominator, self.u, self.v, nums)
         return w
 
 
@@ -335,9 +356,8 @@ class Cut:
     """
 
     def __init__(self, k: int, n: int, labels: Mapping[Point, int], family: str = KWAY) -> None:
-        for x in labels:  # Python ints only: a float or bool key would not serialize back
-            if not (type(x) is tuple and len(x) == k and all(type(a) is int and a >= 0 for a in x) and sum(x) == n):
-                raise ValueError("labels must cover exactly the grid points")
+        if not all(_is_point(x, k, n) for x in labels):
+            raise ValueError("labels must cover exactly the grid points")
         self.k, self.n, self.family = k, n, family
         self.label_array = np.array([c for _, c in sorted(labels.items())])  # lexicographic order is point order
         self.validate()

@@ -110,10 +110,10 @@ def _orbit_rows(n: int) -> tuple[list[dict[int, float]], list[int], int]:
 
 
 def _to_weight_function(n: int, x: np.ndarray) -> WeightFunction:
-    """The positive floats x, one per edge slot, as exact numerators over one denominator."""
-    ratios = [q.as_integer_ratio() for q in x[x > 0].tolist()]
+    """The floats x >= 0, one per edge slot, as exact numerators over one denominator."""
+    ratios = [q.as_integer_ratio() for q in x.tolist()]
     D = lcm(*(d for _, d in ratios))
-    return WeightFunction.from_numerators(3, n, D, *edge_index(3, n)[:, x > 0], [p * (D // d) for p, d in ratios])
+    return WeightFunction.from_numerators(3, n, D, *edge_index(3, n), [p * (D // d) for p, d in ratios])
 
 
 def search(n: int) -> SearchState:

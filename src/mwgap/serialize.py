@@ -5,6 +5,8 @@ q > 0, never as floats.  Canonical form (sorted keys, fixed edge order,
 compact separators) makes instance digests byte-stable across platforms.
 `obj_to_instance` and `obj_to_cut` read untrusted JSON, so a wrong shape,
 a non-integer coordinate or a record listed twice raises ValueError there.
+A zero-weight record is checked like any other and not stored, so an
+instance digests and loads the same with or without its zero records.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .core import Cut, Point, WeightFunction, canonical_edge, check_edges, enumerate_points
+from .core import Cut, Point, WeightFunction, canonical_edge, enumerate_points
 
 
 def rat_to_str(r: Fraction) -> str:
@@ -51,7 +53,7 @@ def _int(v: Any) -> int:
 
 def _point(v: Any, k: int, n: int) -> Point:
     """v as a point if it is a list of JSON integers; whether it lies on
-    the grid is checked by `check_edges` or `Cut`."""
+    the grid is checked by `WeightFunction` or `Cut`."""
     if not isinstance(v, list) or any(type(a) is not int for a in v):
         raise ValueError(f"{v!r} is not a point of Delta_{{k={k},n={n}}}")
     return tuple(v)
@@ -73,24 +75,18 @@ def _records(obj: Any, key: str) -> list[dict[str, Any]]:
 
 
 def obj_to_instance(obj: dict[str, Any]) -> WeightFunction:
-    """Instance from its JSON object; every edge, zero-weight ones too, must
-    pass `core.check_edges`, and no edge may be listed twice, in either
-    orientation."""
+    """Instance from its JSON object; no edge may be listed twice, in either
+    orientation, and every edge, zero-weight ones too, must pass the
+    `WeightFunction` check, which stores only the positive weights."""
     recs = _records(obj, "weights")
     k, n = _int(_field(obj, "k")), _int(_field(obj, "n"))
     weights = {}
-    seen = set()
     for rec in recs:
         u, v = _point(_field(rec, "u"), k, n), _point(_field(rec, "v"), k, n)
-        val = str_to_rat(_field(rec, "w"))
         e = canonical_edge(u, v)
-        if e in seen:
+        if e in weights:
             raise ValueError(f"edge {list(e[0])}-{list(e[1])} is listed twice")
-        seen.add(e)
-        if val != 0:
-            weights[e] = val
-        else:
-            check_edges(k, n, [(u, v)])  # a zero weight is dropped, not stored
+        weights[e] = str_to_rat(_field(rec, "w"))
     return WeightFunction(k, n, weights)
 
 

@@ -34,8 +34,8 @@ def build_w3(n: int) -> WeightFunction:
     e^c get weight 0; side edges ramp from (n/3)*rho next to a terminal down
     to rho at the hexagon; everything else gets rho = 1/(2n).
 
-    The weights are numerators over 2n, computed on the edge endpoints
-    `edge_index(3, n)`, the arrays the weight function keeps.
+    The weights are numerators over 2n, computed on every edge of
+    `edge_index(3, n)`; the weight check keeps the positive ones.
     """
     if n < 3 or n % 3 != 0:
         raise ValueError(f"construction needs n >= 3 divisible by 3, got {n}")
@@ -50,8 +50,7 @@ def build_w3(n: int) -> WeightFunction:
     m, u, v = low[rows, c], low[rows, a], low[rows, b]
     third = n // 3
     ramp = np.where(v < third, third - v, np.where(u < third, third - u, 1))
-    num = np.where(3 * m > 2 * n, 0, np.where(m == 0, ramp, 1))
-    return WeightFunction.from_numerators(3, n, 2 * n, *uv[:, num > 0], num[num > 0])
+    return WeightFunction.from_numerators(3, n, 2 * n, *uv, np.where(3 * m > 2 * n, 0, np.where(m == 0, ramp, 1)))
 
 
 def build_fk() -> WeightFunction:

@@ -35,7 +35,7 @@ from mwgap.core import (
 from mwgap.dual import THREEWAY, certify, check_potentials
 from mwgap.lpsearch import search
 from mwgap.projection import check_cost_lemmas, check_projection_bounds, restrict_injection
-from mwgap.serialize import instance_digest
+from mwgap.serialize import instance_digest, instance_to_obj, obj_to_instance
 from mwgap.weights import build_fk, build_w3, build_w_hat, build_w_prime, build_w_tilde
 
 
@@ -602,15 +602,15 @@ def test_weight_function_stores_reduced_numerators_by_rank():
     e, f, g = (enumerate_edges(3, 3)[j] for j in (0, 1, 5))
     w = WeightFunction(3, 3, {f: Fraction(1, 4), g: 0, e: Fraction(2, 4)})  # any dict order
     index = point_index(3, 3)
-    assert w.denominator == 4 and w.nums.tolist() == [2, 1, 0] and w.nums.dtype == np.int64
-    assert w.u.tolist() == [index[x] for x, _ in (e, f, g)] and w.v.tolist() == [index[y] for _, y in (e, f, g)]
+    assert w.denominator == 4 and w.nums.tolist() == [2, 1] and w.nums.dtype == np.int64  # the zero is dropped
+    assert w.u.tolist() == [index[x] for x, _ in (e, f)] and w.v.tolist() == [index[y] for _, y in (e, f)]
     assert all(not a.flags.writeable for a in (w.u, w.v, w.nums))
-    assert len(w.weights) == 3 and list(w.weights.values()) == [Fraction(1, 2), Fraction(1, 4), 0]
+    assert list(w.weights) == [e, f] and list(w.weights.values()) == [Fraction(1, 2), Fraction(1, 4)]
     with pytest.raises(TypeError):
         w.weights[e] = Fraction(1)  # a view of the arrays, so read-only
     doubled = w.scaled(2)
     assert doubled.denominator == 2 and doubled.nums.tolist() == [2, 1] and len(doubled.weights) == 2
-    assert WeightFunction(3, 3, {e: Fraction(1, 2), f: Fraction(1, 4)}) != w  # a zero entry is kept
+    assert WeightFunction(3, 3, {e: Fraction(1, 2), f: Fraction(1, 4)}) == w
     assert w.scaled(0) == WeightFunction(3, 3) and w.scaled(0).denominator == 1
     with pytest.raises(ValueError, match="negative scale"):
         w.scaled(-1)
@@ -621,6 +621,8 @@ def test_from_numerators_checks_its_arrays():
     w = WeightFunction.from_numerators(3, 3, 12, u, v, np.arange(len(u)) * 2)
     assert w == WeightFunction(3, 3, {e: Fraction(2 * j, 12) for j, e in enumerate(enumerate_edges(3, 3))})
     assert w.denominator == 6
+    # np.asarray([]) is float64, which the numerator check lets through
+    assert WeightFunction.from_numerators(3, 3, 1, [], [], []) == WeightFunction(3, 3) == WeightFunction(3, 3, {})
     cases = [
         ((u - 1, v, [1] * len(u)), "0 <= u < v < 10"),  # a rank below the grid
         ((u, v + 1, [1] * len(u)), "0 <= u < v < 10"),  # v past the last point
@@ -640,6 +642,41 @@ def test_from_numerators_checks_its_arrays():
             WeightFunction.from_numerators(3, 3, D, u, v, [1] * len(u))
 
 
+def test_from_numerators_orders_rank_pairs_whose_keys_pass_int64():
+    # Delta_{40,10} has 8,217,822,536 points, so u * count + v would wrap int64 on these pairs
+    u, v = [2876736711, 4548614414], [2879872502, 4548625109]
+    x, y = point_unrank(np.array([u, v]), 40, 10)
+    assert (np.abs(x - y).sum(axis=1) == 2).all()
+    edges = [(tuple(a), tuple(b)) for a, b in zip(x.tolist(), y.tolist())]
+    w = WeightFunction.from_numerators(40, 10, 3, u, v, [1, 2])
+    assert w == WeightFunction(40, 10, {edges[0]: Fraction(1, 3), edges[1]: Fraction(2, 3)})
+    with pytest.raises(ValueError, match="enumerate_edges order"):
+        WeightFunction.from_numerators(40, 10, 3, u[::-1], v[::-1], [1, 2])
+
+
+def test_the_weight_check_unranks_in_bounded_blocks():
+    # 91,260 edges on 40 coordinates: unranked at once, the (2, edges, 40) ends alone take 58 MB
+    w = build_w_hat(40, 3)
+    tracemalloc.start()
+    try:
+        assert WeightFunction.from_numerators(40, 3, w.denominator, w.u, w.v, w.nums) == w
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w.nums) == 91260 and peak < 24 * 10**6
+
+
+def test_zero_weights_are_not_stored():
+    e, f = enumerate_edges(3, 3)[:2]
+    u, v = edge_index(3, 3)
+    plain = WeightFunction(3, 3, {e: Fraction(1, 2)})
+    zero_dict = WeightFunction(3, 3, {e: Fraction(1, 2), f: 0})
+    zero_arrays = WeightFunction.from_numerators(3, 3, 4, u, v, [2] + [0] * (len(u) - 1))
+    for w in (plain, zero_dict, zero_arrays):
+        assert w == plain and instance_digest(w) == instance_digest(plain)
+        assert obj_to_instance(instance_to_obj(w)) == w and w.scaled(1) == w
+
+
 def _every_builder():
     ws = [build_w3(n) for n in (3, 6, 30, 45)] + [build_fk()]
     for k, n in ((5, 3), (8, 6), (12, 3)):
@@ -652,7 +689,12 @@ def test_the_dict_of_every_weight_function_rebuilds_it():
     assert all(max(q.denominator for q in w.weights.values()) > 2**50 for w in searched)
     crafted = _crafted_instances()
     assert all(w.nums.dtype == object for w in crafted)
-    for w in _every_builder() + searched + crafted:
+    u, v = edge_index(3, 3)
+    rng = random.Random(5)
+    drawn = [WeightFunction.from_numerators(3, 3, 8, u, v, [rng.randrange(0, 3) for _ in u]) for _ in range(5)]
+    assert all(0 < len(w.nums) < len(u) for w in drawn)  # zeros were drawn, and none is stored
+    for w in _every_builder() + searched + crafted + drawn:
+        assert (w.nums > 0).all()
         assert WeightFunction(w.k, w.n, w.weights) == w
         assert lpc(w) == sum(w.weights.values()) / w.n
 

@@ -11,6 +11,7 @@ from mwgap.core import (
     Cut,
     WeightFunction,
     cost,
+    edge_index,
     face_gather,
     point_array,
     point_sides,
@@ -46,6 +47,22 @@ GUARDS = {
         "non-opposite cuts are only defined for k = 3",
     ),
     "WeightFunction n": (lambda: WeightFunction(3, 0, {}), ValueError, "need n >= 1, got 0"),
+    "WeightFunction key": (
+        lambda: WeightFunction(3, 2, {((0, 0, 2), (0, 1, 1), (0, 2, 0)): 1}),
+        ValueError,
+        "edge ((0, 0, 2), (0, 1, 1), (0, 2, 0)) is not a pair of point tuples",
+    ),
+    # a float or a text numerator would fail inside gcd or on '<', not by name
+    "from_numerators float": (
+        lambda: WeightFunction.from_numerators(3, 3, 1, *edge_index(3, 3), [0.5] * 18),
+        ValueError,
+        "weight numerator 0.5 is not an integer",
+    ),
+    "from_numerators text": (
+        lambda: WeightFunction.from_numerators(3, 3, 1, *edge_index(3, 3), ["1"] * 18),
+        ValueError,
+        "weight numerator '1' is not an integer",
+    ),
     "point_sides k": (
         lambda: point_sides(64, 1),
         ValueError,
