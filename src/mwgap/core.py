@@ -223,6 +223,21 @@ def _is_point(x: object, k: int, n: int) -> bool:
     return type(x) is tuple and len(x) == k and all(type(a) is int and a >= 0 for a in x) and sum(x) == n
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """values as an integer array, as numpy reads them when that gives an
+    integer dtype, else as Python ints (object dtype), so a list mixing
+    ints past int64 with negative ones is not rounded through float64;
+    refuses the first entry that is not an int by name.  Empty input
+    passes (`np.asarray([])` is float64)."""
+    x = np.asarray(values)
+    if x.dtype.kind in "iu" or x.ndim != 1:
+        return x
+    x = np.asarray(values, object)
+    if bad := [q for q in x.tolist() if not isinstance(q, int)]:
+        raise ValueError(f"{what} {bad[0]!r} is not an integer")
+    return x
+
+
 class WeightFunction:
     """Exact-rational edge weights on E_{k,n}, as integer numerators over one
     denominator: edge j joins the points of ranks u[j] < v[j] (`point_rank`)
@@ -269,13 +284,11 @@ class WeightFunction:
         checked, then `_store` keeps the positive weights."""
         check_grid(k, n)
         count = comb(n + k - 1, k - 1)
-        dtype = np.intp if count < 2**63 else object
-        u, v, nums = np.asarray(u, dtype), np.asarray(v, dtype), np.asarray(nums)
+        u, v, nums = _integers(u, "rank"), _integers(v, "rank"), _integers(nums, "weight numerator")
         if denominator < 1 or not (u.ndim == 1 and u.shape == v.shape == nums.shape):
             raise ValueError(f"need a denominator >= 1 and one u, v and numerator per edge, got {denominator}")
-        # Python ints past int64 arrive as object; floats and text as themselves
-        if nums.dtype.kind not in "iu" and (bad := [q for q in nums.tolist() if not isinstance(q, int)]):
-            raise ValueError(f"weight numerator {bad[0]!r} is not an integer")
+        dtype = np.intp if count < 2**63 else object
+        u, v = u.astype(dtype, copy=False), v.astype(dtype, copy=False)
         du = np.diff(u)
         ordered = (u <= v).all() and ((du > 0) | (du == 0) & (np.diff(v) > 0)).all()
         if u.size and not (0 <= u.min() and v.max() < count and ordered):

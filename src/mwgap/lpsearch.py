@@ -16,17 +16,24 @@ equals the full system's at every n tested (`tests/test_lpsearch.py`
 keeps the full LP as an oracle), with about a sixth of the variables and
 rows.
 
-The LP runs once, in floating point; every final claim is re-established
-by an exact rational recheck of the expanded weights after rescaling, so
+The LP runs once, in floating point, through HiGHS by
+`scipy.optimize.milp` with no integrality constraint: the same solve as
+`linprog` with `method="highs"`, bit for bit on the orbit LPs tested
+(n = 3...15), without `linprog`'s input cleaning and per-call option
+checks, which took most of a solve's time.  The orbit rows are built
+once per n and cached read-only.  Every final claim is re-established by
+an exact rational recheck of the expanded weights after rescaling, so
 neither numeric drift nor the reduction can corrupt a certificate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,16 +56,19 @@ class SearchState:
     certificate: Certificate
 
 
-def solve_lp(constraints: Sequence[dict[int, float]], rhs: Sequence[float], n: int, m: int) -> np.ndarray:
+def solve_lp(constraints: Sequence[Mapping[int, float]], rhs: Sequence[float], n: int, m: int) -> np.ndarray:
     """Minimize (x_0 + ... + x_{m-1})/n subject to x_j >= 0 for j < m and
     each sparse row's weighted sum being at least its right-hand side.
 
     A row maps column ids to coefficients; columns m and above are free
     and cost nothing.  Returns x_0 ... x_{m-1}.  Deterministic for fixed
-    inputs.  SciPy is imported here, on the first solve, so that
-    `import mwgap` does not load it.
+    inputs.  HiGHS solves it through `scipy.optimize.milp` with every
+    column continuous, which skips `linprog`'s input cleaning and option
+    checks; the rows are negated into A x <= -rhs, as `linprog` took
+    them, so HiGHS sees the same LP.  SciPy is imported here, on the
+    first solve, so that `import mwgap` does not load it.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
 
     if not constraints:
@@ -67,19 +77,21 @@ def solve_lp(constraints: Sequence[dict[int, float]], rhs: Sequence[float], n: i
     indices = [j for row in constraints for j in row]
     data = [-q for row in constraints for q in row.values()]
     columns = max(m, max(indices) + 1)
-    res = linprog(
+    A = csr_array((data, indices, indptr), shape=(len(constraints), columns))
+    lower = np.zeros(columns)
+    lower[m:] = -np.inf
+    res = milp(
         c=np.concatenate([np.full(m, 1.0 / n), np.zeros(columns - m)]),
-        A_ub=csr_array((data, indices, indptr), shape=(len(constraints), columns)),
-        b_ub=-np.asarray(rhs, dtype=float),
-        bounds=[(0, None)] * m + [(None, None)] * (columns - m),
-        method="highs",
+        constraints=LinearConstraint(A, -np.inf, -np.asarray(rhs, dtype=float)),
+        bounds=Bounds(lower, np.inf),
     )
     if not res.success:
         raise RuntimeError(f"potential LP failed: {res.message}")
     return np.maximum(res.x[:m], 0.0)
 
 
-def _orbit_rows(n: int) -> tuple[list[dict[int, float]], list[int], int]:
+@lru_cache(maxsize=64)
+def _orbit_rows(n: int) -> tuple[tuple[Mapping[int, float], ...], tuple[int, ...], int]:
     """`potential_system(n)` on S3-invariant points: `(rows, rhs, m)` for
     `solve_lp`, m the number of edge orbits.
 
@@ -87,6 +99,8 @@ def _orbit_rows(n: int) -> tuple[list[dict[int, float]], list[int], int]:
     weight term's coefficient is divided by |o| and sum(y)/n = sum(w)/n;
     every other column is one potential orbit.  Each row's terms on one
     orbit are merged, zero terms dropped, and repeated rows kept once.
+    Built once per n and cached, so the rows are read-only mappings and
+    rhs a tuple.
     """
     col, coef, rhs = potential_system(n)
     orbits = symmetry_orbits(n)
@@ -102,11 +116,11 @@ def _orbit_rows(n: int) -> tuple[list[dict[int, float]], list[int], int]:
     # a row keeps a nonzero term: its weight, or the sum of its ball or corner terms
     unique = np.unique(np.column_stack((np.where(k != 0, c, -1), k, rhs)), axis=0)
     scale = np.where(np.arange(len(orbits.size)) < m, 1 / orbits.size, 1.0).tolist()
-    rows = [
-        {j: q * scale[j] for j, q in zip(cs, ks) if q}
+    rows = tuple(
+        MappingProxyType({j: q * scale[j] for j, q in zip(cs, ks) if q})
         for cs, ks in zip(unique[:, :3].tolist(), unique[:, 3:6].tolist())
-    ]
-    return rows, unique[:, 6].tolist(), m
+    )
+    return rows, tuple(unique[:, 6].tolist()), m
 
 
 def _to_weight_function(n: int, x: np.ndarray) -> WeightFunction:

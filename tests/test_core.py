@@ -642,6 +642,22 @@ def test_from_numerators_checks_its_arrays():
             WeightFunction.from_numerators(3, 3, D, u, v, [1] * len(u))
 
 
+def test_from_numerators_refuses_float_ranks_by_value():
+    # read as intp, 0.7 and 1.2 would truncate to the edge of ranks (0, 1)
+    for u, v, bad in (([0.7], [1], "0.7"), ([0], [1.2], "1.2"), ([0.0], [1.0], "0.0"), (np.array([0.0]), [1], "0.0")):
+        with pytest.raises(ValueError, match=f"rank {bad} is not an integer"):
+            WeightFunction.from_numerators(3, 3, 1, u, v, [1])
+    assert WeightFunction.from_numerators(3, 3, 1, [0], [1], [1]).u.tolist() == [0]
+
+
+def test_numerators_past_int64_beside_a_negative_one_name_the_negative_weight():
+    # np.asarray([2**63, -1]) is float64, which would name 2**63 as a non-integer
+    with pytest.raises(ValueError, match="negative weight numerator -1"):
+        WeightFunction.from_numerators(3, 3, 1, [0, 1], [1, 2], [2**63, -1])
+    w = WeightFunction.from_numerators(3, 3, 1, [0, 1], [1, 2], [2**63, 1])
+    assert w.nums.tolist() == [2**63, 1]
+
+
 def test_from_numerators_orders_rank_pairs_whose_keys_pass_int64():
     # Delta_{40,10} has 8,217,822,536 points, so u * count + v would wrap int64 on these pairs
     u, v = [2876736711, 4548614414], [2879872502, 4548625109]

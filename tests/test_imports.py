@@ -1,6 +1,7 @@
 """Every module of the package uses the names it imports, imports no
 other module's private names, never turns the point tuples back into an
-array, and calls the dict constructors only in `serialize`."""
+array, calls the dict constructors only in `serialize`, and never names
+`linprog`, so `lpsearch.solve_lp` is the one LP entry."""
 
 import ast
 from pathlib import Path
@@ -124,3 +125,33 @@ def test_only_serialize_calls_the_dict_constructors():
     for path in sorted(PACKAGE.glob("*.py")):
         calls = dict_constructor_calls(path.read_text())
         assert bool(calls) == (path.name == "serialize.py"), path.name
+
+
+def linprog_names(source: str) -> list[int]:
+    """The lines that name `linprog` in code: an import of it, a bare or a
+    module name, or a call; docstrings and comments do not count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any("linprog" in alias.name.split(".") for alias in node.names):
+                found.append(node.lineno)
+        elif getattr(node, "id", None) == "linprog" or getattr(node, "attr", None) == "linprog":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_linprog_names_are_found():
+    source = (
+        "from scipy.optimize import linprog\n"
+        "res = scipy.optimize.linprog(c)\n"
+        'doc = "linprog"  # linprog\n'
+        "from scipy.optimize import milp\n"
+        "f = linprog\n"
+        "import scipy.optimize.linprog\n"
+    )
+    assert linprog_names(source) == [1, 2, 5, 6]
+
+
+def test_src_modules_never_name_linprog():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert linprog_names(path.read_text()) == [], path.name

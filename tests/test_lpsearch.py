@@ -13,7 +13,7 @@ import mwgap
 from mwgap import cli, lpsearch
 from mwgap.core import NONOPPOSITE, canonical_edge, enumerate_edges
 from mwgap.dual import PERMUTATIONS, brute_force_min_cut, certify, potential_system
-from mwgap.lpsearch import _to_weight_function, search, solve_lp
+from mwgap.lpsearch import _orbit_rows, _to_weight_function, search, solve_lp
 from mwgap.weights import lpc_w3_closed
 
 # Optimum of the earlier cutting-plane search (row generation to 1e-9),
@@ -123,6 +123,44 @@ def test_orbit_lp_matches_the_full_lp(n):
     # so they meet the margin rows: every outer pair is at least 1/3 apart
     distances = set(st.certificate.pairwise.values())
     assert len(distances) == 1 and min(distances) >= Fraction(1, 3)
+
+
+def linprog_solve(rows, rhs, n, m):
+    """`solve_lp`'s LP through `linprog(method="highs")`, the entry it
+    replaced: the same negated CSR, cost and bounds."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
+
+    indptr = np.cumsum([0, *map(len, rows)])
+    indices = [j for row in rows for j in row]
+    data = [-q for row in rows for q in row.values()]
+    columns = max(m, max(indices) + 1)
+    res = linprog(
+        c=np.concatenate([np.full(m, 1.0 / n), np.zeros(columns - m)]),
+        A_ub=csr_array((data, indices, indptr), shape=(len(rows), columns)),
+        b_ub=-np.asarray(rhs, dtype=float),
+        bounds=[(0, None)] * m + [(None, None)] * (columns - m),
+        method="highs",
+    )
+    assert res.success, res.message
+    return np.maximum(res.x[:m], 0.0)
+
+
+@pytest.mark.parametrize("n", range(3, 16))
+def test_solve_lp_matches_linprog_bit_for_bit(n):
+    rows, rhs, m = _orbit_rows(n)
+    assert np.array_equal(solve_lp(rows, rhs, n, m), linprog_solve(rows, rhs, n, m))
+
+
+def test_orbit_rows_are_cached_read_only():
+    rows, rhs, m = _orbit_rows(5)
+    assert _orbit_rows(5) is _orbit_rows(5)
+    assert isinstance(rows, tuple) and isinstance(rhs, tuple) and len(rows) == len(rhs)
+    j = next(iter(rows[0]))
+    with pytest.raises(TypeError):
+        rows[0][j] = 0.0
+    with pytest.raises(TypeError):
+        rhs[0] = 0
 
 
 def test_search_n30_matches_the_lpc_table():
