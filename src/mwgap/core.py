@@ -287,12 +287,16 @@ class WeightFunction:
         u, v, nums = _integers(u, "rank"), _integers(v, "rank"), _integers(nums, "weight numerator")
         if denominator < 1 or not (u.ndim == 1 and u.shape == v.shape == nums.shape):
             raise ValueError(f"need a denominator >= 1 and one u, v and numerator per edge, got {denominator}")
+        order = f"need canonically ordered rank pairs 0 <= u < v < {count} in enumerate_edges order"
         dtype = np.intp if count < 2**63 else object
-        u, v = u.astype(dtype, copy=False), v.astype(dtype, copy=False)
+        try:
+            u, v = u.astype(dtype, copy=False), v.astype(dtype, copy=False)
+        except OverflowError:  # a Python-int rank past intp, so off the grid
+            raise ValueError(order) from None
         du = np.diff(u)
         ordered = (u <= v).all() and ((du > 0) | (du == 0) & (np.diff(v) > 0)).all()
         if u.size and not (0 <= u.min() and v.max() < count and ordered):
-            raise ValueError(f"need canonically ordered rank pairs 0 <= u < v < {count} in enumerate_edges order")
+            raise ValueError(order)
         step = max(1, EDGE_CHECK_BYTES // (2 * k * np.dtype(np.intp).itemsize))
         for s in range(0, u.size, step):  # unranked a block at a time, so the check's memory is bounded
             x, y = point_unrank(np.stack((u[s : s + step], v[s : s + step])), k, n)
@@ -307,12 +311,19 @@ class WeightFunction:
 
     def _store(self, k: int, n: int, D: int, u: np.ndarray, v: np.ndarray, nums: np.ndarray) -> None:
         """Store checked arrays read-only, only the positive weights, reduced
-        by their gcd with D: the one statement of the zero rule."""
+        by their gcd with D: the one statement of the zero rule.  Integer
+        numerators whose total is bounded below 2**63 by the largest one are
+        reduced in numpy; others as Python ints."""
         keep = nums > 0
-        nums = nums[keep].tolist()
-        g = gcd(D, *nums)
-        self.k, self.n, self.u, self.v, self.denominator = k, n, u[keep], v[keep], D // g
-        self.nums = np.array([q // g for q in nums], np.int64 if sum(nums) // g < 2**63 else object)
+        nums = nums[keep]
+        if nums.dtype != object and nums.size and int(nums.max()) * nums.size < 2**63:
+            g = gcd(D, int(np.gcd.reduce(nums)))
+            nums = (nums // g).astype(np.int64, copy=False)
+        else:
+            nums = nums.tolist()
+            g = gcd(D, *nums)
+            nums = np.array([q // g for q in nums], np.int64 if sum(nums) // g < 2**63 else object)
+        self.k, self.n, self.u, self.v, self.denominator, self.nums = k, n, u[keep], v[keep], D // g, nums
         for a in (self.u, self.v, self.nums):
             a.setflags(write=False)
 

@@ -38,18 +38,26 @@ certificate; from 2**53 on, and in `dijkstra`, the exact kernel
 compiled call, so `import mwgap` does not load it.  Columns and rows are
 integer ids; only returned values are node tuples and `Fraction`s.
 
+Each weight function is searched once: `build_dual` keeps its last
+weight function, by identity and only through a weak reference, with its
+graph and, once `certify` has asked, the graph's checked outer
+distances, so both families and `check_potentials` read one graph and one
+search, and the entry goes with its weight function.  An equal but
+distinct weight function is built and searched again.
+
 Normalization works on the primal grid, read from `core`: `normalize_cut`
 and `classify_cut` find a cut's components by union-find over the edge
 endpoints `edge_index(3, n)` on the cut's label array, and read the sides
 a component touches from the side bitmasks `point_sides(3, n)`;
 `normalize_cut` reads a component's neighbour labels from its members'
-adjacency, and merges a relabelled component into its neighbours of the
-new label.
+adjacency, `_point_adjacency(n)`, built once per n, and merges a
+relabelled component into its neighbours of the new label.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -171,19 +179,41 @@ class DualGraph:
     denominator: int
 
 
+class _Last:
+    """`build_dual`'s one entry: the last weight function it was given, held
+    only through `ref`, its graph, and the graph's checked outer distances
+    once `_checked_distances` has searched it.  Keyed by identity, so an
+    equal but distinct weight function is searched again."""
+
+    ref: Optional[weakref.ref] = None
+    graph: Optional[DualGraph] = None
+    dist: Optional[np.ndarray] = None
+
+    @classmethod
+    def forget(cls, ref: weakref.ref) -> None:
+        """Drop the entry when its weight function is collected."""
+        if cls.ref is ref:
+            cls.ref = cls.graph = cls.dist = None
+
+
 def build_dual(n: int, w: WeightFunction) -> DualGraph:
-    """The cached dual topology, with w's numerators in edge-slot order."""
+    """The cached dual topology, with w's numerators in edge-slot order;
+    the same graph again while w is the last weight function given."""
     if w.k != 3:
         raise ValueError(f"dual machinery is specific to k = 3, got k = {w.k}")
     if w.n != n:
         raise ValueError(f"weight function is on n = {w.n}, expected {n}")
+    if _Last.ref is not None and _Last.ref() is w:
+        return _Last.graph
     topo = dual_topology(n)
     # `WeightFunction` admits weight only on edges, so every pair has a slot, and slot keys are sorted
     count, (u, v) = comb(n + 2, 2), edge_index(3, n)
     weights = np.zeros(len(topo.ends), w.nums.dtype)
     weights[np.searchsorted(u * count + v, w.u * count + w.v)] = w.nums
     weights.setflags(write=False)
-    return DualGraph(n, topo, weights, w.denominator)
+    _Last.ref, _Last.dist = weakref.ref(w, _Last.forget), None
+    _Last.graph = DualGraph(n, topo, weights, w.denominator)
+    return _Last.graph
 
 
 def _shortest_paths(g: DualGraph, sources: list[int]) -> list[tuple[list, list]]:
@@ -266,6 +296,17 @@ def _outer_distances(g: DualGraph) -> np.ndarray:
     if (lhs[rhs == 0] < 0).any():  # the Lipschitz rows are the rows with rhs 0
         raise RuntimeError("compiled Dijkstra distances break a Lipschitz row")
     return dist
+
+
+def _checked_distances(g: DualGraph) -> np.ndarray:
+    """`_outer_distances(g)`, searched once for `build_dual`'s last graph
+    and kept read-only with it."""
+    if g is not _Last.graph:
+        return _outer_distances(g)
+    if _Last.dist is None:
+        _Last.dist = _outer_distances(g)
+        _Last.dist.setflags(write=False)
+    return _Last.dist
 
 
 def dijkstra(
@@ -435,18 +476,20 @@ def potential_numerators(i: int, num: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
 def paper_potentials(n: int) -> np.ndarray:
-    """The paper's potentials Phi, a (3, N) array of numerators over 6n
-    by node id: Phi_i is `potential_numerators` at the faces, 0 at O_i,
-    and the corner margin (2n/3) rho = 2n / (6n) = 1/3 at O_j, j != i, so
-    the Lipschitz rows next to O_j are the corner-cut margins and the
-    corner row reads 3 * 1/3 >= 1.
+    """The paper's potentials Phi, a read-only (3, N) array of numerators
+    over 6n by node id, built once per n: Phi_i is `potential_numerators`
+    at the faces, 0 at O_i, and the corner margin (2n/3) rho = 2n / (6n) =
+    1/3 at O_j, j != i, so the Lipschitz rows next to O_j are the
+    corner-cut margins and the corner row reads 3 * 1/3 >= 1.
     """
     topo = dual_topology(n)
     phi = np.full((3, topo.size), 2 * n)
     for i in range(3):
         phi[i, topo.outer[i]] = 0
         phi[i, topo.faces] = potential_numerators(i, topo.centroids, n)
+    phi.setflags(write=False)
     return phi
 
 
@@ -494,7 +537,7 @@ def certify(n: int, w: WeightFunction, family: str, target: Fraction) -> Certifi
     target = Fraction(target)
     g = build_dual(n, w)
     topo = g.topology
-    dist = _outer_distances(g)
+    dist = _checked_distances(g)
     outer = topo.outer.tolist()
     pairwise = {(i, j): int(dist[i, outer[j]]) for i in range(3) for j in range(i + 1, 3)}
     sums = dist[:, topo.faces].sum(axis=0)
@@ -611,6 +654,18 @@ def _components(lab: list[int], n: int) -> tuple[list[int], dict[int, list[int]]
     return root, comps, sides
 
 
+@lru_cache(maxsize=64)
+def _point_adjacency(n: int) -> tuple[tuple[int, ...], ...]:
+    """Each point's neighbours in Delta_{3,n}, by point index, built once
+    per n: for each edge of `edge_index(3, n)` in order, each end lists the
+    other."""
+    adj: list[list[int]] = [[] for _ in range(comb(n + 2, 2))]
+    for u, v in zip(*edge_index(3, n).tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(tuple, adj))
+
+
 def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
     """Reduce a non-opposite cut to a ball or 3-corner cut, never cutting
     a previously uncut edge (hence never increasing the cost).
@@ -628,10 +683,7 @@ def normalize_cut(P: Cut, w: Optional[WeightFunction] = None) -> Cut:
     points = enumerate_points(3, n)
     terminals = terminal_ranks(3, n).tolist()
     lab = P.label_array.tolist()
-    adj: list[list[int]] = [[] for _ in lab]
-    for u, v in zip(*edge_index(3, n).tolist()):
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _point_adjacency(n)
     root, comps, sides = _components(lab, n)
 
     def relabel(r: int, m: int) -> None:

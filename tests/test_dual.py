@@ -1,10 +1,13 @@
 """Planar dual graph, certificates, potentials, normalization, brute force."""
 
+import gc
 import hashlib
 import heapq
 import itertools
+import json
 import random
 import re
+import weakref
 from dataclasses import fields
 from fractions import Fraction
 from math import lcm
@@ -588,11 +591,10 @@ def test_certify_rejects_compiled_distances_that_fail_the_exact_check(monkeypatc
         edit(d, int(topo.faces[7]), topo.size, topo.outer.tolist())
         return d
 
-    w = build_w3(6)
-    certify(6, w, NONOPPOSITE, Fraction(1))  # passes unpatched
+    certify(6, build_w3(6), NONOPPOSITE, Fraction(1))  # passes unpatched
     monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", wrong)
     with pytest.raises(RuntimeError, match="compiled Dijkstra"):
-        certify(6, w, NONOPPOSITE, Fraction(1))
+        certify(6, build_w3(6), NONOPPOSITE, Fraction(1))  # a fresh w: the compiled search runs again
 
 
 def test_certify_takes_the_python_kernel_from_float_exact_on(monkeypatch):
@@ -615,7 +617,52 @@ def test_certify_takes_the_python_kernel_from_float_exact_on(monkeypatch):
             calls.clear()
             for family, target in ((NONOPPOSITE, Fraction(1)), (THREEWAY, Fraction(2, 3))):
                 assert certify(3, w, family, target) == oracle_certify(w, family, target)
-            assert len(calls) == 2 * python_calls
+            assert len(calls) == python_calls  # one search per weight function, both families read it
+
+
+def test_one_search_serves_both_families_and_the_potential_check(monkeypatch):
+    calls = []
+    search_distances = dual_module._outer_distances
+    monkeypatch.setattr(dual_module, "_outer_distances", lambda g: calls.append(g) or search_distances(g))
+    for n in (3, 6):
+        w = build_w3(n)
+        g = build_dual(n, w)
+        for family, target in ((NONOPPOSITE, Fraction(1)), (THREEWAY, Fraction(2, 3))):
+            assert certify(n, w, family, target).passed
+        assert check_potentials(n, w).ok
+        assert build_dual(n, w) is g and calls == [g]
+        # an equal but distinct weight function is searched again
+        fresh = build_w3(n)
+        assert fresh == w and build_dual(n, fresh) is not g
+        certify(n, fresh, NONOPPOSITE, Fraction(1))
+        assert len(calls) == 2 and calls[1] is not g
+        calls.clear()
+
+
+def test_the_memo_holds_no_graph_once_its_weights_are_collected():
+    w = build_w3(6)
+    certify(6, w, NONOPPOSITE, Fraction(1))
+    graph = weakref.ref(build_dual(6, w))
+    assert graph() is dual_module._Last.graph
+    del w
+    gc.collect()
+    assert graph() is None
+    assert dual_module._Last.graph is None and dual_module._Last.dist is None
+
+
+def test_w3_certificates_are_unchanged_by_the_shared_search():
+    # sha256 recorded with one search per certify call, for n = 3..45 and both families
+    digest = hashlib.sha256()
+    for n in range(3, 46, 3):
+        w = build_w3(n)
+        for family, target in ((NONOPPOSITE, Fraction(1)), (THREEWAY, Fraction(2, 3))):
+            digest.update(json.dumps(certify(n, w, family, target).to_obj(), sort_keys=True).encode())
+    assert digest.hexdigest() == "246ef5f97fb8782d6d1436754c5537e5783868a781f8a7f3e11be907537edc57"
+
+
+def test_paper_potentials_are_cached_read_only():
+    phi = paper_potentials(6)
+    assert paper_potentials(6) is phi and not phi.flags.writeable
 
 
 def test_certificate_round_trip_fields():
@@ -1032,6 +1079,27 @@ def test_normalize_and_classify_match_oracles(n):
         if isinstance(got, dict):
             Q = Cut(3, n, got, NONOPPOSITE)
             assert classify_cut(Q) == oracle_classify_cut(Q)
+
+
+def test_point_adjacency_is_the_per_call_build():
+    for n in range(3, 13):
+        adj = [[] for _ in enumerate_points(3, n)]
+        for u, v in zip(*edge_index(3, n).tolist()):
+            adj[u].append(v)
+            adj[v].append(u)
+        cached = dual_module._point_adjacency(n)
+        assert cached == tuple(map(tuple, adj)) and dual_module._point_adjacency(n) is cached
+
+
+def test_normalize_cut_outputs_are_unchanged_by_the_cached_adjacency():
+    # sha256 recorded with the adjacency built on every call
+    digest = hashlib.sha256()
+    for n in range(3, 13):
+        rng = random.Random(f"adjacency:{n}")
+        w = build_w3(n) if n % 3 == 0 else None
+        for _ in range(40):
+            digest.update(normalize_cut(random_nonopposite_cut(n, rng), w).label_array.tobytes())
+    assert digest.hexdigest() == "c91d7f6bd4fce2bab734d4ce14d0983ab6c180f7885c77009a9ec31640a846d3"
 
 
 def test_stuck_normalization_names_points(monkeypatch):
