@@ -311,19 +311,12 @@ class WeightFunction:
 
     def _store(self, k: int, n: int, D: int, u: np.ndarray, v: np.ndarray, nums: np.ndarray) -> None:
         """Store checked arrays read-only, only the positive weights, reduced
-        by their gcd with D: the one statement of the zero rule.  Integer
-        numerators whose total is bounded below 2**63 by the largest one are
-        reduced in numpy; others as Python ints."""
+        by their gcd with D: the one statement of the zero rule."""
         keep = nums > 0
-        nums = nums[keep]
-        if nums.dtype != object and nums.size and int(nums.max()) * nums.size < 2**63:
-            g = gcd(D, int(np.gcd.reduce(nums)))
-            nums = (nums // g).astype(np.int64, copy=False)
-        else:
-            nums = nums.tolist()
-            g = gcd(D, *nums)
-            nums = np.array([q // g for q in nums], np.int64 if sum(nums) // g < 2**63 else object)
-        self.k, self.n, self.u, self.v, self.denominator, self.nums = k, n, u[keep], v[keep], D // g, nums
+        nums = nums[keep].tolist()
+        g = gcd(D, *nums)
+        self.k, self.n, self.u, self.v, self.denominator = k, n, u[keep], v[keep], D // g
+        self.nums = np.array([q // g for q in nums], np.int64 if sum(nums) // g < 2**63 else object)
         for a in (self.u, self.v, self.nums):
             a.setflags(write=False)
 

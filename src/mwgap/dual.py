@@ -38,12 +38,13 @@ certificate; from 2**53 on, and in `dijkstra`, the exact kernel
 compiled call, so `import mwgap` does not load it.  Columns and rows are
 integer ids; only returned values are node tuples and `Fraction`s.
 
-Each weight function is searched once: `build_dual` keeps its last
-weight function, by identity and only through a weak reference, with its
-graph and, once `certify` has asked, the graph's checked outer
-distances, so both families and `check_potentials` read one graph and one
-search, and the entry goes with its weight function.  An equal but
-distinct weight function is built and searched again.
+Each weight function is searched once.  A `DualGraph` is frozen and
+searches its checked outer distances on their first read,
+`DualGraph.outer_distances`.  `build_dual` keeps its last weight
+function, by identity and only through a weak reference, with its graph,
+so both families and `check_potentials` read one graph and one search,
+and the entry goes with its weight function.  An equal but distinct
+weight function is built and searched again.
 
 Normalization works on the primal grid, read from `core`: `normalize_cut`
 and `classify_cut` find a cut's components by union-find over the edge
@@ -60,7 +61,7 @@ import heapq
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import comb, lcm
 from typing import Optional
@@ -171,29 +172,34 @@ def dual_topology(n: int) -> DualTopology:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualGraph:
     n: int
     topology: DualTopology
     weights: np.ndarray  # read-only weight numerator of each edge slot, over `denominator`, in w.nums' dtype
     denominator: int
 
+    @cached_property
+    def outer_distances(self) -> np.ndarray:
+        """`_outer_distances` of this graph, searched on first read and kept read-only."""
+        dist = _outer_distances(self)
+        dist.setflags(write=False)
+        return dist
+
 
 class _Last:
     """`build_dual`'s one entry: the last weight function it was given, held
-    only through `ref`, its graph, and the graph's checked outer distances
-    once `_checked_distances` has searched it.  Keyed by identity, so an
-    equal but distinct weight function is searched again."""
+    only through `ref`, and its graph.  Keyed by identity, so an equal but
+    distinct weight function is searched again."""
 
     ref: Optional[weakref.ref] = None
     graph: Optional[DualGraph] = None
-    dist: Optional[np.ndarray] = None
 
     @classmethod
     def forget(cls, ref: weakref.ref) -> None:
         """Drop the entry when its weight function is collected."""
         if cls.ref is ref:
-            cls.ref = cls.graph = cls.dist = None
+            cls.ref = cls.graph = None
 
 
 def build_dual(n: int, w: WeightFunction) -> DualGraph:
@@ -211,7 +217,7 @@ def build_dual(n: int, w: WeightFunction) -> DualGraph:
     weights = np.zeros(len(topo.ends), w.nums.dtype)
     weights[np.searchsorted(u * count + v, w.u * count + w.v)] = w.nums
     weights.setflags(write=False)
-    _Last.ref, _Last.dist = weakref.ref(w, _Last.forget), None
+    _Last.ref = weakref.ref(w, _Last.forget)
     _Last.graph = DualGraph(n, topo, weights, w.denominator)
     return _Last.graph
 
@@ -296,17 +302,6 @@ def _outer_distances(g: DualGraph) -> np.ndarray:
     if (lhs[rhs == 0] < 0).any():  # the Lipschitz rows are the rows with rhs 0
         raise RuntimeError("compiled Dijkstra distances break a Lipschitz row")
     return dist
-
-
-def _checked_distances(g: DualGraph) -> np.ndarray:
-    """`_outer_distances(g)`, searched once for `build_dual`'s last graph
-    and kept read-only with it."""
-    if g is not _Last.graph:
-        return _outer_distances(g)
-    if _Last.dist is None:
-        _Last.dist = _outer_distances(g)
-        _Last.dist.setflags(write=False)
-    return _Last.dist
 
 
 def dijkstra(
@@ -537,7 +532,7 @@ def certify(n: int, w: WeightFunction, family: str, target: Fraction) -> Certifi
     target = Fraction(target)
     g = build_dual(n, w)
     topo = g.topology
-    dist = _checked_distances(g)
+    dist = g.outer_distances
     outer = topo.outer.tolist()
     pairwise = {(i, j): int(dist[i, outer[j]]) for i in range(3) for j in range(i + 1, 3)}
     sums = dist[:, topo.faces].sum(axis=0)

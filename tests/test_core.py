@@ -665,29 +665,6 @@ def test_ranks_past_int64_get_the_range_message():
             WeightFunction.from_numerators(3, 3, 1, u, v, [1] * len(u))
 
 
-def _arrays_digest(ws):
-    digest = hashlib.sha256()
-    for w in ws:
-        for a in (w.u, w.v, w.nums):
-            digest.update(str(a.dtype).encode() + str(a.shape).encode() + repr(a.tolist()).encode())
-        digest.update(str(w.denominator).encode())
-    return digest.hexdigest()
-
-
-def test_stored_arrays_are_unchanged_by_the_numpy_reduction():
-    # recorded from the Python-int reduction: w3(n) for n = 3..45, then on Delta_{3,6}
-    # numerators totalling past 2**63 (object), numerators 2**62 over 2**62 (int64 after
-    # reduction, though the bound on the input fails), and small ones with a common factor
-    u, v = edge_index(3, 6)
-    j = np.arange(len(u), dtype=np.int64)
-    ws = [build_w3(n) for n in range(3, 46, 3)]
-    for D, nums in ((3, (2**61 + j) * 2), (2**62, np.full(len(u), 2**62, np.int64)), (12, j * 4)):
-        ws.append(WeightFunction.from_numerators(3, 6, D, u, v, nums))
-    assert sum(ws[-3].nums.tolist()) >= 2**63 and ws[-3].nums.dtype == object
-    assert [w.nums.dtype for w in ws[-2:]] == [np.int64, np.int64]
-    assert _arrays_digest(ws) == "93a6194e120f5ed154e6a639493edb19601ac40c57362155f2446dd0f579a775"
-
-
 def test_from_numerators_orders_rank_pairs_whose_keys_pass_int64():
     # Delta_{40,10} has 8,217,822,536 points, so u * count + v would wrap int64 on these pairs
     u, v = [2876736711, 4548614414], [2879872502, 4548625109]

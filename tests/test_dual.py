@@ -8,7 +8,7 @@ import json
 import random
 import re
 import weakref
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -647,7 +647,17 @@ def test_the_memo_holds_no_graph_once_its_weights_are_collected():
     del w
     gc.collect()
     assert graph() is None
-    assert dual_module._Last.graph is None and dual_module._Last.dist is None
+    assert dual_module._Last.graph is None and dual_module._Last.ref is None
+
+
+def test_the_shared_graph_is_frozen():
+    w = build_w3(3)
+    g = build_dual(3, w)
+    for field in ("weights", "denominator", "topology", "n"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, field, None)
+    certify(3, w, NONOPPOSITE, Fraction(1))
+    assert not g.outer_distances.flags.writeable and build_dual(3, w).outer_distances is g.outer_distances
 
 
 def test_w3_certificates_are_unchanged_by_the_shared_search():
