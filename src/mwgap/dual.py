@@ -25,18 +25,19 @@ at tiny n.
 The weight-free part of the dual, `dual_topology(n)`, is built once per n
 from the point array and cached as read-only integer arrays of the dual
 alone: each edge slot's two dual nodes, by node ids in sorted node-tuple
-order, the face and outer-node ids, and the face centroids.  A
-`DualGraph` adds one read-only array of weight numerators per edge slot,
-in the `WeightFunction`'s dtype, placed by one search on sorted edge keys.
-Both shortest-path kernels search one graph, `_search_graph(n)`, the
-Lipschitz rows of the potential system.  `certify` takes scipy's
-compiled Dijkstra while the weight numerators total less than
-FLOAT_EXACT = 2**53, and checks its distances exactly on the rows it
-searched, so a wrong one raises RuntimeError and never inflates a
-certificate; from 2**53 on, and in `dijkstra`, the exact kernel
-`_shortest_paths` runs in Python ints.  SciPy is imported on the first
-compiled call, so `import mwgap` does not load it.  Columns and rows are
-integer ids; only returned values are node tuples and `Fraction`s.
+order, the face and outer-node ids, and the face centroids.  Node id is
+the one order of the dual's arcs: the potential system's Lipschitz rows
+come by (tail id, head id, edge slot) and are, as they stand, the search
+graph `_search_graph(n)` of both shortest-path kernels.  One search on
+sorted slot keys, `_edge_slots`, places a `DualGraph`'s read-only weight
+numerators, in the `WeightFunction`'s dtype, and `symmetry_orbits`' slot
+images.  `certify` takes scipy's compiled Dijkstra while the weight
+numerators total less than FLOAT_EXACT = 2**53, and checks its distances
+exactly on every arc it searched, so a wrong one raises RuntimeError and
+never inflates a certificate; from 2**53 on, and in `dijkstra`, the exact
+kernel `_shortest_paths` runs in Python ints.  SciPy is imported on the
+first compiled call, so `import mwgap` does not load it.  Columns and
+rows are integer ids; only returned values are node tuples and Fractions.
 
 Each weight function is searched once.  A `DualGraph` is frozen and
 searches its checked outer distances on their first read,
@@ -130,15 +131,6 @@ def _frozen(values) -> np.ndarray:
     return a
 
 
-def _find_pairs(lo: np.ndarray, hi: np.ndarray, size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The j with {lo[j], hi[j]} = {u, v}, for each pair of ids below size; the pairs
-    (lo[j], hi[j]) are distinct, with lo < hi.  The keys lo * size + hi are intp:
-    a node id times the node count passes 2**31 from n = 258 on."""
-    keys = lo.astype(np.intp) * size + hi
-    order = np.argsort(keys)
-    return order[np.searchsorted(keys, np.minimum(u, v).astype(np.intp) * size + np.maximum(u, v), sorter=order)]
-
-
 @lru_cache(maxsize=64)
 def dual_topology(n: int) -> DualTopology:
     """The dual's topology for Delta_{3,n}, built once per n from the point
@@ -170,6 +162,13 @@ def dual_topology(n: int) -> DualTopology:
         centroids=_frozen(np.concatenate((3 * up + 1, 3 * down + 2))),
         outer=_frozen(len(down) + np.arange(3)),
     )
+
+
+def _edge_slots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The slot of each edge of Delta_{3,n} with intp endpoint ranks u and v, searched on
+    the sorted keys min * |Delta_{3,n}| + max, which pass 2**31 from n = 303 on."""
+    count, (a, b) = comb(n + 2, 2), edge_index(3, n)
+    return np.searchsorted(a * count + b, np.minimum(u, v) * count + np.maximum(u, v))
 
 
 @dataclass(frozen=True)
@@ -212,10 +211,8 @@ def build_dual(n: int, w: WeightFunction) -> DualGraph:
     if _Last.ref is not None and _Last.ref() is w:
         return _Last.graph
     topo = dual_topology(n)
-    # `WeightFunction` admits weight only on edges, so every pair has a slot, and slot keys are sorted
-    count, (u, v) = comb(n + 2, 2), edge_index(3, n)
     weights = np.zeros(len(topo.ends), w.nums.dtype)
-    weights[np.searchsorted(u * count + v, w.u * count + w.v)] = w.nums
+    weights[_edge_slots(n, w.u, w.v)] = w.nums  # `WeightFunction` admits weight only on edges
     weights.setflags(write=False)
     _Last.ref = weakref.ref(w, _Last.forget)
     _Last.graph = DualGraph(n, topo, weights, w.denominator)
@@ -277,8 +274,9 @@ def _outer_distances(g: DualGraph) -> np.ndarray:
     length of a path that crosses each edge at most once, so an integer
     below 2**53 that float64 holds exactly.  The diagonal blocks of the
     result are cast to int64 and checked exactly before use: every node is
-    reached, each source is at 0, and the searched rows hold.  Distances
-    that pass are feasible potentials, lower bounds on the true distances,
+    reached, each source is at 0, and d[h] <= d[t] + w(e) on every arc
+    t -> h of the CSR searched, the Lipschitz rows.  Distances that pass
+    are feasible potentials, lower bounds on the true distances,
     so a wrong compiled result cannot inflate a certificate; a failure
     raises RuntimeError.  At or above FLOAT_EXACT the array is
     `_shortest_paths`'s Python ints, of object dtype.
@@ -298,9 +296,9 @@ def _outer_distances(g: DualGraph) -> np.ndarray:
     if not (np.isfinite(dist).all() and (dist[[0, 1, 2], outer] == 0).all()):
         raise RuntimeError("compiled Dijkstra left a node unreached or a source off 0")
     dist = dist.astype(np.int64)
-    lhs, rhs = _row_values(g.n, np.concatenate((g.weights, dist.ravel())))
-    if (lhs[rhs == 0] < 0).any():  # the Lipschitz rows are the rows with rhs 0
-        raise RuntimeError("compiled Dijkstra distances break a Lipschitz row")
+    d = dist.ravel()  # by search-graph node: d[i * N + v] = dist[i, v]
+    if (d[head] > np.repeat(d, np.diff(indptr)) + g.weights[slot]).any():
+        raise RuntimeError("compiled Dijkstra distances break a searched arc")
     return dist
 
 
@@ -356,17 +354,16 @@ def potential_system(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     topo = dual_topology(n)
     m, N, F = len(topo.ends), topo.size, len(topo.faces)
-    # every dual arc tail -> head across a slot, by tail (the faces in face order,
-    # then O_0, O_1, O_2: the inverse of that order ranks them), head and slot
+    # every dual arc tail -> head across a slot, by tail, head and slot
     tail, head = np.concatenate((topo.ends, topo.ends[:, ::-1])).T
     slot = np.tile(np.arange(m, dtype=np.int32), 2)
-    rank = np.argsort(np.append(topo.faces, topo.outer))
-    order = np.lexsort((slot, head, rank[tail]))
+    order = np.lexsort((slot, head, tail))
     tail, head, slot = tail[order], head[order], slot[order]
+    face = ~np.isin(tail, topo.outer)
     cols, coefs = [], []
     for i in range(3):
         source = topo.outer[i]
-        arc = ((rank[tail] < F) | (tail == source)) & (head != source)
+        arc = (face | (tail == source)) & (head != source)
         t, h = tail[arc], head[arc]
         base = m + i * N
         cols.append(np.column_stack((slot[arc], base + h, base + t)))
@@ -385,15 +382,15 @@ def _search_graph(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Lipschitz rows of `potential_system(n)` as one CSR `(indptr,
     head, slot)` over its 3N potential columns, built once per n: node
     i * N + v is pi_i(v), and the row pi_i(h) - pi_i(t) <= w(e) an arc
-    t -> h across edge slot e.  A search from i * N + O_i stays in block i
-    and meets the other outer nodes only at a path's end."""
+    t -> h across edge slot e.  The rows come by tail, so indptr counts
+    them and they stand as they are.  A search from i * N + O_i stays in
+    block i and meets the other outer nodes only at a path's end."""
     topo = dual_topology(n)
     m, N = len(topo.ends), topo.size
-    col, _, rhs = potential_system(n)
-    slot, head, tail = (col[rhs == 0] - [0, m, m]).T  # the terms (w(e), pi_i(h), pi_i(t))
-    order = np.argsort(tail, kind="stable")
-    count = np.bincount(tail, minlength=3 * N)
-    return _frozen(np.concatenate(([0], np.cumsum(count)))), _frozen(head[order]), _frozen(slot[order])
+    # the Lipschitz rows, before the ball rows and the corner row, with terms (w(e), pi_i(h), pi_i(t))
+    slot, head, tail = potential_system(n)[0][: -len(topo.faces) - 1].T
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(tail - m, minlength=3 * N))))
+    return _frozen(indptr), _frozen(head - m), _frozen(np.ascontiguousarray(slot))
 
 
 PERMUTATIONS = tuple(permutations(range(3)))  # sigma sends coordinate i to sigma[i]; the identity first
@@ -416,8 +413,8 @@ def symmetry_orbits(n: int) -> SymmetryOrbits:
     A permutation sigma maps the point x to y with y[sigma[i]] = x[i].  So
     it maps the side x_i = 0 to the side y_sigma(i) = 0, and O_i to
     O_sigma(i); a face to the face at the permuted centroid, of the same
-    kind; an edge slot to the slot whose dual nodes are the images of its
-    own; and the column pi_i(v) to pi_sigma(i)(sigma v).  Every Lipschitz
+    kind; an edge slot to the slot of its permuted endpoints, by their
+    ranks; and the column pi_i(v) to pi_sigma(i)(sigma v).  Every Lipschitz
     row maps to a Lipschitz row and every ball row to a ball row.  The
     corner row's images are not rows of the system, but on S3-invariant
     points it reads 3 pi_0(O_1) >= 1.
@@ -433,7 +430,7 @@ def symmetry_orbits(n: int) -> SymmetryOrbits:
         node[topo.outer] = topo.outer[list(sigma)]
         c = topo.centroids[:, np.argsort(sigma)]  # y = x[argsort(sigma)]
         node[topo.faces] = face_at[c[:, 0], c[:, 1]]
-        slot = _find_pairs(*topo.ends.T, N, *node[topo.ends].T)
+        slot = _edge_slots(n, *point_rank(point_array(3, n)[:, np.argsort(sigma)], n)[edge_index(3, n)])
         images.append(np.concatenate((slot, m + (np.array(sigma)[:, None] * N + node).ravel())))
     images = np.stack(images)
     _, orbit = np.unique(images.min(axis=0), return_inverse=True)

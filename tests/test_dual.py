@@ -115,7 +115,7 @@ def oracle_build_dual(n, w):
 def oracle_potential_rows(g):
     """Reference: the potential system read off the dict adjacency."""
     for i, source in enumerate(OUTER):
-        for u, arcs in g.adj.items():
+        for u, arcs in sorted(g.adj.items()):
             if u[0] == "O" and u != source:
                 continue
             for v, _, e in arcs:
@@ -355,10 +355,13 @@ def test_symmetry_orbits_permute_the_potential_system():
 
 
 def test_symmetry_orbits_stay_bijective_past_int32_keys():
-    # N = 67,603 dual nodes at n = 260, so a node-pair key id * N + id passes 2**31
-    n = 260
+    # an edge slot's image is found by the ranks u < v of its permuted
+    # endpoints, through the slot keys u * |Delta_{3,n}| + v; at n = 305
+    # (46,971 points) the largest of them passes 2**31
+    n = 305
     topo = dual_topology(n)
-    assert (topo.size - 1) * topo.size > 2**31
+    count, (u, v) = (n + 1) * (n + 2) // 2, edge_index(3, n)
+    assert count == 46_971 and (u * count + v).max() > 2**31
     orbits = symmetry_orbits(n)
     columns = len(topo.ends) + 3 * topo.size
     assert orbits.images.shape == (6, columns)
@@ -410,6 +413,36 @@ def test_dual_topology_bytes_are_unchanged_for_n_up_to_60():
         for a in (topo.ends, topo.faces, topo.centroids, topo.outer):
             digest.update(str(a.dtype).encode() + str(a.shape).encode() + a.tobytes())
     assert digest.hexdigest() == "1baa811163ccd891419d92fc55c4a1bc308ddb64a35d644cbcf72b248b6a337e"
+
+
+def _array_digest(arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(str(a.dtype).encode() + str(a.shape).encode() + a.tobytes())
+    return digest.hexdigest()
+
+
+def test_search_graph_orbits_rows_and_search_are_unchanged():
+    # sha256 recorded with the Lipschitz rows ordered by a face-order rank of
+    # their tails, the search graph re-sorted by tail and the slot images found
+    # by node-pair keys: the arrays by dtype, shape and bytes for n = 1..60,
+    # the rows as a sorted set, and search(n) for n = 3..20
+    graphs = []
+    rows = []
+    for n in range(1, 61):
+        orbits = symmetry_orbits(n)
+        graphs += [*dual_module._search_graph(n), orbits.images, orbits.orbit, orbits.size]
+        table = np.column_stack(potential_system(n))
+        rows.append(table[np.lexsort(table.T[::-1])])
+    assert _array_digest(graphs) == "44087529d3377eae13fbb0854e3c529dfdccf20f9250ba977fd3c395878b951b"
+    assert _array_digest(rows) == "1f054e12a3cef4871cff6f3ef411ad0d0b78f6703b012538a9e98b12303a9aec"
+    digest = hashlib.sha256()
+    for n in range(3, 21):
+        s = search(n)
+        w = s.weights
+        key = (s.certified, s.lpc_exact, w.denominator, w.u.tolist(), w.v.tolist(), w.nums.tolist())
+        digest.update(repr(key).encode())
+    assert digest.hexdigest() == "831dfc5e603e9c18442d70ccb8adc88289e900f762cb2b97fe1d4af8b5e69cca"
 
 
 def test_second_build_dual_enumerates_no_edges():
@@ -570,6 +603,19 @@ def test_compiled_distances_match_the_python_kernel():
         assert dist.tolist() == _python_outer_distances(g)
 
 
+def _lower_a_tight_tail(d, face, N, outer):
+    """Lower by 1 the distance from O_1 of a face t on a tight arc t -> h of
+    block 1, d[h] = d[t] + w(e) in the unpatched distances d of w3(6): only
+    arcs read at their tail t can break, so the tail gather must catch it."""
+    indptr, head, slot = dual_module._search_graph(6)
+    weights = build_dual(6, build_w3(6)).weights
+    tail = np.repeat(np.arange(3 * N), np.diff(indptr))
+    d1 = d[1]
+    tight = (tail // N == 1) & ~np.isin(tail - N, outer) & (d1[head] == d1[tail] + weights[slot])
+    t = tail[np.flatnonzero(tight)[0]]
+    d[1, t] -= 1
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -577,8 +623,9 @@ def test_compiled_distances_match_the_python_kernel():
         lambda d, face, N, outer: d.__setitem__((2, 2 * N + face), d[2, 2 * N + face] + 1),
         lambda d, face, N, outer: d.__setitem__((1, N + face), np.inf),
         lambda d, face, N, outer: d.__setitem__((1, N + outer[1]), 1),
+        _lower_a_tight_tail,
     ],
-    ids=["face+1 from O_0", "face+1 from O_2", "unreached", "source off 0"],
+    ids=["face+1 from O_0", "face+1 from O_2", "unreached", "source off 0", "tight tail-1 from O_1"],
 )
 def test_certify_rejects_compiled_distances_that_fail_the_exact_check(monkeypatch, edit):
     import scipy.sparse.csgraph
